@@ -11,7 +11,7 @@ from .scalar import (GaussianRational, FieldMode, rational, is_rational,
                      MODE_RATIONAL,
                      MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
                      MODE_COMPLEX_FLOAT, GAUSSIAN, COMPLEX_FLOAT,
-                     RATIONAL, REAL_FLOAT, IDENTITY,
+                     RATIONAL, REAL_FLOAT, IDENTITY, CONJUGATION,
                      abs_squared, scalar_to_json, scalar_from_json)
 from .matrix import Matrix, Poly, direct_sum, skew_sum, realify
 

@@ -16,7 +16,8 @@ from .scalar import (GaussianRational, Quaternion, FieldMode, rational,
                      COMPLEX_FLOAT, IDENTITY, CONJUGATION,
                      MODE_RATIONAL, MODE_GAUSSIAN, MODE_COMPLEX_FLOAT,
                      abs_squared, is_unimodular)
-from .matrix import Matrix, direct_sum, realify, char_poly
+from .matrix import (Matrix, direct_sum, realify, char_poly,
+                     column_complement)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      QUATERNION_STAR, SINGULAR_JORDAN, SKEW_PAIR,
                      SIGNED_ROOT, REAL_SKEW_PAIR, REAL_SIGNED_ROOT,
@@ -55,12 +56,7 @@ def _from_cols(cols, n, mode):
 
 def _colspace(X):
     """Reduce columns to a basis of their span."""
-    mode = X.mode
-    R, _, piv = X.transpose()._echelon()
-    rows = [R.a[i] for i in range(len(piv))]
-    if not rows:
-        return Matrix.zeros(X.rows, 0, mode)
-    return Matrix(rows, mode, promote=False).transpose()
+    return X.transpose().rref().rows.transpose()
 
 
 def _intersect(U, V):
@@ -93,57 +89,28 @@ def _perp(V):
     return V.conj_transpose().right_kernel()
 
 
-def _complement(S, T):
-    """Columns of T extending the columns of S to a basis of their joint span."""
-    cur = S
-    out = []
-    r = cur.rank() if cur.cols else 0
-    for c in _cols(T):
-        cand = cur.hstack(c) if cur.cols else c
-        if cand.rank() > r:
-            cur = cand
-            r += 1
-            out.append(c)
-    return out
-
-
 def _solve_any(Arows, rhs, mode):
     """One solution x of Arows x = rhs, or None."""
     n = Arows.cols
-    R, _, piv = Arows.hstack(rhs)._echelon()
-    if any(p == n for p in piv):
+    red = Arows.hstack(rhs).rref()
+    if n in red.pivots:
         return None
-    x = [mode.zero()] * n
-    for r in range(len(piv) - 1, -1, -1):
-        pc = piv[r]
-        s = R.a[r][n]
-        for c in range(pc + 1, n):
-            if not mode.is_zero(x[c]):
-                s = s - R.a[r][c] * x[c]
-        x[pc] = mode.inv(R.a[r][pc]) * s
-    return Matrix([[v] for v in x], mode, promote=False, shape=(n, 1))
+    x = [[mode.zero()] for _ in range(n)]
+    for pc, row in zip(red.pivots, red.rows.a):
+        x[pc][0] = row[n]
+    return Matrix(x, mode, promote=False, shape=(n, 1))
 
 
 def _solve_cols(A, B):
     """X with A X = B for a full-column-rank A whose span contains B."""
-    mode = A.mode
     d = A.cols
-    R, _, piv = A.hstack(B)._echelon()
-    if piv[:d] != list(range(d)):
+    # float residues of B outside the span stay below the pivots
+    red = A.hstack(B).rref(limit=None if A.mode.exact else d)
+    if red.pivots[:d] != list(range(d)):
         raise ClassificationError("basis columns are dependent")
-    if mode.exact and len(piv) > d:
+    if len(red.pivots) > d:
         raise ClassificationError("columns leave the invariant subspace")
-    X = Matrix.zeros(d, B.cols, mode)
-    for j in range(B.cols):
-        x = [mode.zero()] * d
-        for r in range(d - 1, -1, -1):
-            s = R.a[r][d + j]
-            for c in range(r + 1, d):
-                s = s - R.a[r][c] * x[c]
-            x[r] = mode.inv(R.a[r][r]) * s
-        for r in range(d):
-            X.a[r][j] = x[r]
-    return X
+    return red.rows.submatrix(range(d), range(d, d + B.cols))
 
 
 # -- singular structure oracle ----------------------------------------------
@@ -265,7 +232,7 @@ def _reg_rec(A):
     V0 = _intersect(K, Ks)
     if V0.cols:
         # two-sided kernel: split exact 1x1 zero summands off first
-        W0 = _from_cols(_complement(V0, I), n, mode)
+        W0 = column_complement(V0, I)
         chains, core = _reg_rec(W0.conj_transpose() * A * W0)
         chains = [[W0 * v for v in ch] for ch in chains]
         core = [W0 * v for v in core]
@@ -276,7 +243,7 @@ def _reg_rec(A):
     # which shortens every chain by two and leaves the core untouched.
     nch = K.cols
     P = _perp(A.conj_transpose() * K)
-    W = _from_cols(_complement(K, P), n, mode)
+    W = column_complement(K, P)
     chains_s, core_s = _reg_rec(W.conj_transpose() * A * W)
     chains_x = [[W * v for v in ch] for ch in chains_s]
     core_x = [W * v for v in core_s]

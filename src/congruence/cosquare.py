@@ -24,7 +24,7 @@ def cosquare(A, mode=None):
         mode = A.mode
     if not A.is_square():
         raise ValueError("cosquare needs a square matrix")
-    return A.conj_transpose().inverse() * A
+    return A.conj_transpose().solve(A)
 
 
 def poly_dual(f, mode=None):

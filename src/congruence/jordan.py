@@ -10,7 +10,7 @@ import sympy
 
 from .scalar import (GaussianRational, GAUSSIAN, RATIONAL, rational,
                      is_rational)
-from .matrix import Matrix, char_poly
+from .matrix import Matrix, char_poly, column_complement
 
 
 class UnsplittablePolynomial(ValueError):
@@ -217,30 +217,15 @@ def generalized_eigenbasis(A, lam):
     if d == 0:
         raise ValueError("not an eigenvalue")
 
-    def rank_of(cols):
-        if not cols:
-            return 0
-        M = cols[0]
-        for c in cols[1:]:
-            M = M.hstack(c)
-        return M.rank()
-
     tops = {h: [] for h in range(1, d + 2)}
     for h in range(d, 0, -1):
         descended = [N * v for v in tops[h + 1]]
-        base = [kernels[h - 1].submatrix(range(n), [j])
-                for j in range(kernels[h - 1].cols)]
-        span = base + descended
-        r = rank_of(span)
-        new = []
-        for j in range(kernels[h].cols):
-            cand = kernels[h].submatrix(range(n), [j])
-            r2 = rank_of(span + [cand])
-            if r2 > r:
-                span.append(cand)
-                new.append(cand)
-                r = r2
-        tops[h] = descended + new
+        span = kernels[h - 1]
+        for v in descended:
+            span = span.hstack(v)
+        new = column_complement(span, kernels[h])
+        tops[h] = descended + [new.submatrix(range(n), [j])
+                               for j in range(new.cols)]
     # build chains from every vector first reaching its height
     chains = []
     for h in range(d, 0, -1):

@@ -1,19 +1,35 @@
 """Dense matrices and univariate polynomials over a FieldMode.
 
-Everything here is pure: operations return new objects.  Elimination is
-ordinary Gaussian elimination over the exact field (entries stay exact
-because the bases are fields), with left-multiplication row operations so
-the same code is valid over the quaternions.
+Everything here is pure: operations return new objects.  Matrix entries are
+the scalars of scalar.py; this module owns how products and elimination
+treat them, through two back ends chosen by the base alone:
+
+- over the rationals and the Gaussian rationals, each row (or column) is
+  written as integer numerators over one common denominator.  Products are
+  integer dot products; elimination is fraction-free (Bareiss), dividing
+  exactly by the previous pivot.  Both are written once: only the integer
+  arithmetic differs, ints over the rationals and (re, im) int pairs over
+  the Gaussian rationals.  Each result entry becomes one
+  rational(num, den) at the end, so gmpy2's rationals serve when present;
+- over the quaternions, GF(2) and the floats, one generic scalar
+  elimination uses left-multiplication row operations (valid over the
+  noncommutative quaternions) and, for floats, the largest pivot above a
+  tolerance relative to the matrix scale.
+
+Matrix.rref is the one elimination primitive of both back ends; rank, det,
+inverse, solve and right_kernel read its result.
 """
 
-from fractions import Fraction
+from collections import namedtuple
+from math import lcm, prod
+from operator import mul
 
-from .scalar import (FieldMode, GaussianRational, Quaternion, GF2,
+from .scalar import (FieldMode, GaussianRational, rational,
                      RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
-                     COMPLEX_FLOAT, GF2_BASE, IDENTITY,
-                     MODE_RATIONAL, MODE_GAUSSIAN, MODE_GAUSSIAN_ID,
-                     MODE_REAL_FLOAT, MODE_COMPLEX_FLOAT,
-                     scalar_to_json, scalar_from_json)
+                     COMPLEX_FLOAT, MODE_RATIONAL, MODE_GAUSSIAN,
+                     MODE_REAL_FLOAT, scalar_to_json, scalar_from_json)
+
+Reduction = namedtuple("Reduction", "pivots rows det")
 
 
 class Matrix:
@@ -94,19 +110,9 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch %dx%d * %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
-            z = self.mode.zero()
-            b = other.a
-            out = []
-            for row in self.a:
-                new = []
-                for j in range(other.cols):
-                    s = z
-                    for k, x in enumerate(row):
-                        s = s + x * b[k][j]
-                    new.append(s)
-                out.append(new)
-            return Matrix(out, self.mode, promote=False,
-                          shape=(self.rows, other.cols))
+            if self.mode.base in _RINGS and other.mode.base == self.mode.base:
+                return _mul_int(self, other)
+            return _mul_generic(self, other)
         return self.scale_left(other)
 
     def __rmul__(self, other):
@@ -164,149 +170,63 @@ class Matrix:
 
     # -- elimination --------------------------------------------------------
 
-    def _echelon(self, collect_transform=False):
-        """Row echelon form via left-multiplication row operations.
+    def rref(self, limit=None):
+        """Reduced row echelon form: Reduction(pivots, rows, det).
 
-        Returns (R, E, pivots) with R = E * self and pivots the list of
-        pivot column indices.
+        pivots are the pivot columns, sought among the first `limit` columns
+        (all by default; the rest ride along as right-hand sides), each on
+        the first usable row.  rows is the len(pivots) x cols matrix of the
+        reduced pivot rows: 1 at each pivot, 0 elsewhere in pivot columns.
+        det is the determinant of a square matrix reduced over all its
+        columns, else None (and always None over the quaternions).
+        The transform rides along the same way: for a nonsingular square
+        self, reducing [self | B] with limit=self.cols leaves self^-1 B in
+        the right block (solve; inverse takes B = I).
         """
-        mode = self.mode
-        m, n = self.rows, self.cols
-        R = [row[:] for row in self.a]
-        E = Matrix.identity(m, mode).a if collect_transform else None
-        if mode.exact:
-            negligible = mode.is_zero
-        else:
-            # float zero tests are relative to the matrix scale
-            scale = max([mode.abs_key(x) for row in R for x in row] + [1.0])
-            thr = mode.tolerance * scale
-            negligible = lambda v: mode.abs_key(v) <= thr
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            # pick a pivot row
-            best, key = None, None
-            for i in range(r, m):
-                if not negligible(R[i][c]):
-                    k = mode.abs_key(R[i][c])
-                    if mode.exact:
-                        best = i
-                        break
-                    if best is None or k > key:
-                        best, key = i, k
-            if best is None:
-                continue
-            if best != r:
-                R[r], R[best] = R[best], R[r]
-                if E is not None:
-                    E[r], E[best] = E[best], E[r]
-            pinv = mode.inv(R[r][c])
-            for i in range(r + 1, m):
-                if mode.is_zero(R[i][c]):
-                    continue
-                f = R[i][c] * pinv
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-                R[i][c] = mode.zero()
-                if E is not None:
-                    E[i] = [x - f * y for x, y in zip(E[i], E[r])]
-            pivots.append(c)
-            r += 1
-        Rm = Matrix(R, mode, promote=False)
-        Em = Matrix(E, mode, promote=False) if E is not None else None
-        return Rm, Em, pivots
+        if limit is None:
+            limit = self.cols
+        if self.mode.base in _RINGS:
+            return _rref_int(self, limit)
+        return _rref_generic(self, limit)
 
     def rank(self):
-        return len(self._echelon()[2])
+        return len(self.rref().pivots)
 
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of a nonsquare matrix")
         if self.mode.base == QUATERNION:
             raise ValueError("no determinant over the quaternions here")
-        n = self.rows
-        mode = self.mode
-        R = [row[:] for row in self.a]
-        sign = 1
-        d = mode.one()
-        for c in range(n):
-            best = None
-            for i in range(c, n):
-                if not mode.is_zero(R[i][c]):
-                    if mode.exact:
-                        best = i
-                        break
-                    if best is None or mode.abs_key(R[i][c]) > mode.abs_key(R[best][c]):
-                        best = i
-            if best is None:
-                return mode.zero()
-            if best != c:
-                R[c], R[best] = R[best], R[c]
-                sign = -sign
-            piv = R[c][c]
-            d = d * piv
-            pinv = mode.inv(piv)
-            for i in range(c + 1, n):
-                if mode.is_zero(R[i][c]):
-                    continue
-                f = R[i][c] * pinv
-                R[i] = [x - f * y for x, y in zip(R[i], R[c])]
-        return d if sign == 1 else -d
+        return self.rref().det
 
     def inverse(self):
-        if not self.is_square():
-            raise ValueError("inverse of a nonsquare matrix")
-        mode = self.mode
-        n = self.rows
-        R, E, pivots = self._echelon(collect_transform=True)
-        if len(pivots) != n:
-            raise ValueError("singular matrix")
-        # back substitution
-        R = [row[:] for row in R.a]
-        E = [row[:] for row in E.a]
-        for c in range(n - 1, -1, -1):
-            pinv = mode.inv(R[c][c])
-            R[c] = [pinv * x for x in R[c]]
-            E[c] = [pinv * x for x in E[c]]
-            for i in range(c):
-                f = R[i][c]
-                if mode.is_zero(f):
-                    continue
-                R[i] = [x - f * y for x, y in zip(R[i], R[c])]
-                E[i] = [x - f * y for x, y in zip(E[i], E[c])]
-        return Matrix(E, mode, promote=False)
+        return self.solve(Matrix.identity(self.rows, self.mode))
 
     def right_kernel(self):
-        """Columns spanning {x : A x = 0}."""
+        """Columns spanning {x : A x = 0}: one per free column f, with
+        x_f = 1 and the other free coordinates 0."""
         mode = self.mode
         n = self.cols
-        R, _, pivots = self._echelon()
-        R = R.a
-        pivset = set(pivots)
+        red = self.rref()
+        pivset = set(red.pivots)
         free = [c for c in range(n) if c not in pivset]
-        basis = []
-        for fc in free:
-            x = [mode.zero()] * n
-            x[fc] = mode.one()
-            # solve for pivot variables bottom-up
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                s = mode.zero()
-                for c in range(pc + 1, n):
-                    if not mode.is_zero(x[c]):
-                        s = s + R[r][c] * x[c]
-                x[pc] = -(mode.inv(R[r][pc]) * s)
-            basis.append(x)
-        out = Matrix.zeros(n, len(basis), mode)
-        for j, x in enumerate(basis):
-            for i in range(n):
-                out.a[i][j] = x[i]
-        return out
+        zero, one = mode.zero(), mode.one()
+        out = [[zero] * len(free) for _ in range(n)]
+        for j, fc in enumerate(free):
+            out[fc][j] = one
+            for pc, row in zip(red.pivots, red.rows.a):
+                out[pc][j] = -row[fc]
+        return Matrix(out, mode, promote=False, shape=(n, len(free)))
 
     def solve(self, B):
         """X with self * X = B (self square nonsingular)."""
-        return self.inverse() * B
+        if not self.is_square():
+            raise ValueError("solve (and inverse) need a square matrix")
+        n = self.rows
+        red = self.hstack(B).rref(limit=n)
+        if len(red.pivots) != n:
+            raise ValueError("singular matrix")
+        return red.rows.submatrix(range(n), range(n, n + B.cols))
 
     # -- block structure ----------------------------------------------------
 
@@ -357,6 +277,295 @@ class Matrix:
         if data["rows"] == 0 or data["cols"] == 0:
             return Matrix.zeros(data["rows"], data["cols"], mode)
         return mat
+
+
+# -- generic scalar back end ------------------------------------------------
+
+def _mul_generic(A, B):
+    z = A.mode.zero()
+    b = B.a
+    out = []
+    for row in A.a:
+        new = []
+        for j in range(B.cols):
+            s = z
+            for k, x in enumerate(row):
+                s = s + x * b[k][j]
+            new.append(s)
+        out.append(new)
+    return Matrix(out, A.mode, promote=False, shape=(A.rows, B.cols))
+
+
+def _rref_generic(M, limit):
+    """Gauss-Jordan elimination over any base with left-multiplication row
+    operations.  Exact bases pivot on the first nonzero entry; floats on the
+    largest entry above the tolerance times the largest entry overall."""
+    mode = M.mode
+    m, n = M.rows, M.cols
+    R = [row[:] for row in M.a]
+    zero, one = mode.zero(), mode.one()
+    if mode.exact:
+        negligible = mode.is_zero
+    else:
+        scale = max([mode.abs_key(x) for row in R for x in row] + [1.0])
+        thr = mode.tolerance * scale
+        negligible = lambda v: mode.abs_key(v) <= thr
+    pivots = []
+    det = one
+    r = 0
+    for c in range(limit):
+        if r == m:
+            break
+        best, key = None, None
+        for i in range(r, m):
+            if not negligible(R[i][c]):
+                if mode.exact:
+                    best = i
+                    break
+                k = mode.abs_key(R[i][c])
+                if best is None or k > key:
+                    best, key = i, k
+        if best is None:
+            continue
+        if best != r:
+            R[r], R[best] = R[best], R[r]
+            det = -det
+        det = det * R[r][c]
+        pinv = mode.inv(R[r][c])
+        R[r] = [pinv * x for x in R[r]]
+        R[r][c] = one
+        for i in range(m):
+            if i == r or mode.is_zero(R[i][c]):
+                continue
+            f = R[i][c]
+            R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            R[i][c] = zero
+        pivots.append(c)
+        r += 1
+    if not m == n == limit or mode.base == QUATERNION:
+        det = None
+    elif len(pivots) < n:
+        det = zero
+    k = len(pivots)
+    return Reduction(pivots, Matrix(R[:k], mode, promote=False, shape=(k, n)),
+                     det)
+
+
+# -- integer-numerator back end (rational and Gaussian-rational bases) ------
+#
+# A vector is held as integer numerators over one common denominator.  The
+# product and the elimination below are written once; only the arithmetic
+# on the integer rows depends on the base, and _RINGS holds it.
+
+_Q0 = rational(0)
+
+
+def _q(num, den):
+    """num / den as a rational."""
+    if not num:
+        return _Q0
+    return rational(num) if den == 1 else rational(num, den)
+
+
+def _scaled(ratios):
+    den = lcm(*[b for _, b in ratios])
+    return [a * (den // b) for a, b in ratios], den
+
+
+class _IntRows:
+    """Rationals: a row is one int list, an entry one int."""
+    one = 1
+
+    @staticmethod
+    def vector(vec):
+        return _scaled([x.as_integer_ratio() for x in vec])
+
+    @staticmethod
+    def nonzero(row):
+        return any(row)
+
+    @staticmethod
+    def dot(x, y):
+        return sum(map(mul, x, y))
+
+    @staticmethod
+    def scalar(num, den):
+        return _q(num, den)
+
+    @staticmethod
+    def at(row, c):
+        return row[c]
+
+    @staticmethod
+    def update(x, y, c, p, q):
+        """(p x - x[c] y) / q, exact."""
+        f = x[c]
+        if f:
+            return [(p * a - f * b) // q for a, b in zip(x, y)]
+        if p != q:
+            return [p * a // q for a in x]
+        return x
+
+    @staticmethod
+    def divide(row, d):
+        return [_q(a, d) for a in row]
+
+
+class _GaussRows:
+    """Gaussian rationals: a row is a pair (re, im) of int lists, an entry a
+    (re, im) pair of ints."""
+    one = (1, 0)
+
+    @staticmethod
+    def vector(vec):
+        n = len(vec)
+        ints, den = _scaled([x.re.as_integer_ratio() for x in vec]
+                            + [x.im.as_integer_ratio() for x in vec])
+        return (ints[:n], ints[n:]), den
+
+    @staticmethod
+    def nonzero(row):
+        return any(row[0]) or any(row[1])
+
+    @staticmethod
+    def dot(x, y):
+        (xr, xi), (yr, yi) = x, y
+        return (sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
+
+    @staticmethod
+    def scalar(num, den):
+        return GaussianRational(_q(num[0], den), _q(num[1], den))
+
+    @staticmethod
+    def at(row, c):
+        """The entry in column c, or 0 when it is zero."""
+        re, im = row[0][c], row[1][c]
+        return (re, im) if re or im else 0
+
+    @staticmethod
+    def update(x, y, c, p, q):
+        """(p x - x[c] y) / q = (p x - x[c] y) conj(q) / |q|^2, exact in
+        Z[i]."""
+        (xr, xi), (yr, yi) = x, y
+        (pr, pi), (qr, qi) = p, q
+        fr, fi = xr[c], xi[c]
+        if fr or fi:
+            tr = [pr * a - pi * b - fr * u + fi * v
+                  for a, b, u, v in zip(xr, xi, yr, yi)]
+            ti = [pr * b + pi * a - fr * v - fi * u
+                  for a, b, u, v in zip(xr, xi, yr, yi)]
+        elif p != q:
+            tr = [pr * a - pi * b for a, b in zip(xr, xi)]
+            ti = [pr * b + pi * a for a, b in zip(xr, xi)]
+        else:
+            return x
+        nq = qr * qr + qi * qi
+        return ([(a * qr + b * qi) // nq for a, b in zip(tr, ti)],
+                [(b * qr - a * qi) // nq for a, b in zip(tr, ti)])
+
+    @staticmethod
+    def divide(row, d):
+        # x / (dr + i di) = x (dr - i di) / |d|^2
+        dr, di = d
+        nd = dr * dr + di * di
+        return [GaussianRational(_q(a * dr + b * di, nd),
+                                 _q(b * dr - a * di, nd))
+                for a, b in zip(*row)]
+
+
+_RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
+
+
+def _mul_int(A, B):
+    """A B by one integer dot product per entry, skipping zero rows and
+    columns; one rational(num, den) per nonzero part of an entry."""
+    mode = A.mode
+    m, n = A.rows, B.cols
+    if A.cols == 0:
+        return Matrix.zeros(m, n, mode)
+    ring = _RINGS[mode.base]
+    vector, dot, scalar = ring.vector, ring.dot, ring.scalar
+    cols = [vector(c) for c in zip(*B.a)]
+    live = [j for j, (v, _) in enumerate(cols) if ring.nonzero(v)]
+    zero = mode.zero()
+    out = []
+    for row in A.a:
+        a, ad = vector(row)
+        new = [zero] * n
+        out.append(new)
+        if not ring.nonzero(a):
+            continue
+        for j in live:
+            b, bd = cols[j]
+            new[j] = scalar(dot(a, b), ad * bd)
+    return Matrix(out, mode, promote=False, shape=(m, n))
+
+
+def _bareiss(rows, limit, ring):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Each update (p x - f y) / q divides exactly by the previous pivot q:
+    the entries stay minors of the input.  Returns (pivots, last pivot d,
+    sign of the row permutation).  The first len(pivots) rows end as d
+    times the reduced rows; for a square matrix d is the determinant of the
+    row-permuted input.
+    """
+    at, update = ring.at, ring.update
+    m = len(rows)
+    pivots = []
+    prev, sign, r = ring.one, 1, 0
+    for c in range(limit):
+        if r == m:
+            break
+        p = r
+        while p < m and not at(rows[p], c):
+            p += 1
+        if p == m:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        prow = rows[r]
+        piv = at(prow, c)
+        for i in range(m):
+            if i != r:
+                rows[i] = update(rows[i], prow, c, piv, prev)
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots, prev, sign
+
+
+def _rref_int(M, limit):
+    """Matrix.rref over the rationals and Gaussian rationals: rows scaled to
+    integers, reduced fraction-free, divided back once per entry."""
+    mode = M.mode
+    m, n = M.rows, M.cols
+    ring = _RINGS[mode.base]
+    vecs = [ring.vector(row) for row in M.a]
+    rows = [v for v, _ in vecs]
+    pivots, d, sign = _bareiss(rows, limit, ring)
+    k = len(pivots)
+    det = None
+    if m == n == limit:
+        if k < n:
+            det = mode.zero()
+        else:
+            det = ring.scalar(d, prod(den for _, den in vecs))
+            if sign < 0:
+                det = -det
+    out = [ring.divide(rows[r], d) for r in range(k)]
+    return Reduction(pivots, Matrix(out, mode, promote=False, shape=(k, n)),
+                     det)
+
+
+def column_complement(S, T):
+    """The columns of T that extend the columns of S to a basis of their
+    joint span: the pivot columns of [S | T] that fall in T."""
+    k = S.cols
+    piv = S.hstack(T).rref().pivots
+    return T.submatrix(range(T.rows), [j - k for j in piv if j >= k])
 
 
 def direct_sum(*mats):
@@ -581,28 +790,33 @@ class Poly:
 
 
 def char_poly(A):
-    """Monic characteristic polynomial (Faddeev-LeVerrier)."""
+    """Monic characteristic polynomial det(xI - A), by Berkowitz's method.
+
+    Nothing is divided, so it holds over every commutative base, GF(2)
+    included.  With a, R and C the next diagonal entry, row and column
+    beyond the leading r x r block A_r, the block's polynomial p_r gives
+    p_(r+1) = T p_r: T is lower-triangular Toeplitz on the column
+    (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).
+    """
     if not A.is_square():
         raise ValueError("characteristic polynomial of a nonsquare matrix")
     mode = A.mode
     if mode.base == QUATERNION:
         raise ValueError("no characteristic polynomial over the quaternions")
-    n = A.rows
-    if n == 0:
-        return Poly([1], mode)
-    one = Matrix.identity(n, mode)
-    coeffs = [mode.zero()] * (n + 1)
-    coeffs[n] = mode.one()
-    M = A.copy()
-    c = mode.zero()
-    for k in range(1, n + 1):
-        if k > 1:
-            M = A * (M + c * one)
-        tr = mode.zero()
-        for i in range(n):
-            tr = tr + M.a[i][i]
-        c = -(tr / mode.promote(k)) if not isinstance(tr, Quaternion) else None
-        if c is None:
-            raise ValueError("quaternion trace division")
-        coeffs[n - k] = c
-    return Poly(coeffs, mode, promote=False)
+    zero, one = mode.zero(), mode.one()
+    p = [one]  # coefficients of p_r, highest power first
+    for r in range(A.rows):
+        col = [one, -A.a[r][r]]
+        if r:
+            # v <- v A_r and v C in one product with [A_r | C]
+            AC = A.submatrix(range(r), range(r + 1))
+            v = A.submatrix([r], range(r))
+            for _ in range(r):
+                w = (v * AC).a[0]
+                col.append(-w[r])
+                v = Matrix([w[:r]], mode, promote=False, shape=(1, r))
+        T = Matrix([[col[i - j] if i >= j else zero for j in range(r + 1)]
+                    for i in range(r + 2)], mode, promote=False)
+        P = Matrix([[c] for c in p], mode, promote=False, shape=(r + 1, 1))
+        p = [row[0] for row in (T * P).a]
+    return Poly(p[::-1], mode, promote=False)

@@ -12,7 +12,7 @@ from .scalar import (GaussianRational, Quaternion, FieldMode, QUATERNION,
                      MODE_GAUSSIAN, rational, is_rational, abs_squared)
 from .matrix import Matrix
 from .blocks import gamma, gamma_prime, delta
-from .canon import CongruenceWitness
+from .canon import ClassificationError, CongruenceWitness
 
 GAMMA_FORM = "gamma-form"
 DELTA_FORM = "delta-form"
@@ -161,7 +161,8 @@ def forced_epsilon_witness(n, involution, form=DELTA_FORM, prime=False):
         raise ValueError("unknown block kind %r" % form)
     A = base.scale_left(c)
     w = CongruenceWitness(S, A, -A)
-    w.verify()
+    if not w.verify():
+        raise ClassificationError("forced-sign witness fails to verify")
     return w
 
 

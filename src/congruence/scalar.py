@@ -27,8 +27,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = rational(re)
-        self.im = rational(im)
+        # arithmetic results are already rational: skip the copy
+        self.re = re if type(re) is rational else rational(re)
+        self.im = im if type(im) is rational else rational(im)
 
     @staticmethod
     def promote(x):

@@ -3,7 +3,7 @@
 import pytest
 
 from congruence.scalar import (GaussianRational, MODE_RATIONAL, MODE_GAUSSIAN,
-                               rational)
+                               MODE_REAL_FLOAT, rational)
 from congruence.matrix import Matrix, Poly
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
@@ -145,3 +145,15 @@ class TestJson:
             CanonicalBlock(REAL_SKEW_PAIR, 2, lam=gr(1, 1)),
         ])
         assert BlockSum.from_json(bs.to_json()) == bs
+
+    def test_float_round_trip(self):
+        # realified kinds carry complex parameters over a real float field
+        bs = BlockSum(CONGRUENCE_REAL, [
+            CanonicalBlock(SIGNED_ROOT, 1, lam=-1.0, eps=-1),
+            CanonicalBlock(REAL_SIGNED_ROOT, 1, lam=complex(0.6, 0.8), eps=1),
+            CanonicalBlock(REAL_SKEW_PAIR, 2, lam=complex(1.0, 1.0)),
+        ])
+        back = BlockSum.from_json(bs.to_json(), MODE_REAL_FLOAT)
+        assert back == bs
+        lams = {b.kind: b.lam for b in back.blocks}
+        assert lams[REAL_SIGNED_ROOT] == complex(0.6, 0.8)

@@ -10,7 +10,8 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GF2, MODE_REAL_FLOAT,
                                MODE_QUAT_CONJ, Quaternion, rational)
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
-                               realify, complexify)
+                               realify, complexify, _mul_generic,
+                               _rref_generic)
 
 
 def mat(rows, mode=MODE_RATIONAL):
@@ -94,6 +95,16 @@ class TestSolveInvertRank:
         small = Matrix([[1e-6, 0.0], [0.0, 1e-6]], m)
         assert small.rank() == 2
 
+    def test_float_det_uses_the_rank_threshold(self):
+        # det is the product of the pivots rank keeps: a pivot under the
+        # tolerance times the largest entry makes it exactly 0.0
+        m = FieldMode("real-float", "identity", 1e-8)
+        big = Matrix([[1e12, 2e12], [2e12, 4e12 + 1e-3]], m)
+        assert big.det() == 0.0
+        small = Matrix([[1e-6, 0.0], [0.0, 1e-6]], m)
+        assert small.det() == pytest.approx(1e-12)
+        assert Matrix([[2.0, 1.0], [1.0, 3.0]], m).det() == pytest.approx(5.0)
+
 
 class TestCharPoly:
     def test_companion_matrix_oracle(self):
@@ -112,6 +123,141 @@ class TestCharPoly:
         tr = A.a[0][0] + A.a[1][1] + A.a[2][2]
         assert chi.coeff(2) == -tr
         assert chi.coeff(0) == -A.det()
+
+
+class TestCharPolyAnyBase:
+    def test_gf2_three_by_three(self):
+        # Faddeev-LeVerrier would divide by k = 2 = 0 here
+        A = Matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]], MODE_GF2)
+        chi = char_poly(A)
+        # det(xI - A) = (x + 1)^3 + 1 = x^3 + x^2 + x over GF(2)
+        assert [chi.coeff(k).v for k in range(4)] == [0, 1, 1, 1]
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_gf2_is_the_integer_polynomial_mod_2(self, seed, n):
+        rng = random.Random(seed)
+        ints = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        over_q = char_poly(Matrix(ints, MODE_RATIONAL))
+        over_f2 = char_poly(Matrix(ints, MODE_GF2))
+        assert over_f2.degree == n
+        for k in range(n + 1):
+            assert over_f2.coeff(k).v == over_q.coeff(k).numerator % 2
+
+    @given(st.integers(0, 10 ** 6), st.integers(0, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_cayley_hamilton_gaussian(self, seed, n):
+        rng = random.Random(seed)
+        A = Matrix([[GaussianRational(Fraction(rng.randint(-3, 3),
+                                               rng.randint(1, 3)),
+                                      rng.randint(-3, 3))
+                     for _ in range(n)] for _ in range(n)], MODE_GAUSSIAN)
+        chi = char_poly(A)
+        assert chi.degree == n
+        acc = Matrix.zeros(n, n, MODE_GAUSSIAN)
+        for c in reversed(chi.c):
+            acc = acc * A + Matrix.identity(n, MODE_GAUSSIAN).scale_left(c)
+        assert acc == Matrix.zeros(n, n, MODE_GAUSSIAN)
+
+
+# -- integer kernels against the generic scalar path ------------------------
+
+@st.composite
+def exact_matrix(draw, rows=None, cols=None):
+    """A rational or Gaussian-rational matrix, each row over its own
+    denominator, sometimes with a dependent row, a zero row or a zero
+    column."""
+    gauss = draw(st.booleans()) if rows is None else rows[1]
+    mode = MODE_GAUSSIAN if gauss else MODE_RATIONAL
+    m = draw(st.integers(0, 6)) if rows is None else rows[0]
+    n = draw(st.integers(0, 6)) if cols is None else cols
+    small = st.integers(-4, 4)
+    out = []
+    for _ in range(m):
+        den = draw(st.integers(1, 12))
+        row = []
+        for _ in range(n):
+            re = Fraction(draw(small), den) if draw(st.booleans()) else 0
+            if gauss:
+                im = Fraction(draw(small), den) if draw(st.booleans()) else 0
+                row.append(GaussianRational(re, im))
+            else:
+                row.append(re)
+        out.append(row)
+    A = Matrix(out, mode, shape=(m, n))
+    z = mode.zero()
+    if m >= 3 and draw(st.booleans()):
+        c = mode.promote(GaussianRational(2, -1) if gauss else Fraction(-3, 2))
+        A.a[m - 1] = [x + c * y for x, y in zip(A.a[0], A.a[1])]
+    if m and draw(st.booleans()):
+        A.a[draw(st.integers(0, m - 1))] = [z] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in A.a:
+            row[j] = z
+    return A
+
+
+@st.composite
+def exact_pair(draw):
+    """(A, B) over one base with A.cols == B.rows."""
+    A = draw(exact_matrix())
+    gauss = A.mode == MODE_GAUSSIAN
+    B = draw(exact_matrix(rows=(A.cols, gauss), cols=draw(st.integers(0, 6))))
+    return A, B
+
+
+def same_entries(X, Y):
+    return ((X.rows, X.cols) == (Y.rows, Y.cols)
+            and all(type(x) is type(y) and x == y
+                    for rx, ry in zip(X.a, Y.a) for x, y in zip(rx, ry)))
+
+
+class TestIntegerKernels:
+    @given(exact_pair())
+    @settings(max_examples=200, deadline=None)
+    def test_product(self, pair):
+        A, B = pair
+        assert same_entries(A * B, _mul_generic(A, B))
+
+    @given(exact_matrix(), st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_rref_pivots_rows_det(self, A, limit):
+        for lim in (None, min(limit, A.cols)):
+            got = A.rref(lim)
+            want = _rref_generic(A, A.cols if lim is None else lim)
+            assert got.pivots == want.pivots
+            assert got.det == want.det
+            assert same_entries(got.rows, want.rows)
+
+    @given(exact_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_kernel_det_inverse(self, A):
+        ref = _rref_generic(A, A.cols)
+        assert A.rank() == len(ref.pivots)
+        K = A.right_kernel()
+        assert K.cols == A.cols - len(ref.pivots)
+        assert A * K == Matrix.zeros(A.rows, K.cols, A.mode)
+        if not A.is_square():
+            return
+        assert A.det() == ref.det
+        if len(ref.pivots) < A.rows:
+            with pytest.raises(ValueError):
+                A.inverse()
+            return
+        n = A.rows
+        aug = _rref_generic(A.hstack(Matrix.identity(n, A.mode)), n)
+        assert same_entries(A.inverse(),
+                            aug.rows.submatrix(range(n), range(n, 2 * n)))
+
+    def test_zero_row_shapes(self):
+        for mode in (MODE_RATIONAL, MODE_GAUSSIAN):
+            E = Matrix.zeros(0, 4, mode)
+            red = E.rref()
+            assert red.pivots == [] and (red.rows.rows, red.rows.cols) == (0, 4)
+            assert E.right_kernel() == Matrix.identity(4, mode)
+            assert (E.transpose() * E).rows == 4
+            assert Matrix.zeros(0, 0, mode).det() == mode.one()
 
 
 class TestStructure:

@@ -11,6 +11,7 @@ from congruence.scalar import (GaussianRational, Quaternion, MODE_QUAT_CONJ,
                                rational, abs_squared)
 from congruence.matrix import Matrix, realify
 from congruence.blocks import gamma, gamma_prime, delta
+from congruence.canon import ClassificationError, CongruenceWitness
 from congruence.quat import (GAMMA_FORM, DELTA_FORM, EpsilonRule,
                              epsilon_choices, quat_block, verify_witness,
                              j_scaling, forced_epsilon_witness,
@@ -143,6 +144,18 @@ class TestForcedWitnesses:
         w = forced_epsilon_witness(n, inv, form)
         assert w.rhs == w.lhs.scale_left(rational(-1))
         assert w.verify()
+
+    @pytest.mark.parametrize("inv", [QUAT_CONJUGATION, QUAT_SEMICONJUGATION])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_primed_gamma_witness_verifies(self, inv, n):
+        w = forced_epsilon_witness(n, inv, GAMMA_FORM, prime=True)
+        assert w.rhs == w.lhs.scale_left(rational(-1))
+        assert w.verify()
+
+    def test_failed_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(CongruenceWitness, "verify", lambda self: False)
+        with pytest.raises(ClassificationError):
+            forced_epsilon_witness(2, QUAT_CONJUGATION, DELTA_FORM)
 
 
 class TestRealification:
