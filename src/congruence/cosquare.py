@@ -245,7 +245,7 @@ def star_root_jordan(n, lam, mode):
     F = frobenius_block(chi)
     R = toeplitz_root(F, mode)
     # Jordan chain of the companion matrix: columns (F - lam)^{n-k} e0
-    N = F - Matrix.identity(n, mode).scale_left(lam)
+    N = F.minus_scalar(lam)
     v = Matrix([[mode.one() if i == 0 else mode.zero()] for i in range(n)],
                mode, promote=False)
     cols = [v]

@@ -1,52 +1,108 @@
 """Jordan structure: eigenvalues, block-size partitions, chain bases.
 
-Exact modes restrict eigenvalues to the working field (Gaussian rationals
-at most); anything irreducible of higher degree raises
-UnsplittablePolynomial.  Float modes cluster numerically computed
-eigenvalues at radius tolerance**(1/2).
+Exact modes restrict eigenvalues to the working field, the rationals or
+the Gaussian rationals.  Write the characteristic polynomial as
+chi = (p + i q) / d with integer polynomials p, q.  Every root of chi is a
+root of p when q = 0, and otherwise of the norm p^2 + q^2 = d^2 chi conj(chi)
+(complex conjugation of the coefficients, whatever the mode's involution).
+sympy factors that integer polynomial over the integers.  A linear factor
+gives a rational candidate root; a quadratic A x^2 + B x + C whose
+4AC - B^2 is a positive square gives, over the Gaussian rationals only,
+the pair (-B +- i sqrt(4AC - B^2)) / 2A.
+Each candidate's multiplicity in chi is found by exact synthetic division
+over the base, so a root of conj(chi) alone divides nothing.  Any other
+factor raises UnsplittablePolynomial naming it, and so does any factor of
+chi left undivided.
+
+Float modes cluster numerically computed eigenvalues at radius
+tolerance**(1/2).
+
+The partition at an eigenvalue lam comes from the ranks of (A - lam)^k,
+which stop as soon as the nullity reaches lam's algebraic multiplicity;
+a nullity that stalls below it or passes it raises ValueError.
 """
 
+from math import isqrt, lcm
+
 import sympy
+from sympy.polys.factortools import dup_factor_list
 
 from .scalar import (GaussianRational, GAUSSIAN, RATIONAL, rational,
                      is_rational)
-from .matrix import Matrix, char_poly, column_complement
+from .matrix import Matrix, Poly, char_poly, column_complement
 
 
 class UnsplittablePolynomial(ValueError):
     """The characteristic polynomial has roots outside the working field."""
 
 
-def _sympy_roots(chi):
-    x = sympy.Symbol("x")
-    expr = 0
-    for k in range(chi.degree + 1):
-        c = chi.coeff(k)
-        if isinstance(c, GaussianRational):
-            sc = sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I
-        else:
-            sc = sympy.Rational(c)
-        expr += sc * x ** k
-    domain = "QQ_I" if chi.mode.base == GAUSSIAN else "QQ"
-    poly = sympy.Poly(expr, x, domain=domain)
-    _, factors = poly.factor_list()
+def _numerators(chi):
+    """Integer coefficient lists p, q, highest power first, with
+    chi = (p + i q) / d for one positive integer d."""
+    cs = chi.c[::-1]
+    if chi.mode.base == GAUSSIAN:
+        re, im = [c.re for c in cs], [c.im for c in cs]
+    elif chi.mode.base == RATIONAL:
+        re, im = cs, []
+    else:
+        raise ValueError("exact eigenvalues need a rational or Gaussian "
+                         "rational base, not %r" % chi.mode.base)
+    ratios = [x.as_integer_ratio() for x in re + im]
+    den = lcm(*[b for _, b in ratios])
+    ints = [a * (den // b) for a, b in ratios]
+    return ints[:len(re)], ints[len(re):]
+
+
+def _square(f):
+    out = [0] * (2 * len(f) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(f):
+            out[i + j] += a * b
+    return out
+
+
+def _candidates(f, mode):
+    """The roots in the base of an irreducible integer polynomial f
+    (highest power first)."""
+    if len(f) == 2:
+        return [mode.promote(rational(-f[1], f[0]))]
+    if len(f) == 3 and mode.base == GAUSSIAN:
+        a, b, c = f
+        d = 4 * a * c - b * b
+        s = isqrt(max(d, 0))
+        if d > 0 and s * s == d:
+            re, im = rational(-b, 2 * a), rational(s, 2 * a)
+            return [GaussianRational(re, im), GaussianRational(re, -im)]
+    field = "Gaussian rationals" if mode.base == GAUSSIAN else "rationals"
+    raise UnsplittablePolynomial(
+        "characteristic polynomial: irreducible factor %s has no root in "
+        "the %s" % (sympy.Poly(f, sympy.Symbol("x")).as_expr(), field))
+
+
+def _divide_out(c, r):
+    """c / (x - r) by synthetic division (coefficients highest power
+    first), or None when r is not a root of c."""
+    quot = [c[0]]
+    for a in c[1:]:
+        quot.append(a + r * quot[-1])
+    return None if quot.pop() else quot
+
+
+def _exact_roots(chi):
+    """The roots of chi in its base, with multiplicity."""
+    p, q = _numerators(chi)
+    norm = [a + b for a, b in zip(_square(p), _square(q))] if any(q) else p
+    rest = chi.c[::-1]
     roots = []
-    for fac, mult in factors:
-        if fac.degree() != 1:
-            raise UnsplittablePolynomial(
-                "irreducible factor of degree %d" % fac.degree())
-        # monic linear factor x - r
-        r = -fac.all_coeffs()[-1] / fac.all_coeffs()[0]
-        re = sympy.Rational(sympy.re(r))
-        im = sympy.Rational(sympy.im(r))
-        if chi.mode.base == GAUSSIAN:
-            val = GaussianRational(rational(int(re.p), int(re.q)),
-                                   rational(int(im.p), int(im.q)))
-        else:
-            if im != 0:
-                raise UnsplittablePolynomial("complex root over a real field")
-            val = rational(int(re.p), int(re.q))
-        roots.extend([val] * mult)
+    for f, _ in dup_factor_list(norm, sympy.ZZ)[1]:
+        for r in _candidates(f, chi.mode):
+            while (quot := _divide_out(rest, r)) is not None:
+                roots.append(r)
+                rest = quot
+    if len(rest) > 1:
+        raise UnsplittablePolynomial(
+            "characteristic polynomial: the factor %s has no root among the "
+            "candidates" % Poly(rest[::-1], chi.mode, promote=False))
     return roots
 
 
@@ -81,23 +137,17 @@ def eigenvalues(A):
     """Roots of the characteristic polynomial, with multiplicity."""
     if not A.is_square():
         raise ValueError("square matrix required")
-    mode = A.mode
-    if not mode.exact:
-        vals = _float_eigenvalues(A)
-        if mode.base == "real-float":
-            # keep as complex for analysis; caller decides how to pair
-            return vals
-        return vals
-    return _sympy_roots(char_poly(A))
+    if not A.mode.exact:
+        return _float_eigenvalues(A)
+    return _exact_roots(char_poly(A))
 
 
 class JordanStructure:
-    __slots__ = ("entries", "basis")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, basis=None):
+    def __init__(self, entries):
         # entries: list of (eigenvalue, sorted-descending tuple of sizes)
         self.entries = entries
-        self.basis = basis
 
     def sizes(self, lam, mode):
         for v, s in self.entries:
@@ -105,7 +155,7 @@ class JordanStructure:
                 return s
         return ()
 
-    def key(self, order_key=None):
+    def key(self):
         ks = []
         for v, s in self.entries:
             ks.append((_eig_key(v), tuple(s)))
@@ -141,26 +191,31 @@ def _distinct(vals, mode):
     return out
 
 
-def _partition_from_ranks(A, lam):
-    mode = A.mode
+def _partition_from_ranks(A, lam, mult):
+    """Jordan block sizes at lam, an eigenvalue of algebraic multiplicity
+    mult: the ranks of (A - lam)^k for k = 1, 2, ... until the nullity
+    reaches mult.
+
+    A nullity that stalls below mult or passes it raises ValueError: in
+    exact modes neither can happen, in float modes either means the
+    eigenvalue clusters are wrong.
+    """
     n = A.rows
-    I = Matrix.identity(n, mode)
-    N = A - I.scale_left(mode.promote(lam))
-    sizes = []
-    P = I
-    prev = n
+    N = A.minus_scalar(lam)
+    P = N
     ranks = [n]
-    for _ in range(n):
-        P = P * N
-        r = P.rank()
-        ranks.append(r)
-        if r == prev:
+    while True:
+        ranks.append(P.rank())
+        if ranks[-1] == ranks[-2] or n - ranks[-1] > mult:
+            raise ValueError(
+                "eigenvalue %s: the nullities %s of (A - lam)^k miss its "
+                "algebraic multiplicity %d"
+                % (lam, [n - r for r in ranks[1:]], mult))
+        if n - ranks[-1] == mult:
             break
-        prev = r
+        P = P * N
     # blocks of size >= k: ranks[k-1] - ranks[k]
-    counts = []
-    for k in range(1, len(ranks)):
-        counts.append(ranks[k - 1] - ranks[k])
+    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     sizes = []
     for k, c in enumerate(counts, start=1):
         more = counts[k] if k < len(counts) else 0
@@ -168,28 +223,15 @@ def _partition_from_ranks(A, lam):
     return tuple(sorted(sizes, reverse=True))
 
 
-def jordan_structure(A, basis=False):
-    """Eigenvalues with their Jordan size partitions; optional chain basis."""
+def jordan_structure(A):
+    """Eigenvalues with their Jordan size partitions."""
     if A.mode.base == "real-float":
         # complex eigenvalues force the analysis into the complexification
         from .scalar import FieldMode
         A = A.cast(FieldMode("complex-float", "conjugation", A.mode.tolerance))
-    mode = A.mode
-    vals = eigenvalues(A)
-    distinct = _distinct(vals, mode)
-    entries = []
-    cols = []
-    for lam, _ in distinct:
-        part = _partition_from_ranks(A, lam)
-        entries.append((lam, part))
-        if basis:
-            cols.append(generalized_eigenbasis(A, lam))
-    S = None
-    if basis:
-        S = cols[0]
-        for c in cols[1:]:
-            S = S.hstack(c)
-    return JordanStructure(entries, S)
+    return JordanStructure([(lam, _partition_from_ranks(A, lam, mult))
+                            for lam, mult in _distinct(eigenvalues(A),
+                                                       A.mode)])
 
 
 def generalized_eigenbasis(A, lam):
@@ -200,19 +242,18 @@ def generalized_eigenbasis(A, lam):
     """
     mode = A.mode
     n = A.rows
-    I = Matrix.identity(n, mode)
-    N = A - I.scale_left(mode.promote(lam))
+    N = A.minus_scalar(lam)
     # kernel bases of N^k
     kernels = [Matrix.zeros(n, 0, mode)]
-    P = I
+    P = N
     while True:
-        P = P * N
         K = P.right_kernel()
         if K.cols == kernels[-1].cols:
             break
         kernels.append(K)
         if K.cols == n:
             break
+        P = P * N
     d = len(kernels) - 1
     if d == 0:
         raise ValueError("not an eigenvalue")

@@ -123,6 +123,14 @@ class Matrix:
         return Matrix([[c * x for x in row] for row in self.a], self.mode,
                       promote=False, shape=self._shape)
 
+    def minus_scalar(self, c):
+        """self - c I, for a square matrix."""
+        c = self.mode.promote(c)
+        rows = [row[:] for row in self.a]
+        for i, row in enumerate(rows):
+            row[i] = row[i] - c
+        return Matrix(rows, self.mode, promote=False, shape=self._shape)
+
     def scale_right(self, c):
         c = self.mode.promote(c)
         return Matrix([[x * c for x in row] for row in self.a], self.mode,

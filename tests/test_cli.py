@@ -74,6 +74,8 @@ class TestCanonCommand:
         assert r.exit_code == 3
         err = json.loads(r.output)
         assert err["error"]["code"] == 3
+        # the cosquare's char poly x^2 - 11/6 x + 1: 4AC - B^2 = 23
+        assert "6*x**2 - 11*x + 6" in err["error"]["message"]
 
 
 class TestRootCommand:

@@ -1,15 +1,19 @@
 """Jordan structure recovery: exact eigenvalues, partitions, chain bases."""
 
 import random
+import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
-                               MODE_GAUSSIAN, rational)
-from congruence.matrix import Matrix, direct_sum
-from congruence.blocks import jordan_block
+                               MODE_GAUSSIAN, MODE_GAUSSIAN_ID, rational)
+from congruence.matrix import Matrix, Poly, direct_sum
+from congruence.blocks import jordan_block, frobenius_block
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
-                               eigenvalues, UnsplittablePolynomial)
+                               eigenvalues, UnsplittablePolynomial,
+                               _partition_from_ranks)
 
 
 def gr(a, b=0):
@@ -63,6 +67,84 @@ class TestExact:
         A = Matrix([[0, -1], [1, 0]], MODE_RATIONAL)
         with pytest.raises(UnsplittablePolynomial):
             eigenvalues(A)
+
+
+def with_roots(roots, mode):
+    """A companion matrix whose characteristic polynomial is prod (x - r)."""
+    chi = Poly([1], mode)
+    for r in roots:
+        chi = chi * Poly([-r, 1], mode)
+    return frobenius_block(chi)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+GAUSSIAN_MODES = [MODE_GAUSSIAN, MODE_GAUSSIAN_ID]
+
+
+class TestRootFinder:
+    """The oracle is the multiset of roots the polynomial was built from."""
+
+    @pytest.mark.parametrize("coeffs, factor", [
+        ([gr(0, -1), 0, 1], "x**4 + 1"),  # x^2 - i, through its norm
+        ([1, 1, 1], "x**2 + x + 1"),      # 4AC - B^2 = 3, not a square
+        ([-2, 0, 1], "x**2 - 2"),
+    ])
+    def test_unsplittable_names_the_factor(self, coeffs, factor):
+        A = frobenius_block(Poly(coeffs, MODE_GAUSSIAN))
+        with pytest.raises(UnsplittablePolynomial, match=re.escape(factor)):
+            eigenvalues(A)
+
+    @pytest.mark.parametrize("mode", GAUSSIAN_MODES)
+    def test_conjugate_candidate_rejected(self, mode):
+        # the norm has the root 1 - i too; it must not divide chi
+        roots = [gr(1, 1), gr(2)]
+        assert Counter(eigenvalues(with_roots(roots, mode))) == Counter(roots)
+
+    def test_multiplicities(self):
+        roots = [gr(0, 1)] * 3 + [gr(rational(1, 2))] * 2
+        got = eigenvalues(with_roots(roots, MODE_GAUSSIAN))
+        assert Counter(got) == Counter(roots)
+
+    @pytest.mark.parametrize("mode", GAUSSIAN_MODES + [MODE_RATIONAL])
+    def test_empty_matrix(self, mode):
+        A = Matrix.zeros(0, 0, mode)
+        assert eigenvalues(A) == []
+        assert jordan_structure(A).entries == []
+
+    @pytest.mark.parametrize("mode", GAUSSIAN_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=6))
+    def test_split_polynomials(self, mode, parts):
+        roots = [GaussianRational(a, b) for a, b in parts]
+        assert Counter(eigenvalues(with_roots(roots, mode))) == Counter(roots)
+
+
+class TestRankChain:
+    def test_multiplicity_past_the_rank_profile_raises(self):
+        blocks = [jordan_block(2, 1, MODE_RATIONAL),
+                  jordan_block(1, 1, MODE_RATIONAL),
+                  jordan_block(2, -1, MODE_RATIONAL)]
+        A = scrambled(blocks, MODE_RATIONAL, 7)
+        assert _partition_from_ranks(A, rational(1), 3) == (2, 1)
+        with pytest.raises(ValueError, match="multiplicity 4"):
+            _partition_from_ranks(A, rational(1), 4)
+
+    @pytest.mark.parametrize("lam, mult, part, ranks, products", [
+        (2, 1, (1,), 1, 0),     # a simple eigenvalue: one rank, no product
+        (1, 3, (3,), 3, 2),     # stops at nullity 3, no rank past it
+    ])
+    def test_chain_stops_at_the_multiplicity(self, monkeypatch, lam, mult,
+                                             part, ranks, products):
+        A = scrambled([jordan_block(3, 1, MODE_RATIONAL),
+                       jordan_block(1, 2, MODE_RATIONAL)], MODE_RATIONAL, 5)
+        calls = Counter()
+        for name in ("rank", "__mul__"):
+            def counted(*args, _name=name, _orig=getattr(Matrix, name)):
+                calls[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(Matrix, name, counted)
+        assert _partition_from_ranks(A, rational(lam), mult) == part
+        assert calls == Counter(rank=ranks, __mul__=products)
 
 
 class TestChainBasis:
