@@ -10,6 +10,7 @@ signatures of the chain pairing forms on each root subspace.
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from .scalar import (GaussianRational, Quaternion, FieldMode, rational,
                      GAUSSIAN, RATIONAL, QUATERNION, REAL_FLOAT,
@@ -41,47 +42,9 @@ def _complex_mode_for(fm):
 
 # -- column-space utilities -------------------------------------------------
 
-def _cols(M):
-    return [M.submatrix(range(M.rows), [j]) for j in range(M.cols)]
-
-
-def _from_cols(cols, n, mode):
-    if not cols:
-        return Matrix.zeros(n, 0, mode)
-    M = cols[0]
-    for c in cols[1:]:
-        M = M.hstack(c)
-    return M
-
-
 def _colspace(X):
-    """Reduce columns to a basis of their span."""
+    """The reduced echelon basis of the column span of X (unique)."""
     return X.transpose().rref().rows.transpose()
-
-
-def _intersect(U, V):
-    """Basis of the intersection of two column spaces."""
-    mode = U.mode
-    n = U.rows
-    if U.cols == 0 or V.cols == 0:
-        return Matrix.zeros(n, 0, mode)
-    K = U.hstack(-V).right_kernel()
-    if K.cols == 0:
-        return Matrix.zeros(n, 0, mode)
-    co = K.submatrix(range(U.cols), range(K.cols))
-    return _colspace(U * co)
-
-
-def _preimage(A, V):
-    """Basis of {x : A x in col-space(V)}."""
-    mode = A.mode
-    n = A.cols
-    if V.cols == 0:
-        return A.right_kernel()
-    K = A.hstack(-V).right_kernel()
-    if K.cols == 0:
-        return Matrix.zeros(n, 0, mode)
-    return _colspace(K.submatrix(range(n), range(K.cols)))
 
 
 def _perp(V):
@@ -89,16 +52,11 @@ def _perp(V):
     return V.conj_transpose().right_kernel()
 
 
-def _solve_any(Arows, rhs, mode):
-    """One solution x of Arows x = rhs, or None."""
-    n = Arows.cols
-    red = Arows.hstack(rhs).rref()
-    if n in red.pivots:
-        return None
-    x = [[mode.zero()] for _ in range(n)]
-    for pc, row in zip(red.pivots, red.rows.a):
-        x[pc][0] = row[n]
-    return Matrix(x, mode, promote=False, shape=(n, 1))
+def _preimage(A, V):
+    """Basis of {x : A x in col-space(V)}: the kernel of (V^perp)^* A."""
+    if V.cols == 0:
+        return A.right_kernel()
+    return (_perp(V).conj_transpose() * A).right_kernel()
 
 
 def _solve_cols(A, B):
@@ -118,61 +76,52 @@ def _solve_cols(A, B):
 def singular_profile(A):
     """Multiset of nilpotent block sizes in the congruence canonical form.
 
-    Read off two recursively defined subspace chains M_j = A^{-1}(A^* M_{j-1})
-    and its swap; the dimension increments and intersections pin down how
-    many chains of each length the singular part carries, independently of
-    any basis choice.
+    Follows two recursively defined subspace chains, M_j = A^{-1}(A^* M_{j-1})
+    and its swap P_j, reading only their dimensions and those of their
+    intersections (dim M + dim P - rank [M | P]); _profile_sizes turns them
+    into chain counts, independently of any basis choice.
     """
-    import itertools
-    mode = A.mode
     n = A.rows
     As = A.conj_transpose()
-    M = Matrix.zeros(n, 0, mode)
-    P = Matrix.zeros(n, 0, mode)
-    Ms = [0]
-    Ps = [0]
-    Is = []
-    while True:
+    M = P = Matrix.zeros(n, 0, A.mode)
+    dims, inter = [0], []
+    while len(dims) <= n + 2:
         M2 = _preimage(A, As * M)
         P2 = _preimage(As, A * P)
-        inter = _intersect(M2, P2)
-        if M2.cols == Ms[-1] and P2.cols == Ps[-1]:
+        if M2.cols == M.cols and P2.cols == P.cols:
             break
         M, P = M2, P2
-        Ms.append(M.cols)
-        Ps.append(P.cols)
-        Is.append(inter.cols)
-        if len(Ms) > n + 2:
-            break
-    w = [Ms[j] - Ms[j - 1] for j in range(1, len(Ms))]
-    maxt = len(w)
-    counts = {}
-    for t in range(1, maxt + 1):
-        wt = w[t - 1]
-        wt1 = w[t] if t < len(w) else 0
-        if wt - wt1 > 0:
-            counts[t] = wt - wt1
-    # split each half-length class into odd/even lengths via the
-    # intersection dimensions: a chain of odd length 2h-1 meets both
-    # subspace chains in max(0, 2*min(j,h)-h) directions at step j
-    ts = sorted(counts)
-    best = None
-    for combo in itertools.product(*[range(counts[t] + 1) for t in ts]):
-        ok = True
-        for j in range(1, maxt + 1):
-            aj = Is[j - 1] if j - 1 < len(Is) else (Is[-1] if Is else 0)
-            s = sum(o * max(0, 2 * min(j, h) - h) for o, h in zip(combo, ts))
-            if s != aj:
-                ok = False
-                break
-        if ok:
-            best = combo
-            break
-    if best is None:
-        raise ClassificationError("inconsistent singular chain dimensions")
+        dims.append(M.cols)
+        inter.append(M.cols + P.cols - M.hstack(P).rank())
+    return _profile_sizes(dims, inter)
+
+
+def _profile_sizes(dims, inter):
+    """Chain sizes from dims[j] = dim M_j (dims[0] = 0) and
+    inter[j-1] = dim (M_j meet P_j), largest first.
+
+    The increments w_t = dims[t] - dims[t-1] count the chains of half-length
+    class at least t, so class t (sizes 2t-1 and 2t) holds w_t - w_{t+1}
+    chains.  Only the o_h odd chains of class h meet both subspace chains,
+    in max(0, 2 min(j, h) - h) directions at step j, so the differences
+    D_j = inter_j - inter_{j-1} read 2 (o_j + ... + o_{2j-2}) + o_{2j-1}
+    (just o_1 for j = 1): triangular, solved from the largest class down.
+    Every equation is checked, since a class with no chains must get o = 0.
+    """
+    w = [b - a for a, b in zip(dims, dims[1:])] + [0]
+    maxt = len(inter)
+    odd = [0] * (2 * maxt + 1)
+    for j in range(maxt, 0, -1):
+        d = inter[j - 1] - (inter[j - 2] if j > 1 else 0)
+        if j > 1:
+            d -= 2 * sum(odd[j + 1:2 * j - 1]) + odd[2 * j - 1]
+        o, rem = divmod(d, 2 if j > 1 else 1)
+        if rem or not 0 <= o <= w[j - 1] - w[j]:
+            raise ClassificationError("inconsistent singular chain dimensions")
+        odd[j] = o
     sizes = []
-    for o, t in zip(best, ts):
-        sizes += [2 * t - 1] * o + [2 * t] * (counts[t] - o)
+    for t in range(1, maxt + 1):
+        sizes += [2 * t - 1] * odd[t] + [2 * t] * (w[t - 1] - w[t] - odd[t])
     return sorted(sizes, reverse=True)
 
 
@@ -212,116 +161,95 @@ class RegularizationResult:
 
 
 def _reg_rec(A):
-    """Chains and core columns of the singular decomposition.
+    """Regularizing basis of A as (X, lengths).
 
-    Returns (chains, core_cols) where each chain c_1..c_m of column
-    vectors satisfies c_i^* A c_j = [j == i+1], core columns span a
-    complement on which A restricts nonsingularly, and all cross
-    pairings vanish, so stacking them realizes core + nilpotent Jordan
-    blocks exactly.
+    X's columns are a core basis, on which A restricts nonsingularly,
+    followed by one chain c_1..c_m per entry of lengths, with
+    c_i^* A c_j = [j == i+1] within a chain and every cross pairing zero,
+    so X^* A X is the core plus nilpotent Jordan blocks exactly.
+
+    Each level works on whole matrices.  The vectors carried up from the
+    quotient are mapped once, X = W Xs; all chain lifts Y solve
+    (A X)^* Y = R in one elimination, R marking each chain's head; the
+    kernel-lift pairing is G = (K^* A) Y; the dual kernel basis
+    K' = K (G^-1)^* then clears the lift-lift and carried-lift pairings
+    at once, [Y | X] -= K' (A Y)^* [Y | X].
     """
     mode = A.mode
     n = A.rows
-    if n == 0:
-        return [], []
-    I = Matrix.identity(n, mode)
     K = A.right_kernel()
     if K.cols == 0:
-        return [], _cols(I)
-    Ks = A.conj_transpose().right_kernel()
-    V0 = _intersect(K, Ks)
+        return Matrix.identity(n, mode), []
+    As = A.conj_transpose()
+    V0 = _colspace(A.vstack(As).right_kernel())
     if V0.cols:
         # two-sided kernel: split exact 1x1 zero summands off first
-        W0 = column_complement(V0, I)
-        chains, core = _reg_rec(W0.conj_transpose() * A * W0)
-        chains = [[W0 * v for v in ch] for ch in chains]
-        core = [W0 * v for v in core]
-        chains += [[c] for c in _cols(V0)]
-        return chains, core
+        W0 = column_complement(V0, Matrix.identity(n, mode))
+        X, lengths = _reg_rec(W0.conj_transpose() * A * W0)
+        return (W0 * X).hstack(V0), lengths + [1] * V0.cols
     # ker A now meets ker A* trivially; each kernel line heads a chain of
     # length >= 2.  Pass to the quotient W of P = (A* ker A)^perp by ker A,
     # which shortens every chain by two and leaves the core untouched.
     nch = K.cols
-    P = _perp(A.conj_transpose() * K)
-    W = column_complement(K, P)
-    chains_s, core_s = _reg_rec(W.conj_transpose() * A * W)
-    chains_x = [[W * v for v in ch] for ch in chains_s]
-    core_x = [W * v for v in core_s]
-    allx = [v for ch in chains_x for v in ch] + core_x
-    # lift each chain by a second vector y: the pairings y^* A v for the
-    # carried vectors v are prescribed, rewritten as v^* A^* y = conj(rhs)
-    rows = [(v.conj_transpose() * A.conj_transpose()).a[0] for v in allx]
-    Arows = (Matrix(rows, mode, promote=False, shape=(len(allx), n))
-             if rows else Matrix.zeros(0, n, mode))
-    nlive = len(chains_x)
-    ys = []
-    for j in range(nch):
-        rhs = [[mode.zero()] for _ in range(len(allx))]
-        if j < nlive:
-            rhs[sum(len(c) for c in chains_x[:j])][0] = mode.one()
-        rhsM = Matrix(rhs, mode, promote=False, shape=(len(allx), 1))
-        y = _solve_any(Arows, rhsM, mode)
-        if y is None:
-            raise ClassificationError("no chain lift vector")
-        ys.append(y)
-    H = Arows.right_kernel() if Arows.rows else I
-    kcols = _cols(K)
-
-    def gmat():
-        return Matrix([[(kcols[i].conj_transpose() * A * ys[j]).a[0][0]
-                        for j in range(nch)] for i in range(nch)],
-                      mode, promote=False, shape=(nch, nch))
-
-    G = gmat()
-    if G.rank() < nch:
-        # adjust lifts inside the homogeneous solution space until the
-        # kernel-vs-lift pairing matrix becomes invertible
-        hs = _cols(H)
-        for j in range(nch):
-            if G.rank() == nch:
-                break
-            for h in hs:
-                old = ys[j]
-                ys[j] = ys[j] + h
-                G2 = gmat()
-                if G2.rank() > G.rank():
-                    G = G2
-                    break
-                ys[j] = old
-    if G.rank() < nch:
+    W = column_complement(K, _perp(As * K))
+    Xs, lengths = _reg_rec(W.conj_transpose() * A * W)
+    X = W * Xs
+    starts = list(accumulate(lengths, initial=X.cols - sum(lengths)))
+    nlive = min(len(lengths), nch)
+    # lift chain j by y_j with y_j^* A x = 1 on its head x, 0 on the other
+    # carried vectors: rows (A X)^* against one column of R per lift
+    Arows = (A * X).conj_transpose()
+    R = Matrix.zeros(X.cols, nch, mode)
+    for j in range(nlive):
+        R.a[starts[j]][j] = mode.one()
+    red = Arows.hstack(R).rref()
+    if red.pivots and red.pivots[-1] >= n:
+        raise ClassificationError("no chain lift vector")
+    Y = Matrix.zeros(n, nch, mode)
+    for pc, row in zip(red.pivots, red.rows.a):
+        Y.a[pc] = row[n:]
+    KA = K.conj_transpose() * A
+    G = KA * Y
+    rank = G.rank()
+    if rank < nch:
+        G, rank = _repair_lifts(G, rank, Y, KA, Arows.right_kernel())
+    if rank < nch:
         raise ClassificationError("cannot normalize chain pairings")
-    # dual kernel basis: k'_i pairs to 1 against y_i and 0 against the rest
-    Hk = G.inverse().conj_transpose()
-    kprime = []
+    # dual kernel basis: k'_i pairs to 1 against y_i and 0 against the rest;
+    # A K' = 0, so A Y stays put while Y and X move by multiples of K'
+    Kp = K * G.inverse().conj_transpose()
+    AY = A * Y
+    Z = Y.hstack(X)
+    Z = Kp.hstack(Z - Kp * (AY.conj_transpose() * Z))
+    order = [2 * nch + c for c in range(starts[0])]
     for j in range(nch):
-        v = Matrix.zeros(n, 1, mode)
-        for i in range(nch):
-            v = v + kcols[i].scale_left(Hk.a[i][j])
-        kprime.append(v)
-    # kill pairings among the lifts themselves
-    E = [[(ys[j].conj_transpose() * A * ys[l]).a[0][0] for l in range(nch)]
-         for j in range(nch)]
-    for j in range(nch):
-        for l in range(nch):
-            mu = -mode.involve(E[j][l])
-            if not mode.is_zero(mu):
-                ys[j] = ys[j] + kprime[l].scale_left(mu)
-    # the carried vectors were only determined modulo ker A; fix their
-    # coset so the remaining left pairings against the lifts vanish
-    def _shift(v):
-        for j in range(nch):
-            t = -mode.involve((v.conj_transpose() * A * ys[j]).a[0][0])
-            if not mode.is_zero(t):
-                v = v + kprime[j].scale_left(t)
-        return v
+        order += [j, nch + j]
+        if j < nlive:
+            order += range(2 * nch + starts[j], 2 * nch + starts[j + 1])
+    return (Z.submatrix(range(n), order),
+            [2 + (lengths[j] if j < nlive else 0) for j in range(nch)])
 
-    chains_x = [[_shift(v) for v in ch] for ch in chains_x]
-    core_x = [_shift(v) for v in core_x]
-    chains = []
-    for j in range(nch):
-        tail = chains_x[j] if j < nlive else []
-        chains.append([kprime[j], ys[j]] + tail)
-    return chains, core_x
+
+def _repair_lifts(G, rank, Y, KA, H):
+    """Add columns h of H (homogeneous lift solutions) to the lifts Y in
+    place until G = KA Y has full rank: j outer, h inner, the first trial
+    that raises the rank is kept.  Each trial changes one column of G by
+    the matching column of KA H.  Returns (G, rank)."""
+    KH = KA * H
+    for j in range(G.cols):
+        if rank == G.cols:
+            break
+        for h in range(H.cols):
+            G2 = G.copy()
+            for row, kh in zip(G2.a, KH.a):
+                row[j] = row[j] + kh[h]
+            r2 = G2.rank()
+            if r2 > rank:
+                G, rank = G2, r2
+                for row, hrow in zip(Y.a, H.a):
+                    row[j] = row[j] + hrow[h]
+                break
+    return G, rank
 
 
 def regularize(A, mode=None):
@@ -337,14 +265,17 @@ def regularize(A, mode=None):
     if not A.is_square():
         raise ValueError("regularize needs a square matrix")
     n = A.rows
-    chains, core = _reg_rec(A)
-    chains.sort(key=len, reverse=True)
-    cols = core + [v for ch in chains for v in ch]
-    if len(cols) != n:
+    X, lengths = _reg_rec(A)
+    if X.cols != n:
         raise ClassificationError("regularizing basis has wrong size")
-    T = _from_cols(cols, n, fm)
-    sizes = [len(c) for c in chains]
-    C0 = _from_cols(core, n, fm)
+    starts = list(accumulate(lengths, initial=n - sum(lengths)))
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    cols = list(range(starts[0]))
+    for j in order:
+        cols += range(starts[j], starts[j + 1])
+    T = X.submatrix(range(n), cols)
+    sizes = [lengths[j] for j in order]
+    C0 = X.submatrix(range(n), range(starts[0]))
     C0 = C0.conj_transpose() * A * C0
     if sizes:
         D = direct_sum(C0, *[jordan_block(m, 0, fm) for m in sizes])

@@ -1,9 +1,11 @@
 """Regularization, representatives, sign extraction and classification."""
 
+import itertools
 import random
 
 import pytest
 
+from congruence import canon
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, rational)
 from congruence.matrix import Matrix, direct_sum
@@ -57,6 +59,133 @@ class TestRegularize:
         reg = regularize(A)
         assert sorted(reg.singular_blocks) == [1, 1, 1]
         assert reg.core.rows == 0
+
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_products_do_not_grow_with_the_chain_count(self, cmode,
+                                                        monkeypatch):
+        # every chain pairing is one product, whatever the number of chains
+        fm = field_mode_for(cmode)
+        mul = Matrix.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        counts = []
+        for k in (2, 4):
+            A = scramble(direct_sum(*[jordan_block(2, 0, fm)] * k), 40 + k)
+            monkeypatch.setattr(Matrix, "__mul__", counting)
+            del calls[:]
+            reg = regularize(A)
+            counts.append(len(calls))
+            monkeypatch.setattr(Matrix, "__mul__", mul)
+            assert reg.singular_blocks == [2] * k
+            assert reg.witness.verify()
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_all_nilpotent_sizes_twice_plus_a_root(self, cmode):
+        fm = field_mode_for(cmode)
+        sizes = [4, 4, 3, 3, 2, 2, 1, 1]
+        root = CanonicalBlock(SIGNED_ROOT, 1, lam=rational(1),
+                              eps=None if cmode == CONGRUENCE_AC else 1)
+        want = BlockSum(cmode, [CanonicalBlock(SINGULAR_JORDAN, m)
+                                for m in sizes] + [root])
+        A = scramble(block_sum_matrix(want), 2006)
+        assert A.rows == 21 and A.mode == fm
+        reg = regularize(A)
+        assert reg.singular_blocks == sizes
+        assert reg.core.rows == 1
+        assert reg.witness.verify()
+        assert canonicalize(A, cmode) == want
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_lift_repair_branch(self, cmode, monkeypatch):
+        # a J_2 has no chain to carry, so its lift starts at 0 and must be
+        # moved inside the homogeneous solutions
+        fm = field_mode_for(cmode)
+        repair = canon._repair_lifts
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return repair(*args)
+
+        monkeypatch.setattr(canon, "_repair_lifts", counting)
+        K = direct_sum(jordan_block(3, 0, fm), jordan_block(2, 0, fm),
+                       Matrix.identity(1, fm))
+        reg = regularize(scramble(K, 7))
+        assert calls
+        assert reg.singular_blocks == [3, 2]
+        assert reg.witness.verify()
+
+
+def _model_dims(lengths):
+    """The subspace-chain dimensions singular_profile reads for a
+    singular part with these chain lengths: dim M_j and dim (M_j meet P_j)."""
+    halves = [(m + 1) // 2 for m in lengths]
+    top = max(halves, default=0)
+    dims = [sum(min(j, h) for h in halves) for j in range(top + 1)]
+    inter = [sum(max(0, 2 * min(j, (m + 1) // 2) - (m + 1) // 2)
+                 for m in lengths if m % 2) for j in range(1, top + 1)]
+    return dims, inter
+
+
+def _enumerated_sizes(dims, inter):
+    """Chain sizes by searching every odd/even split of each half-length
+    class for the one that matches all the intersection dimensions."""
+    w = [b - a for a, b in zip(dims, dims[1:])] + [0]
+    counts = {t: w[t - 1] - w[t] for t in range(1, len(w))}
+    ts = [t for t in sorted(counts) if counts[t] > 0]
+    for combo in itertools.product(*[range(counts[t] + 1) for t in ts]):
+        if all(sum(o * max(0, 2 * min(j, h) - h) for o, h in zip(combo, ts))
+               == inter[j - 1] for j in range(1, len(inter) + 1)):
+            sizes = []
+            for o, t in zip(combo, ts):
+                sizes += [2 * t - 1] * o + [2 * t] * (counts[t] - o)
+            return sorted(sizes, reverse=True)
+    return None
+
+
+def _length_multisets(largest, total):
+    if total == 0 or largest == 0:
+        yield []
+        return
+    for m in range(min(largest, total), 0, -1):
+        for rest in _length_multisets(m, total - m):
+            yield [m] + rest
+    yield []
+
+
+class TestSingularProfile:
+    def test_solve_matches_the_enumeration(self):
+        seen = 0
+        for lengths in _length_multisets(8, 16):
+            dims, inter = _model_dims(lengths)
+            want = sorted(lengths, reverse=True)
+            assert _enumerated_sizes(dims, inter) == want
+            assert canon._profile_sizes(dims, inter) == want
+            seen += 1
+            # one intersection off by one: both agree, or both find nothing
+            for j in range(len(inter)):
+                for step in (-1, 1):
+                    bad = inter[:j] + [inter[j] + step] + inter[j + 1:]
+                    old = _enumerated_sizes(dims, bad)
+                    if old is None:
+                        with pytest.raises(ClassificationError):
+                            canon._profile_sizes(dims, bad)
+                    else:
+                        assert canon._profile_sizes(dims, bad) == old
+        assert seen == 795  # partitions of 0..16 into parts <= 8
+
+    def test_matches_regularize(self):
+        K = direct_sum(jordan_block(4, 0, MODE_GAUSSIAN),
+                       jordan_block(3, 0, MODE_GAUSSIAN),
+                       jordan_block(1, 0, MODE_GAUSSIAN),
+                       Matrix.identity(2, MODE_GAUSSIAN))
+        assert canon.singular_profile(scramble(K, 11)) == [4, 3, 1]
 
 
 class TestWitness:
