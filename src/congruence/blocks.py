@@ -5,22 +5,16 @@ is a canonically ordered list of blocks together with the classification
 mode it belongs to.
 """
 
-from fractions import Fraction
-
-from .scalar import (GaussianRational, FieldMode, rational, is_rational,
-                     MODE_RATIONAL,
-                     MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
-                     MODE_COMPLEX_FLOAT, GAUSSIAN, COMPLEX_FLOAT,
-                     RATIONAL, REAL_FLOAT, IDENTITY, CONJUGATION,
-                     abs_squared, scalar_to_json, scalar_from_json)
-from .matrix import Matrix, Poly, direct_sum, skew_sum, realify
+from .scalar import (FieldMode, MODE_RATIONAL, MODE_GAUSSIAN,
+                     MODE_GAUSSIAN_ID, MODE_REAL_FLOAT, MODE_COMPLEX_FLOAT,
+                     COMPLEX_FLOAT, IDENTITY, complex_mode, is_unimodular,
+                     scalar_key, scalar_to_json, scalar_from_json)
+from .matrix import Matrix, direct_sum, skew_sum, realify
 
 # classification modes
 CONGRUENCE_AC = "congruence-ac"
 CONGRUENCE_REAL = "congruence-real"
 STAR_AC = "star-ac"
-GENERAL_FIELD = "general-field"
-QUATERNION_STAR = "quaternion-star"
 
 # block kinds
 SINGULAR_JORDAN = "singular-jordan"
@@ -28,8 +22,6 @@ SKEW_PAIR = "skew-pair"
 SIGNED_ROOT = "signed-root"
 REAL_SKEW_PAIR = "real-skew-pair"
 REAL_SIGNED_ROOT = "real-signed-root"
-GF_TYPE_II = "gf-type-ii"
-GF_TYPE_III = "gf-type-iii"
 
 _KIND_RANK = {
     SINGULAR_JORDAN: 0,
@@ -37,8 +29,6 @@ _KIND_RANK = {
     SIGNED_ROOT: 2,
     REAL_SKEW_PAIR: 3,
     REAL_SIGNED_ROOT: 4,
-    GF_TYPE_II: 5,
-    GF_TYPE_III: 6,
 }
 
 _SIGNED_KINDS = (SIGNED_ROOT, REAL_SIGNED_ROOT)
@@ -150,17 +140,14 @@ def delta(n, mu, mode=MODE_GAUSSIAN):
 # -- canonical blocks -------------------------------------------------------
 
 class CanonicalBlock:
-    __slots__ = ("kind", "n", "lam", "eps", "chi", "qform")
+    __slots__ = ("kind", "n", "lam", "eps")
 
-    def __init__(self, kind, n, lam=None, eps=None, chi=None, qform=None):
+    def __init__(self, kind, n, lam=None, eps=None):
         if kind not in _KIND_RANK:
             raise ValueError("unknown block kind %r" % kind)
         if n < 1:
             raise ValueError("block size must be positive")
         if kind in _SIGNED_KINDS:
-            if eps not in (None, 1, -1):
-                raise ValueError("bad sign")
-        elif kind == GF_TYPE_III:
             if eps not in (None, 1, -1):
                 raise ValueError("bad sign")
         elif eps is not None:
@@ -169,23 +156,15 @@ class CanonicalBlock:
         self.n = n
         self.lam = lam
         self.eps = eps
-        self.chi = chi
-        self.qform = qform
 
     def total_size(self):
-        if self.kind == SINGULAR_JORDAN:
-            return self.n
         if self.kind == SKEW_PAIR:
             return 2 * self.n
-        if self.kind == SIGNED_ROOT:
-            return self.n
         if self.kind == REAL_SKEW_PAIR:
             return 4 * self.n
         if self.kind == REAL_SIGNED_ROOT:
             return 2 * self.n
-        if self.kind == GF_TYPE_II:
-            return 2 * self.chi.degree
-        return self.chi.degree
+        return self.n
 
     def __eq__(self, other):
         if not isinstance(other, CanonicalBlock):
@@ -199,8 +178,6 @@ class CanonicalBlock:
         bits = [self.kind, "n=%d" % self.n]
         if self.lam is not None:
             bits.append("lam=%r" % self.lam)
-        if self.chi is not None:
-            bits.append("chi=%s" % self.chi)
         if self.eps is not None:
             bits.append("eps=%+d" % self.eps)
         return "Block(%s)" % ", ".join(bits)
@@ -211,8 +188,6 @@ class CanonicalBlock:
             out["lambda"] = scalar_to_json(self.lam)
         if self.eps is not None:
             out["epsilon"] = self.eps
-        if self.chi is not None:
-            out["chi"] = [scalar_to_json(c) for c in self.chi.c]
         return out
 
     @staticmethod
@@ -223,37 +198,14 @@ class CanonicalBlock:
                 lam = scalar_from_json(lam, field_mode)
             except TypeError:
                 # realified kinds carry parameters from the complex extension
-                ext = (MODE_GAUSSIAN if field_mode.exact else
-                       FieldMode(COMPLEX_FLOAT, CONJUGATION,
-                                 field_mode.tolerance))
-                lam = scalar_from_json(lam, ext)
-        chi = data.get("chi")
-        if chi is not None:
-            chi = Poly([scalar_from_json(c, field_mode) for c in chi], field_mode)
+                lam = scalar_from_json(lam, complex_mode(field_mode))
         return CanonicalBlock(data["kind"], data["n"], lam=lam,
-                              eps=data.get("epsilon"), chi=chi)
-
-
-def _scalar_key(x):
-    if x is None:
-        return ()
-    if is_rational(x):
-        return (rational(x), rational(0))
-    if isinstance(x, GaussianRational):
-        return (x.re, x.im)
-    if isinstance(x, float):
-        return (x, 0.0)
-    if isinstance(x, complex):
-        return (x.real, x.imag)
-    raise TypeError("no ordering key for %r" % x)
+                              eps=data.get("epsilon"))
 
 
 def block_order_key(b):
     """Deterministic total order: kind, size descending, parameter, sign."""
-    if b.chi is not None:
-        param = (b.chi.degree,) + tuple(_scalar_key(c) for c in b.chi.c)
-    else:
-        param = _scalar_key(b.lam)
+    param = () if b.lam is None else scalar_key(b.lam)
     eps_rank = 0 if b.eps in (None, 1) else 1
     return (_KIND_RANK[b.kind], -b.n, param, eps_rank)
 
@@ -302,31 +254,23 @@ def check_block(b, cmode, field_mode):
     """Validate a block's parameters against its classification mode."""
     n, lam = b.n, b.lam
     fm = field_mode
-
-    def unimod(x):
-        from .scalar import is_unimodular
-        return is_unimodular(x, fm)
-
     if b.kind == SINGULAR_JORDAN:
         return
     if b.kind == SKEW_PAIR:
         lam = fm.promote(lam)
         if fm.is_zero(lam):
             raise ValueError("skew-pair parameter must be nonzero")
-        if cmode == CONGRUENCE_AC:
-            if fm.eq(lam, fm.promote((-1) ** (n + 1))):
-                raise ValueError("parameter (-1)^(n+1) belongs to the root kind")
-        elif cmode == STAR_AC:
-            if unimod(lam):
+        if cmode == STAR_AC:
+            if is_unimodular(lam, fm):
                 raise ValueError("unimodular parameters belong to the root kind")
-        elif cmode == CONGRUENCE_REAL:
+        elif cmode in (CONGRUENCE_AC, CONGRUENCE_REAL):
             if fm.eq(lam, fm.promote((-1) ** (n + 1))):
                 raise ValueError("parameter (-1)^(n+1) belongs to the root kind")
         return
     if b.kind == SIGNED_ROOT:
         lam = fm.promote(lam)
         if cmode == STAR_AC:
-            if not unimod(lam):
+            if not is_unimodular(lam, fm):
                 raise ValueError("signed roots need a unimodular parameter")
             if b.eps is None:
                 raise ValueError("root blocks carry a sign in this mode")
@@ -341,28 +285,18 @@ def check_block(b, cmode, field_mode):
             if b.eps is not None:
                 raise ValueError("root blocks are unsigned in this mode")
         return
-    if b.kind in (REAL_SKEW_PAIR, REAL_SIGNED_ROOT):
-        if cmode != CONGRUENCE_REAL:
-            raise ValueError("realified blocks only occur over a real closed field")
-        g = MODE_GAUSSIAN if fm.exact else MODE_COMPLEX_FLOAT
-        lam = g.promote(lam)
-        im_zero = (lam.im == 0) if g.exact else abs(lam.imag) <= g.tolerance
-        if g.is_zero(lam) or im_zero:
-            raise ValueError("realified blocks need a strictly complex parameter")
-        s = abs_squared(lam)
-        if b.kind == REAL_SKEW_PAIR and g.eq(g.promote(s), g.one()):
-            raise ValueError("unimodular parameters belong to the root kind")
-        if b.kind == REAL_SIGNED_ROOT and not g.eq(g.promote(s), g.one()):
-            raise ValueError("realified roots need a unimodular parameter")
-        return
-    # general-field kinds: only light checks here
-    if b.chi is None:
-        raise ValueError("general-field blocks carry a polynomial")
-
-
-def _root_rep(n, lam, field_mode, signed):
-    from .canon import plus_root
-    return plus_root(n, lam, field_mode, signed=signed)
+    # the realified kinds
+    if cmode != CONGRUENCE_REAL:
+        raise ValueError("realified blocks only occur over a real closed field")
+    g = complex_mode(fm)
+    lam = g.promote(lam)
+    if g.is_zero(lam) or g.is_zero(scalar_key(lam)[1]):
+        raise ValueError("realified blocks need a strictly complex parameter")
+    unimodular = is_unimodular(lam, g)
+    if b.kind == REAL_SKEW_PAIR and unimodular:
+        raise ValueError("unimodular parameters belong to the root kind")
+    if b.kind == REAL_SIGNED_ROOT and not unimodular:
+        raise ValueError("realified roots need a unimodular parameter")
 
 
 def block_matrix(b, cmode, field_mode=None):
@@ -377,28 +311,16 @@ def block_matrix(b, cmode, field_mode=None):
     if b.kind == SKEW_PAIR:
         return skew_sum(jordan_block(n, b.lam, fm), Matrix.identity(n, fm))
     if b.kind == SIGNED_ROOT:
-        R = _root_rep(n, b.lam, fm, signed=b.eps is not None)
+        from .canon import plus_root
+        R = plus_root(n, b.lam, fm, signed=b.eps is not None)
         return -R if b.eps == -1 else R
-    g = MODE_GAUSSIAN if fm.exact else MODE_COMPLEX_FLOAT
+    g = complex_mode(fm)
     if b.kind == REAL_SKEW_PAIR:
         J = realify(jordan_block(n, g.promote(b.lam), g))
         return skew_sum(J, Matrix.identity(2 * n, fm))
-    if b.kind == REAL_SIGNED_ROOT:
-        from .canon import plus_realified_root
-        R = plus_realified_root(n, g.promote(b.lam), fm)
-        return -R if b.eps == -1 else R
-    if b.kind == GF_TYPE_II:
-        F = frobenius_block(b.chi)
-        return skew_sum(F, Matrix.identity(F.rows, F.mode))
-    # general-field type (iii)
-    from .cosquare import toeplitz_root, q_eval
-    F = frobenius_block(b.chi)
-    R = toeplitz_root(F)
-    if b.qform is not None:
-        R = R * q_eval(b.qform, F)
-    if b.eps == -1:
-        R = -R
-    return R
+    from .canon import plus_realified_root
+    R = plus_realified_root(n, g.promote(b.lam), fm)
+    return -R if b.eps == -1 else R
 
 
 def block_sum_matrix(bs, field_mode=None):

@@ -9,35 +9,25 @@ signatures of the chain pairing forms on each root subspace.
 """
 
 import random
-from fractions import Fraction
 from itertools import accumulate
 
 from .scalar import (GaussianRational, Quaternion, FieldMode, rational,
-                     GAUSSIAN, RATIONAL, QUATERNION, REAL_FLOAT,
-                     COMPLEX_FLOAT, IDENTITY, CONJUGATION,
-                     MODE_RATIONAL, MODE_GAUSSIAN, MODE_COMPLEX_FLOAT,
-                     abs_squared, is_unimodular)
+                     GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT,
+                     IDENTITY, MODE_RATIONAL, MODE_GAUSSIAN,
+                     MODE_COMPLEX_FLOAT, abs_squared, complex_mode,
+                     is_unimodular, scalar_key)
 from .matrix import (Matrix, direct_sum, realify, char_poly,
                      column_complement)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
-                     QUATERNION_STAR, SINGULAR_JORDAN, SKEW_PAIR,
-                     SIGNED_ROOT, REAL_SKEW_PAIR, REAL_SIGNED_ROOT,
-                     CanonicalBlock, BlockSum, jordan_block,
-                     field_mode_for)
+                     SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
+                     REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
+                     BlockSum, jordan_block, field_mode_for)
 from .cosquare import cosquare, star_root_jordan
-from .jordan import (UnsplittablePolynomial, jordan_structure,
-                     generalized_eigenbasis)
+from .jordan import jordan_structure, generalized_eigenbasis
 
 
 class ClassificationError(ValueError):
     """An internal structural invariant failed during classification."""
-
-
-def _complex_mode_for(fm):
-    """The complex extension used for eigenvalue work over a real field."""
-    if fm.exact:
-        return MODE_GAUSSIAN
-    return FieldMode(COMPLEX_FLOAT, CONJUGATION, fm.tolerance)
 
 
 # -- column-space utilities -------------------------------------------------
@@ -303,95 +293,57 @@ def select_representative(lam, n, cmode, field_mode=None):
     Returns (representative, is_self_paired); rejects parameters that
     belong to the signed (type-(iii)) family instead.
     """
+    if cmode not in (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL):
+        raise ValueError("unsupported mode %r" % cmode)
     if cmode == CONGRUENCE_REAL:
-        g = MODE_GAUSSIAN
         try:
-            gl = g.promote(lam)
-            is_cplx = gl.im != 0
+            is_cplx = MODE_GAUSSIAN.promote(lam).im != 0
         except TypeError:
-            gl = None
             is_cplx = isinstance(lam, complex) and lam.imag != 0
         if is_cplx:
-            return _select_complex_pair(lam, cmode)
+            return _select_complex_pair(lam)
         fm = field_mode or MODE_RATIONAL
     else:
         fm = field_mode or field_mode_for(cmode)
     lam = fm.promote(lam)
     if fm.is_zero(lam):
         raise ValueError("zero is not a valid parameter")
-    one = fm.one()
-    if cmode in (STAR_AC, QUATERNION_STAR):
+    if cmode == STAR_AC:
         if is_unimodular(lam, fm):
             raise ValueError("unimodular parameters belong to the signed kind")
         mu = fm.inv(fm.involve(lam))
-        rep = lam if _abs2(lam) > _abs2(mu) else mu
-        if cmode == QUATERNION_STAR and _im_part(rep) < 0:
-            rep = fm.involve(rep)
-        return rep, False
-    if cmode == CONGRUENCE_AC:
-        mu = fm.inv(lam)
-        if fm.eq(lam, mu):
-            if fm.eq(lam, fm.promote((-1) ** (n + 1))):
-                raise ValueError("parameter (-1)^(n+1) belongs to the "
-                                 "root kind")
-            return lam, True
-        a, b = _abs2(lam), _abs2(mu)
-        if not fm.eq(fm.promote(a), fm.promote(b)):
-            return (lam if a > b else mu), False
-        # unimodular non-real orbit: prefer the larger (re, im) pair
-        return (lam if _lex_gt(lam, mu, fm) else mu), False
-    if cmode == CONGRUENCE_REAL:
-        mu = fm.inv(lam)
-        if fm.eq(lam, mu):
-            if fm.eq(lam, fm.promote((-1) ** (n + 1))):
-                raise ValueError("parameter (-1)^(n+1) belongs to the "
-                                 "root kind")
-            return lam, True
-        return (lam if _abs2(lam) > _abs2(mu) else mu), False
-    raise ValueError("unsupported mode %r" % cmode)
+        return (lam if abs_squared(lam) > abs_squared(mu) else mu), False
+    mu = fm.inv(lam)
+    if fm.eq(lam, mu):
+        if fm.eq(lam, fm.promote((-1) ** (n + 1))):
+            raise ValueError("parameter (-1)^(n+1) belongs to the root kind")
+        return lam, True
+    a, b = abs_squared(lam), abs_squared(mu)
+    if not fm.eq(fm.promote(a), fm.promote(b)):
+        return (lam if a > b else mu), False
+    # unimodular non-real orbit (congruence-ac only: a real lam with
+    # |lam| = |1/lam| is +-1): prefer the larger (re, im) pair
+    return (lam if _lex_gt(lam, mu, fm) else mu), False
 
 
-def _select_complex_pair(lam, cmode):
+def _select_complex_pair(lam):
     """Real-mode complex parameter: pick b > 0 and a^2 + b^2 > 1."""
     g = MODE_GAUSSIAN if not isinstance(lam, complex) else MODE_COMPLEX_FLOAT
     lam = g.promote(lam)
-    s = _abs2(lam)
-    if g.eq(g.promote(s), g.one()):
+    if is_unimodular(lam, g):
         raise ValueError("unimodular parameters belong to the signed kind")
     orbit = [lam, g.involve(lam)]
     orbit += [g.inv(x) for x in orbit]
     for x in orbit:
-        if _im_part(x) > 0 and _abs2(x) > 1:
+        if scalar_key(x)[1] > 0 and abs_squared(x) > 1:
             return x, False
     raise ValueError("no normalized member in the orbit of %r" % (lam,))
 
 
-def _abs2(x):
-    return abs_squared(x)
-
-
-def _im_part(x):
-    if isinstance(x, GaussianRational):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    if isinstance(x, Quaternion):
-        return x.b
-    return 0
-
-
-def _parts(x):
-    if isinstance(x, GaussianRational):
-        return (x.re, x.im)
-    if isinstance(x, complex):
-        return (x.real, x.imag)
-    return (x, 0)
-
-
 def _lex_gt(x, y, fm):
     """x > y by (re, im), comparing coordinates up to the mode tolerance."""
-    xr, xi = _parts(x)
-    yr, yi = _parts(y)
+    xr, xi = scalar_key(x)
+    yr, yi = scalar_key(y)
     if not fm.eq(fm.promote(xr - yr), fm.zero()):
         return xr > yr
     return xi > yi
@@ -453,7 +405,6 @@ def _chain_sizes(J, lam):
 
 def _pairing_setup(C, lam):
     """Common data for the pairing forms on the root subspace at lam."""
-    fm = C.mode
     Phi = cosquare(C)
     P = generalized_eigenbasis(Phi, lam)
     J = _solve_cols(P, Phi * P)
@@ -527,40 +478,24 @@ def _s_vector_sym(C, lam, kmax):
 _REF_CACHE = {}
 
 
-def _lam_cache_key(lam):
-    if isinstance(lam, GaussianRational):
-        return ("g", lam.re, lam.im)
-    if isinstance(lam, complex):
-        return ("c", lam.real, lam.imag)
-    if isinstance(lam, float):
-        return ("f", lam)
-    return ("q", rational(lam))
-
-
 def _raw_root(n, lam, fm):
     """Deterministic cosquare root of J_n(lam), scale-normalized at n = 1."""
     R = star_root_jordan(n, lam, fm)
     if n == 1:
-        e = R.a[0][0]
-        if isinstance(e, GaussianRational):
-            s = max(abs(e.re), abs(e.im))
-        elif isinstance(e, complex):
-            s = max(abs(e.real), abs(e.imag))
-        else:
-            s = abs(e)
+        s = max(map(abs, scalar_key(R.a[0][0])))
         R = R.scale_left(fm.inv(fm.promote(s)))
     return R
 
 
 def _reference(n, lam, fm, realified):
     """Calibrated (+1)-reference root and its signature vector at size n."""
-    key = (n, _lam_cache_key(lam), fm.base, fm.involution, fm.tolerance,
+    key = (n, scalar_key(lam), fm.base, fm.involution, fm.tolerance,
            realified)
     hit = _REF_CACHE.get(key)
     if hit is not None:
         return hit
     if realified:
-        g = _complex_mode_for(fm)
+        g = complex_mode(fm)
         gl = g.promote(lam)
         R = realify(_raw_root(n, gl, g))
         if R.mode != fm:
@@ -626,12 +561,11 @@ def extract_signs(core, lam, sizes, cmode, field_mode=None):
         svec, csizes = _s_vector_star(core, lam, max(sizes))
         expected = sorted(csizes)
     elif cmode == CONGRUENCE_REAL:
-        g = _complex_mode_for(fm)
+        g = complex_mode(fm)
         gl = g.promote(lam)
-        im = gl.im if g.exact else gl.imag
-        realified = not (im == 0 if g.exact else abs(im) <= g.tolerance)
+        realified = not g.is_zero(scalar_key(gl)[1])
         if realified:
-            if not g.eq(g.promote(abs_squared(gl)), g.one()):
+            if not is_unimodular(gl, g):
                 raise ValueError("signed blocks need a unimodular parameter")
             svec, csizes = _s_vector_star(core.cast(g), gl, max(sizes))
             expected = sorted(csizes)
@@ -672,15 +606,11 @@ def extract_signs(core, lam, sizes, cmode, field_mode=None):
 
 def canonicalize(A, cmode):
     """The ordered canonical BlockSum of A under the given equivalence."""
-    return _canonicalize_impl(A, cmode)[0]
+    return canonicalize_with_confidence(A, cmode)[0]
 
 
 def canonicalize_with_confidence(A, cmode):
     """canonicalize plus a report of the numerical margins used."""
-    return _canonicalize_impl(A, cmode)
-
-
-def _canonicalize_impl(A, cmode):
     if cmode not in (CONGRUENCE_AC, STAR_AC, CONGRUENCE_REAL):
         raise ValueError("unsupported mode %r" % cmode)
     if not A.is_square():
@@ -709,8 +639,8 @@ def _canonicalize_impl(A, cmode):
         if floating:
             sfm = FieldMode(fm.base, fm.involution, fm.tolerance ** 0.4)
         if cmode == CONGRUENCE_REAL:
-            work_mode = _complex_mode_for(sfm)
-            Phi = cosquare(C).cast(_complex_mode_for(fm))
+            work_mode = complex_mode(sfm)
+            Phi = cosquare(C).cast(complex_mode(fm))
         else:
             work_mode = sfm
             Phi = cosquare(C)
@@ -768,22 +698,38 @@ def _partition_star(C, fm, efm, lam, sizes, blocks, take_partner):
         blocks.append(CanonicalBlock(SKEW_PAIR, n, lam=rep))
 
 
-def _partition_ac(fm, lam, sizes, blocks, take_partner):
+def _self_paired(fm, lam, sizes, blocks):
+    """Split the blocks at lam = +-1, whose orbit pairs with itself.
+
+    Returns None unless lam is +-1.  Otherwise a size n with
+    (-1)^(n+1) != lam must occur an even number of times, and each two
+    such blocks append one skew pair to blocks; the result is lam, snapped
+    to exactly +-1, with the sizes left for root blocks.
+    """
     one = fm.one()
-    if fm.eq(lam, one) or fm.eq(lam, -one):
-        lint = 1 if fm.eq(lam, one) else -1
-        lam = fm.promote(lint)
-        pairs = {}
-        for n in sizes:
-            if (-1) ** (n + 1) == lint:
-                blocks.append(CanonicalBlock(SIGNED_ROOT, n, lam=lam))
-            else:
-                pairs[n] = pairs.get(n, 0) + 1
-        for n, c in pairs.items():
-            if c % 2:
-                raise ClassificationError("odd multiplicity in a "
-                                          "self-paired orbit")
-            blocks += [CanonicalBlock(SKEW_PAIR, n, lam=lam)] * (c // 2)
+    if not (fm.eq(lam, one) or fm.eq(lam, -one)):
+        return None
+    lint = 1 if fm.eq(lam, one) else -1
+    lam = fm.promote(lint)
+    roots, pairs = [], {}
+    for n in sizes:
+        if (-1) ** (n + 1) == lint:
+            roots.append(n)
+        else:
+            pairs[n] = pairs.get(n, 0) + 1
+    for n, c in pairs.items():
+        if c % 2:
+            raise ClassificationError("odd multiplicity in a "
+                                      "self-paired orbit")
+        blocks.extend([CanonicalBlock(SKEW_PAIR, n, lam=lam)] * (c // 2))
+    return lam, roots
+
+
+def _partition_ac(fm, lam, sizes, blocks, take_partner):
+    split = _self_paired(fm, lam, sizes, blocks)
+    if split is not None:
+        lam, roots = split
+        blocks.extend(CanonicalBlock(SIGNED_ROOT, n, lam=lam) for n in roots)
         return
     mu = fm.inv(lam)
     take_partner(mu, sizes, "congruence pairing")
@@ -793,27 +739,14 @@ def _partition_ac(fm, lam, sizes, blocks, take_partner):
 
 
 def _partition_real(C, fm, efm, g, lam, sizes, blocks, take_partner):
-    im = lam.im if g.exact else lam.imag
-    real = (im == 0) if g.exact else abs(im) <= g.tolerance
-    if real:
-        lr = lam.re if g.exact else lam.real
+    lr, im = scalar_key(lam)
+    if g.is_zero(im):
         lr = fm.promote(lr)
-        one = fm.one()
-        if fm.eq(lr, one) or fm.eq(lr, -one):
-            lint = 1 if fm.eq(lr, one) else -1
-            lr = fm.promote(lint)
-            roots = [n for n in sizes if (-1) ** (n + 1) == lint]
-            pairs = {}
-            for n in sizes:
-                if (-1) ** (n + 1) != lint:
-                    pairs[n] = pairs.get(n, 0) + 1
+        split = _self_paired(fm, lr, sizes, blocks)
+        if split is not None:
+            lr, roots = split
             for n, e in extract_signs(C, lr, roots, CONGRUENCE_REAL, efm):
                 blocks.append(CanonicalBlock(SIGNED_ROOT, n, lam=lr, eps=e))
-            for n, c in pairs.items():
-                if c % 2:
-                    raise ClassificationError("odd multiplicity in a "
-                                              "self-paired orbit")
-                blocks += [CanonicalBlock(SKEW_PAIR, n, lam=lr)] * (c // 2)
             return
         mu = fm.inv(lr)
         take_partner(g.promote(mu), sizes, "real pairing")
@@ -822,7 +755,7 @@ def _partition_real(C, fm, efm, g, lam, sizes, blocks, take_partner):
             blocks.append(CanonicalBlock(SKEW_PAIR, n, lam=rep))
         return
     conjl = g.involve(lam)
-    if g.eq(g.promote(abs_squared(lam)), g.one()):
+    if is_unimodular(lam, g):
         take_partner(conjl, sizes, "realified root pairing")
         rep = _unit_snap(lam if im > 0 else conjl, g)
         for n, e in extract_signs(C, rep, sizes, CONGRUENCE_REAL, efm):
@@ -870,7 +803,7 @@ def are_equivalent(A, B, cmode):
     return canonicalize(A, cmode) == canonicalize(B, cmode)
 
 
-def random_congruence(K, seed, cmode=None):
+def random_congruence(K, seed):
     """A seeded small-entry congruence scrambling of K, with witness."""
     fm = K.mode
     rng = random.Random(seed)

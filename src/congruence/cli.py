@@ -18,12 +18,12 @@ from .scalar import (FieldMode, RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
                      MODE_RATIONAL, rational, scalar_to_json,
                      scalar_from_json)
 from .matrix import Matrix, Poly
-from .blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL, BlockSum,
+from .blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                      frobenius_block, field_mode_for)
 from .cosquare import toeplitz_root, RootNotFound
 from .jordan import UnsplittablePolynomial
-from .canon import (canonicalize, canonicalize_with_confidence,
-                    are_equivalent, random_congruence, ClassificationError)
+from .canon import (canonicalize_with_confidence, are_equivalent,
+                    random_congruence, ClassificationError)
 from .quat import verify_witness
 
 

@@ -5,12 +5,10 @@ characteristic polynomial chi equals its own dual, build a Toeplitz
 matrix A with A = A* F, so that the cosquare A^{-*} A is exactly F.
 """
 
-from fractions import Fraction
-
 import sympy
 
-from .scalar import (GaussianRational, GAUSSIAN, RATIONAL, IDENTITY,
-                     rational, is_unimodular)
+from .scalar import (GaussianRational, GAUSSIAN, IDENTITY, rational,
+                     is_unimodular)
 from .matrix import Matrix, Poly
 
 
@@ -18,10 +16,8 @@ class RootNotFound(ValueError):
     """No cosquare root exists for the requested matrix."""
 
 
-def cosquare(A, mode=None):
+def cosquare(A):
     """A^{-*} A (the involution is the plain transpose in identity modes)."""
-    if mode is None:
-        mode = A.mode
     if not A.is_square():
         raise ValueError("cosquare needs a square matrix")
     return A.conj_transpose().solve(A)
@@ -75,18 +71,6 @@ def recurrent_extend(seed, f, add_left=0, add_right=0):
             acc = acc + g[j + 1] * w[j]
         vals.insert(0, -acc / g[0])
     return vals
-
-
-class RecurrentVector:
-    __slots__ = ("values", "generator", "offset")
-
-    def __init__(self, values, generator, offset=0):
-        self.values = list(values)
-        self.generator = generator
-        self.offset = offset  # index of values[0]
-
-    def __getitem__(self, i):
-        return self.values[i - self.offset]
 
 
 def _to_sympy(f):

@@ -27,9 +27,9 @@ from math import isqrt, lcm
 import sympy
 from sympy.polys.factortools import dup_factor_list
 
-from .scalar import (GaussianRational, GAUSSIAN, RATIONAL, rational,
-                     is_rational)
-from .matrix import Matrix, Poly, char_poly, column_complement
+from .scalar import (GaussianRational, GAUSSIAN, RATIONAL, REAL_FLOAT,
+                     rational, scalar_key)
+from .matrix import Matrix, Poly, char_poly, column_complement, complexify
 
 
 class UnsplittablePolynomial(ValueError):
@@ -158,7 +158,7 @@ class JordanStructure:
     def key(self):
         ks = []
         for v, s in self.entries:
-            ks.append((_eig_key(v), tuple(s)))
+            ks.append((scalar_key(v), tuple(s)))
         return tuple(sorted(ks))
 
     def __eq__(self, other):
@@ -168,16 +168,6 @@ class JordanStructure:
 
     def __repr__(self):
         return "JordanStructure(%r)" % (self.entries,)
-
-
-def _eig_key(v):
-    if isinstance(v, GaussianRational):
-        return (v.re, v.im)
-    if is_rational(v):
-        return (rational(v), rational(0))
-    if isinstance(v, complex):
-        return (v.real, v.imag)
-    return (float(v), 0.0)
 
 
 def _distinct(vals, mode):
@@ -225,10 +215,9 @@ def _partition_from_ranks(A, lam, mult):
 
 def jordan_structure(A):
     """Eigenvalues with their Jordan size partitions."""
-    if A.mode.base == "real-float":
+    if A.mode.base == REAL_FLOAT:
         # complex eigenvalues force the analysis into the complexification
-        from .scalar import FieldMode
-        A = A.cast(FieldMode("complex-float", "conjugation", A.mode.tolerance))
+        A = complexify(A)
     return JordanStructure([(lam, _partition_from_ranks(A, lam, mult))
                             for lam, mult in _distinct(eigenvalues(A),
                                                        A.mode)])

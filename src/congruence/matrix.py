@@ -26,8 +26,8 @@ from operator import mul
 
 from .scalar import (FieldMode, GaussianRational, rational,
                      RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
-                     COMPLEX_FLOAT, MODE_RATIONAL, MODE_GAUSSIAN,
-                     MODE_REAL_FLOAT, scalar_to_json, scalar_from_json)
+                     COMPLEX_FLOAT, MODE_RATIONAL, MODE_REAL_FLOAT,
+                     complex_mode, scalar_to_json, scalar_from_json)
 
 Reduction = namedtuple("Reduction", "pivots rows det")
 
@@ -633,10 +633,8 @@ def realify(M):
 
 def complexify(M):
     """View a rational or real-float matrix over the complex extension."""
-    if M.mode.base == RATIONAL:
-        return M.cast(MODE_GAUSSIAN)
-    if M.mode.base == REAL_FLOAT:
-        return M.cast(FieldMode(COMPLEX_FLOAT, "conjugation", M.mode.tolerance))
+    if M.mode.base in (RATIONAL, REAL_FLOAT):
+        return M.cast(complex_mode(M.mode))
     if M.mode.base in (GAUSSIAN, COMPLEX_FLOAT):
         return M
     raise ValueError("cannot complexify base %r" % M.mode.base)
@@ -738,45 +736,12 @@ class Poly:
         linv = self.mode.inv(lead)
         return Poly([linv * x for x in self.c], self.mode, promote=False)
 
-    def bar(self):
-        """Apply the involution to every coefficient."""
-        inv = self.mode.involve
-        return Poly([inv(x) for x in self.c], self.mode, promote=False)
-
     def eval(self, v):
         v = self.mode.promote(v)
         acc = self.mode.zero()
         for x in reversed(self.c):
             acc = acc * v + x
         return acc
-
-    def eval_matrix(self, A):
-        n = A.rows
-        acc = Matrix.zeros(n, n, A.mode)
-        for x in reversed(self.c):
-            acc = acc * A + x * Matrix.identity(n, A.mode)
-        return acc
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        mode = self.mode
-        rem = self.c[:]
-        d = other.degree
-        linv = mode.inv(other.leading())
-        q = [mode.zero()] * max(0, len(rem) - d)
-        while len(rem) > d and rem:
-            # strip exact zero leads
-            if mode.is_zero(rem[-1]):
-                rem.pop()
-                continue
-            k = len(rem) - 1 - d
-            f = rem[-1] * linv
-            q[k] = f
-            for i in range(d + 1):
-                rem[k + i] = rem[k + i] - f * other.c[i]
-            rem.pop()
-        return (Poly(q, mode, promote=False), Poly(rem, mode, promote=False))
 
     def __str__(self):
         if self.is_zero():

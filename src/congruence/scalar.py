@@ -136,10 +136,10 @@ class Quaternion:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        self.a = rational(a)
+        self.b = rational(b)
+        self.c = rational(c)
+        self.d = rational(d)
 
     @staticmethod
     def promote(x):
@@ -462,11 +462,16 @@ MODE_COMPLEX_FLOAT = FieldMode(COMPLEX_FLOAT, CONJUGATION)
 MODE_GF2 = FieldMode(GF2_BASE, IDENTITY)
 
 
-def involve(x, mode):
-    return mode.involve(x)
+def complex_mode(mode):
+    """The complex extension of a rational or real-float mode: the Gaussian
+    rationals, or the complex floats at the same tolerance, under
+    conjugation."""
+    if mode.exact:
+        return MODE_GAUSSIAN
+    return FieldMode(COMPLEX_FLOAT, CONJUGATION, mode.tolerance)
 
 
-def abs_squared(x, mode=None):
+def abs_squared(x):
     """a^2 + b^2 for a complex-type scalar (the square of its absolute value)."""
     if isinstance(x, Quaternion):
         raise TypeError("use the 4-component quaternion norm instead")
@@ -492,6 +497,20 @@ def is_unimodular(x, mode):
     if mode.involution == IDENTITY:
         return mode.eq(x * x, mode.one())
     return mode.eq(mode.promote(abs_squared(x)), mode.one())
+
+
+def scalar_key(x):
+    """(re, im) of a rational, Gaussian-rational, float or complex scalar:
+    the one ordering, cache and comparison key of those scalars."""
+    if is_rational(x):
+        return (rational(x), rational(0))
+    if isinstance(x, GaussianRational):
+        return (x.re, x.im)
+    if isinstance(x, float):
+        return (x, 0.0)
+    if isinstance(x, complex):
+        return (x.real, x.imag)
+    raise TypeError("no (re, im) key for %r" % (x,))
 
 
 # -- JSON encoding ----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import pytest
 
-from congruence.scalar import (GaussianRational, MODE_RATIONAL, MODE_GAUSSIAN,
-                               MODE_REAL_FLOAT, rational)
+from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
+                               MODE_GAUSSIAN, MODE_REAL_FLOAT, REAL_FLOAT,
+                               IDENTITY, complex_mode, is_unimodular,
+                               rational)
 from congruence.matrix import Matrix, Poly
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
@@ -103,6 +105,23 @@ class TestValidation:
         bad = CanonicalBlock(SIGNED_ROOT, 2, lam=rational(1), eps=1)
         with pytest.raises(ValueError):
             check_block(bad, CONGRUENCE_REAL, fm)
+
+    def test_realified_root_keeps_the_float_tolerance(self):
+        # unimodular at the mode's tolerance 1e-3, though not at the
+        # default 1e-10 of a complex float mode
+        fm = FieldMode(REAL_FLOAT, IDENTITY, 1e-3)
+        lam = (0.6 + 0.8j) * (1 + 2e-4)
+        assert is_unimodular(lam, complex_mode(fm))
+        b = CanonicalBlock(REAL_SIGNED_ROOT, 1, lam=lam, eps=1)
+        check_block(b, CONGRUENCE_REAL, fm)
+        assert block_matrix(b, CONGRUENCE_REAL, fm).rows == 2
+
+    def test_general_field_kinds_are_unknown(self):
+        with pytest.raises(ValueError):
+            CanonicalBlock("gf-type-ii", 1)
+        with pytest.raises(ValueError):
+            BlockSum.from_json({"mode": CONGRUENCE_REAL,
+                                "blocks": [{"kind": "gf-type-iii", "n": 1}]})
 
 
 class TestRealization:

@@ -226,6 +226,10 @@ class TestSelectRepresentative:
         rep, sp = select_representative(rational(1, 3), 1, CONGRUENCE_REAL)
         assert rep == rational(3) and not sp
 
+    def test_quaternion_star_is_unsupported(self):
+        with pytest.raises(ValueError, match="unsupported mode"):
+            select_representative(2, 1, "quaternion-star")
+
 
 class TestExtractSigns:
     def test_reads_back_constructed_signs(self):

@@ -10,8 +10,8 @@ from congruence.scalar import (GaussianRational, Quaternion, GF2, FieldMode,
                                MODE_QUAT_CONJ, MODE_QUAT_SEMI, MODE_GF2,
                                MODE_REAL_FLOAT, MODE_COMPLEX_FLOAT,
                                QUATERNION, IDENTITY, rational, is_rational,
-                               is_unimodular, abs_squared, scalar_to_json,
-                               scalar_from_json)
+                               is_unimodular, abs_squared, scalar_key,
+                               scalar_to_json, scalar_from_json)
 
 
 def gr(a, b=0):
@@ -109,6 +109,17 @@ class TestFieldMode:
     def test_unimodular(self):
         assert is_unimodular(gr(Fraction(3, 5), Fraction(4, 5)), MODE_GAUSSIAN)
         assert not is_unimodular(gr(1, 1), MODE_GAUSSIAN)
+
+
+class TestScalarKey:
+    def test_rational_and_gaussian_rational_share_a_key(self):
+        assert scalar_key(Fraction(1, 2)) == scalar_key(gr(Fraction(1, 2), 0))
+        assert scalar_key(gr(1, -2)) == (1, -2)
+        assert scalar_key(0.5) == scalar_key(0.5 + 0j)
+
+    def test_quaternion_has_no_key(self):
+        with pytest.raises(TypeError):
+            scalar_key(Quaternion(1, 2))
 
 
 class TestJson:
