@@ -2,10 +2,13 @@
 extraction, and canonical block-sum assembly.
 
 Pipeline: split off the singular summands first (a kernel-quotient
-recursion that builds an explicit congruence witness), then read the
-Jordan structure of the core's cosquare, pair non-unimodular eigenvalues
-into skew sums, and attach signs to the unimodular ones through
-signatures of the chain pairing forms on each root subspace.
+recursion that builds an explicit congruence witness), then compute the
+core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
+kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
+is snapped onto the unit circle; that one chain gives the Jordan partition,
+which pairs non-unimodular eigenvalues into skew sums, and the chain basis
+on which the unimodular ones get their signs, through signatures of the
+chain pairing forms on the root subspace.
 """
 
 import random
@@ -23,7 +26,7 @@ from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
                      BlockSum, jordan_block, field_mode_for)
 from .cosquare import cosquare, star_root_jordan
-from .jordan import jordan_structure, generalized_eigenbasis
+from .jordan import RootSpace, eigenvalues, _distinct
 
 
 class ClassificationError(ValueError):
@@ -301,7 +304,7 @@ def select_representative(lam, n, cmode, field_mode=None):
         except TypeError:
             is_cplx = isinstance(lam, complex) and lam.imag != 0
         if is_cplx:
-            return _select_complex_pair(lam)
+            return _select_complex_pair(lam, field_mode)
         fm = field_mode or MODE_RATIONAL
     else:
         fm = field_mode or field_mode_for(cmode)
@@ -326,9 +329,10 @@ def select_representative(lam, n, cmode, field_mode=None):
     return (lam if _lex_gt(lam, mu, fm) else mu), False
 
 
-def _select_complex_pair(lam):
+def _select_complex_pair(lam, field_mode):
     """Real-mode complex parameter: pick b > 0 and a^2 + b^2 > 1."""
-    g = MODE_GAUSSIAN if not isinstance(lam, complex) else MODE_COMPLEX_FLOAT
+    g = (complex_mode(field_mode) if field_mode else
+         MODE_COMPLEX_FLOAT if isinstance(lam, complex) else MODE_GAUSSIAN)
     lam = g.promote(lam)
     if is_unimodular(lam, g):
         raise ValueError("unimodular parameters belong to the signed kind")
@@ -385,34 +389,20 @@ def _signature(G):
     return pos - neg
 
 
-def _chain_sizes(J, lam):
-    """Block sizes of a chain-ordered Jordan matrix at lam."""
-    mode = J.mode
-    d = J.rows
-    lam = mode.promote(lam)
-    sizes = []
-    cur = 1
-    for i in range(d):
-        if not mode.eq(J.a[i][i], lam):
-            raise ClassificationError("restriction is not a Jordan matrix")
-        if i + 1 < d and mode.eq(J.a[i][i + 1], mode.one()):
-            cur += 1
-        else:
-            sizes.append(cur)
-            cur = 1
-    return sorted(sizes, reverse=True)
+def _pairing_setup(C, space):
+    """The form H = P* C P on the chain basis P of space, the restriction J
+    of the cosquare to that basis, the identity I and J^-1."""
+    P = space.basis()
+    J = _solve_cols(P, space.A * P)
+    fm = J.mode
+    if J != direct_sum(*[jordan_block(m, space.lam, fm)
+                         for m in space.sizes]):
+        raise ClassificationError("restriction is not a Jordan matrix")
+    return (P.conj_transpose() * C * P, J, Matrix.identity(J.rows, fm),
+            J.inverse())
 
 
-def _pairing_setup(C, lam):
-    """Common data for the pairing forms on the root subspace at lam."""
-    Phi = cosquare(C)
-    P = generalized_eigenbasis(Phi, lam)
-    J = _solve_cols(P, Phi * P)
-    H = P.conj_transpose() * C * P
-    return H, J, _chain_sizes(J, lam)
-
-
-def _s_vector_star(C, lam, kmax):
+def _s_vector_star(C, space, kmax):
     """Signatures of the Hermitian chain pairing forms F K^(k-1).
 
     Writing the form on the root subspace as H with H* = H J^{-1}, the
@@ -421,12 +411,9 @@ def _s_vector_star(C, lam, kmax):
     add over direct summands and flip with the block sign.
     """
     fm = C.mode
-    lam = fm.promote(lam)
+    lam = space.lam
     lbar = fm.involve(lam)
-    H, J, csizes = _pairing_setup(C, lam)
-    d = J.rows
-    I = Matrix.identity(d, fm)
-    Jinv = J.inverse()
+    H, J, I, Jinv = _pairing_setup(C, space)
     if fm.eq(lam, -fm.one()):
         F = (H * (I - Jinv)).scale_left(fm.i())
     else:
@@ -441,17 +428,14 @@ def _s_vector_star(C, lam, kmax):
             raise ClassificationError("pairing form is not hermitian")
         out[k] = _signature(G)
         G = G * K
-    return out, csizes
+    return out
 
 
-def _s_vector_sym(C, lam, kmax):
+def _s_vector_sym(C, space, kmax):
     """Transpose-involution analogue; only one parity of k is symmetric."""
     fm = C.mode
-    lam = fm.promote(lam)
-    H, J, csizes = _pairing_setup(C, lam)
-    d = J.rows
-    I = Matrix.identity(d, fm)
-    Jinv = J.inverse()
+    lam = space.lam
+    H, J, I, Jinv = _pairing_setup(C, space)
     if fm.eq(lam, fm.one()):
         F = H * (I + Jinv)
         K = (J - I) * (J + I).inverse()
@@ -472,7 +456,7 @@ def _s_vector_sym(C, lam, kmax):
         elif G != -G.transpose():
             raise ClassificationError("pairing form is not skew-symmetric")
         G = G * K
-    return out, csizes
+    return out
 
 
 _REF_CACHE = {}
@@ -500,15 +484,16 @@ def _reference(n, lam, fm, realified):
         R = realify(_raw_root(n, gl, g))
         if R.mode != fm:
             R = R.cast(fm)
-        svec, csizes = _s_vector_star(R.cast(g), gl, n)
+        Rg = R.cast(g)
+        space = RootSpace(cosquare(Rg), gl, n)
+        svec = _s_vector_star(Rg, space, n)
     else:
         lam = fm.promote(lam)
         R = _raw_root(n, lam, fm)
-        if fm.involution == IDENTITY:
-            svec, csizes = _s_vector_sym(R, lam, n)
-        else:
-            svec, csizes = _s_vector_star(R, lam, n)
-    if csizes != [n]:
+        space = RootSpace(cosquare(R), lam, n)
+        s_vector = _s_vector_sym if fm.involution == IDENTITY else _s_vector_star
+        svec = s_vector(R, space, n)
+    if space.sizes != (n,):
         raise ClassificationError("reference root has wrong chain structure")
     sign = int(round(float(svec[n])))
     if sign not in (1, -1):
@@ -539,51 +524,51 @@ def plus_realified_root(n, lam, field_mode):
     return R if sign == 1 else -R
 
 
-def extract_signs(core, lam, sizes, cmode, field_mode=None):
-    """The sign multiset attached to lam's root blocks inside core.
+def extract_signs(core, space, sizes, cmode):
+    """The sign multiset attached to the root blocks at space.lam in core.
 
-    Solves s = sum_n d_n sigma^(n) where s is the core's signature vector
-    at lam and sigma^(n) the calibrated single-block references; the
-    triangular system yields the (+-1)-counts per block size uniquely.
+    space is the RootSpace of core's cosquare at lam (of its complexification
+    for a non-real lam under congruence-real).  Solves s = sum_n d_n
+    sigma^(n) where s is the core's signature vector at lam and sigma^(n)
+    the calibrated single-block references; the triangular system yields the
+    (+-1)-counts per block size uniquely.
     """
-    fm = field_mode or core.mode
+    fm = core.mode
+    lam = space.lam
     sizes = sorted(int(n) for n in sizes)
     if not sizes:
         return []
     counts = {}
     for n in sizes:
         counts[n] = counts.get(n, 0) + 1
+    realified = False
+    expected = sorted(space.sizes)
     if cmode == STAR_AC:
-        lam = fm.promote(lam)
         if not is_unimodular(lam, fm):
             raise ValueError("signed blocks need a unimodular parameter")
-        realified = False
-        svec, csizes = _s_vector_star(core, lam, max(sizes))
-        expected = sorted(csizes)
+        s_vector = _s_vector_star
     elif cmode == CONGRUENCE_REAL:
         g = complex_mode(fm)
-        gl = g.promote(lam)
-        realified = not g.is_zero(scalar_key(gl)[1])
+        realified = not g.is_zero(scalar_key(lam)[1])
         if realified:
-            if not is_unimodular(gl, g):
+            if not is_unimodular(lam, g):
                 raise ValueError("signed blocks need a unimodular parameter")
-            svec, csizes = _s_vector_star(core.cast(g), gl, max(sizes))
-            expected = sorted(csizes)
-            lam = gl
+            core = core.cast(g)
+            s_vector = _s_vector_star
         else:
-            lam = fm.promote(lam)
             if not (fm.eq(lam, fm.one()) or fm.eq(lam, -fm.one())):
                 raise ValueError("real signed blocks need lam = +-1")
             lint = 1 if fm.eq(lam, fm.one()) else -1
             if any((-1) ** (n + 1) != lint for n in sizes):
                 raise ValueError("block size parity contradicts lam")
-            svec, csizes = _s_vector_sym(core, lam, max(sizes))
-            expected = sorted(n for n in csizes if (-1) ** (n + 1) == lint)
+            s_vector = _s_vector_sym
+            expected = [n for n in expected if (-1) ** (n + 1) == lint]
     else:
         raise ValueError("mode %r carries no signs" % cmode)
     if expected != sizes:
         raise ValueError("sizes disagree with the cosquare structure: "
                          "%r vs %r" % (sizes, expected))
+    svec = s_vector(core, space, max(sizes))
     refs = {n: _reference(n, lam, fm, realified) for n in counts}
     out = []
     solved = {}
@@ -638,15 +623,14 @@ def canonicalize_with_confidence(A, cmode):
         sfm = fm
         if floating:
             sfm = FieldMode(fm.base, fm.involution, fm.tolerance ** 0.4)
+        Phi = cosquare(C)
         if cmode == CONGRUENCE_REAL:
             work_mode = complex_mode(sfm)
-            Phi = cosquare(C).cast(complex_mode(fm))
+            Phic = Phi.cast(complex_mode(fm))
         else:
-            work_mode = sfm
-            Phi = cosquare(C)
-        js = jordan_structure(Phi)
-        ents = [(work_mode.promote(l), sorted(s, reverse=True))
-                for l, s in js.entries]
+            work_mode, Phic = sfm, Phi
+        ents = [_root_space(Phi, Phic, sfm, work_mode, lam, mult, cmode)
+                for lam, mult in _distinct(eigenvalues(Phic), Phic.mode)]
         if floating:
             report["eigenvalue_gap"] = _eigen_gap(ents)
         used = [False] * len(ents)
@@ -659,36 +643,52 @@ def canonicalize_with_confidence(A, cmode):
 
         def take_partner(val, sizes, who):
             j = find(val)
-            if j < 0 or used[j] or sorted(ents[j][1]) != sorted(sizes):
+            if j < 0 or used[j] or sorted(ents[j][1].sizes) != sorted(sizes):
                 raise ClassificationError("unpaired eigenvalue in %s" % who)
             used[j] = True
+            return ents[j]
 
-        for idx, (lam, sizes) in enumerate(ents):
+        for idx, (lam, space) in enumerate(ents):
             if used[idx]:
                 continue
             used[idx] = True
             if cmode == STAR_AC:
-                _partition_star(C, sfm, fm, lam, sizes, blocks, take_partner)
+                _partition_star(C, sfm, lam, space, blocks, take_partner)
             elif cmode == CONGRUENCE_AC:
-                _partition_ac(sfm, lam, sizes, blocks, take_partner)
+                _partition_ac(sfm, lam, space.sizes, blocks, take_partner)
             else:
-                _partition_real(C, sfm, fm, work_mode, lam, sizes, blocks,
+                _partition_real(C, sfm, work_mode, lam, space, blocks,
                                 take_partner)
     return BlockSum(cmode, blocks), report
 
 
-def _unit_snap(lam, fm):
-    """Project a float eigenvalue known to be unimodular onto the circle."""
-    if fm.exact:
-        return lam
-    z = complex(lam)
-    return fm.promote(z / abs(z))
+def _root_space(Phi, Phic, fm, g, lam, mult, cmode):
+    """(lam, RootSpace) for one distinct eigenvalue lam of the cosquare.
+
+    Phic is Phi, complexified under congruence-real; fm and g are the
+    comparison modes (g the complex one under congruence-real, else fm).
+    A real lam of a congruence-real form is read in fm on the real Phi, so
+    its +-1 signs run over the reals; any other lam in g on Phic.  In float
+    mode a lam that is unimodular at the comparison tolerance is first
+    projected onto x involve(x) = 1 (the unit circle, or +-1 under the
+    identity), so the chain and the signs read the same lam.
+    """
+    lam = g.promote(lam)
+    if cmode == CONGRUENCE_REAL and g.is_zero(scalar_key(lam)[1]):
+        mode, M, lam = fm, Phi, fm.promote(scalar_key(lam)[0])
+    else:
+        mode, M = g, Phic
+    if not mode.exact and is_unimodular(lam, mode):
+        z = complex(lam)
+        lam = mode.promote(z / abs(z) if mode.involution != IDENTITY
+                           else (1.0 if z.real > 0 else -1.0))
+    return g.promote(lam), RootSpace(M, lam, mult)
 
 
-def _partition_star(C, fm, efm, lam, sizes, blocks, take_partner):
+def _partition_star(C, fm, lam, space, blocks, take_partner):
+    sizes = space.sizes
     if is_unimodular(lam, fm):
-        lam = _unit_snap(lam, fm)
-        for n, e in extract_signs(C, lam, sizes, STAR_AC, efm):
+        for n, e in extract_signs(C, space, sizes, STAR_AC):
             blocks.append(CanonicalBlock(SIGNED_ROOT, n, lam=lam, eps=e))
         return
     mu = fm.inv(fm.involve(lam))
@@ -738,14 +738,15 @@ def _partition_ac(fm, lam, sizes, blocks, take_partner):
         blocks.append(CanonicalBlock(SKEW_PAIR, n, lam=rep))
 
 
-def _partition_real(C, fm, efm, g, lam, sizes, blocks, take_partner):
+def _partition_real(C, fm, g, lam, space, blocks, take_partner):
+    sizes = space.sizes
     lr, im = scalar_key(lam)
     if g.is_zero(im):
         lr = fm.promote(lr)
         split = _self_paired(fm, lr, sizes, blocks)
         if split is not None:
             lr, roots = split
-            for n, e in extract_signs(C, lr, roots, CONGRUENCE_REAL, efm):
+            for n, e in extract_signs(C, space, roots, CONGRUENCE_REAL):
                 blocks.append(CanonicalBlock(SIGNED_ROOT, n, lam=lr, eps=e))
             return
         mu = fm.inv(lr)
@@ -756,10 +757,12 @@ def _partition_real(C, fm, efm, g, lam, sizes, blocks, take_partner):
         return
     conjl = g.involve(lam)
     if is_unimodular(lam, g):
-        take_partner(conjl, sizes, "realified root pairing")
-        rep = _unit_snap(lam if im > 0 else conjl, g)
-        for n, e in extract_signs(C, rep, sizes, CONGRUENCE_REAL, efm):
-            blocks.append(CanonicalBlock(REAL_SIGNED_ROOT, n, lam=rep, eps=e))
+        partner = take_partner(conjl, sizes, "realified root pairing")
+        if im < 0:
+            # the signs are read at the root with positive imaginary part
+            lam, space = partner
+        for n, e in extract_signs(C, space, sizes, CONGRUENCE_REAL):
+            blocks.append(CanonicalBlock(REAL_SIGNED_ROOT, n, lam=lam, eps=e))
         return
     take_partner(conjl, sizes, "realified pairing")
     li = g.inv(lam)

@@ -17,11 +17,14 @@ chi left undivided.
 Float modes cluster numerically computed eigenvalues at radius
 tolerance**(1/2).
 
-The partition at an eigenvalue lam comes from the ranks of (A - lam)^k,
-which stop as soon as the nullity reaches lam's algebraic multiplicity;
-a nullity that stalls below it or passes it raises ValueError.
+RootSpace holds the one kernel chain at an eigenvalue lam: the kernels of
+(A - lam)^k, which stop as soon as the nullity reaches lam's algebraic
+multiplicity (a nullity that stalls below it or passes it raises
+ValueError).  The Jordan partition at lam is read from their dimensions and
+the chain-ordered basis from the kernels themselves.
 """
 
+from functools import reduce
 from math import isqrt, lcm
 
 import sympy
@@ -181,36 +184,65 @@ def _distinct(vals, mode):
     return out
 
 
-def _partition_from_ranks(A, lam, mult):
-    """Jordan block sizes at lam, an eigenvalue of algebraic multiplicity
-    mult: the ranks of (A - lam)^k for k = 1, 2, ... until the nullity
-    reaches mult.
+class RootSpace:
+    """The root subspace of A at lam, an eigenvalue of algebraic
+    multiplicity mult, as the kernels of (A - lam)^k for k = 1, 2, ...
+    until the nullity reaches mult.
 
     A nullity that stalls below mult or passes it raises ValueError: in
     exact modes neither can happen, in float modes either means the
-    eigenvalue clusters are wrong.
+    eigenvalue clusters are wrong.  The Jordan block sizes at lam (sizes)
+    and the chain-ordered basis (basis()) both read this one kernel chain.
     """
-    n = A.rows
-    N = A.minus_scalar(lam)
-    P = N
-    ranks = [n]
-    while True:
-        ranks.append(P.rank())
-        if ranks[-1] == ranks[-2] or n - ranks[-1] > mult:
-            raise ValueError(
-                "eigenvalue %s: the nullities %s of (A - lam)^k miss its "
-                "algebraic multiplicity %d"
-                % (lam, [n - r for r in ranks[1:]], mult))
-        if n - ranks[-1] == mult:
-            break
-        P = P * N
-    # blocks of size >= k: ranks[k-1] - ranks[k]
-    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    sizes = []
-    for k, c in enumerate(counts, start=1):
-        more = counts[k] if k < len(counts) else 0
-        sizes.extend([k] * (c - more))
-    return tuple(sorted(sizes, reverse=True))
+
+    __slots__ = ("A", "lam", "sizes", "_N", "_kernels")
+
+    def __init__(self, A, lam, mult):
+        n = A.rows
+        self.A, self.lam = A, A.mode.promote(lam)
+        N = self._N = A.minus_scalar(self.lam)
+        kernels = [Matrix.zeros(n, 0, A.mode)]
+        P = N
+        while True:
+            kernels.append(P.right_kernel())
+            nul = [K.cols for K in kernels]
+            if nul[-1] == nul[-2] or nul[-1] > mult:
+                raise ValueError(
+                    "eigenvalue %s: the nullities %s of (A - lam)^k miss its "
+                    "algebraic multiplicity %d" % (lam, nul[1:], mult))
+            if nul[-1] == mult:
+                break
+            P = P * N
+        self._kernels = kernels
+        # blocks of size >= k: nul[k] - nul[k-1]
+        counts = [b - a for a, b in zip(nul, nul[1:])]
+        sizes = []
+        for k, c in enumerate(counts, start=1):
+            more = counts[k] if k < len(counts) else 0
+            sizes.extend([k] * (c - more))
+        self.sizes = tuple(sorted(sizes, reverse=True))
+
+    def basis(self):
+        """Chain-ordered basis, longest chains first.
+
+        Each chain (x_1 ... x_h) satisfies A x_j = lam x_j + x_{j-1}, so the
+        restriction of A is the direct sum of the upper Jordan blocks
+        J_h(lam), h in sizes.
+        """
+        N, kernels = self._N, self._kernels
+        n = N.rows
+        chains = []  # each from its top vector down to height h
+        for h in range(len(kernels) - 1, 0, -1):
+            for chain in chains:
+                chain.append(N * chain[-1])
+            # new tops extend ker N^(h-1) and the chains pushed down to
+            # height h to a basis of ker N^h; each heads a chain of length h
+            span = reduce(Matrix.hstack, [c[-1] for c in chains],
+                          kernels[h - 1])
+            new = column_complement(span, kernels[h])
+            chains += [[new.submatrix(range(n), [j])] for j in range(new.cols)]
+        cols = [v for chain in chains for v in reversed(chain)]
+        return reduce(Matrix.hstack, cols)
 
 
 def jordan_structure(A):
@@ -218,57 +250,15 @@ def jordan_structure(A):
     if A.mode.base == REAL_FLOAT:
         # complex eigenvalues force the analysis into the complexification
         A = complexify(A)
-    return JordanStructure([(lam, _partition_from_ranks(A, lam, mult))
+    return JordanStructure([(lam, RootSpace(A, lam, mult).sizes)
                             for lam, mult in _distinct(eigenvalues(A),
                                                        A.mode)])
 
 
 def generalized_eigenbasis(A, lam):
-    """Chain-ordered basis of the root subspace at lam.
-
-    Each chain (x_1 ... x_h) satisfies A x_j = lam x_j + x_{j-1}, so the
-    restriction of A is a direct sum of upper Jordan blocks.
-    """
+    """Chain-ordered basis of the root subspace at lam (RootSpace.basis);
+    ValueError when lam is not an eigenvalue."""
     mode = A.mode
-    n = A.rows
-    N = A.minus_scalar(lam)
-    # kernel bases of N^k
-    kernels = [Matrix.zeros(n, 0, mode)]
-    P = N
-    while True:
-        K = P.right_kernel()
-        if K.cols == kernels[-1].cols:
-            break
-        kernels.append(K)
-        if K.cols == n:
-            break
-        P = P * N
-    d = len(kernels) - 1
-    if d == 0:
-        raise ValueError("not an eigenvalue")
-
-    tops = {h: [] for h in range(1, d + 2)}
-    for h in range(d, 0, -1):
-        descended = [N * v for v in tops[h + 1]]
-        span = kernels[h - 1]
-        for v in descended:
-            span = span.hstack(v)
-        new = column_complement(span, kernels[h])
-        tops[h] = descended + [new.submatrix(range(n), [j])
-                               for j in range(new.cols)]
-    # build chains from every vector first reaching its height
-    chains = []
-    for h in range(d, 0, -1):
-        for v in tops[h][len(tops[h + 1]):]:
-            chain = [v]
-            for _ in range(h - 1):
-                chain.append(N * chain[-1])
-            chain.reverse()
-            chains.append(chain)
-    if not chains:
-        raise ValueError("not an eigenvalue")
-    cols = [v for ch in chains for v in ch]
-    S = cols[0]
-    for c in cols[1:]:
-        S = S.hstack(c)
-    return S
+    lam = mode.promote(lam)
+    mult = sum(mode.eq(mode.promote(v), lam) for v in eigenvalues(A))
+    return RootSpace(A, lam, mult).basis()

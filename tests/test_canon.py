@@ -7,7 +7,7 @@ import pytest
 
 from congruence import canon
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
-                               MODE_GAUSSIAN, rational)
+                               MODE_GAUSSIAN, complex_mode, rational)
 from congruence.matrix import Matrix, direct_sum
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
@@ -15,12 +15,13 @@ from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                CanonicalBlock, BlockSum, block_sum_matrix,
                                field_mode_for, jordan_block)
 from congruence.cosquare import cosquare
-from congruence.jordan import jordan_structure
+from congruence.jordan import RootSpace, jordan_structure
 from congruence.canon import (regularize, select_representative, extract_signs,
                               canonicalize, canonicalize_with_confidence,
                               are_equivalent, random_congruence,
                               plus_root, plus_realified_root,
                               CongruenceWitness, ClassificationError)
+from test_acceptance import close_blocks, sample_blocks
 
 
 def gr(a, b=0):
@@ -230,6 +231,14 @@ class TestSelectRepresentative:
         with pytest.raises(ValueError, match="unsupported mode"):
             select_representative(2, 1, "quaternion-star")
 
+    def test_real_complex_unimodular_at_the_mode_tolerance(self):
+        # |lam|^2 = 1.0004 is 1 at tolerance 1e-3, where check_block
+        # rejects the same lam as a real-skew-pair parameter
+        fm = FieldMode("real-float", "identity", 1e-3)
+        with pytest.raises(ValueError, match="belong to the signed kind"):
+            select_representative((0.6 + 0.8j) * (1 + 2e-4), 1,
+                                  CONGRUENCE_REAL, fm)
+
 
 class TestExtractSigns:
     def test_reads_back_constructed_signs(self):
@@ -242,19 +251,83 @@ class TestExtractSigns:
                 R = R.scale_left(gr(-1))
             C = R if C is None else direct_sum(C, R)
         C = scramble(C, 42)
-        got = extract_signs(C, lam, [2, 1, 1], STAR_AC)
+        got = extract_signs(C, RootSpace(cosquare(C), lam, 4), [2, 1, 1],
+                            STAR_AC)
         assert sorted(got) == sorted(want)
 
     def test_realified_signs(self):
         lam = gr(rational(3, 5), rational(4, 5))
         R = plus_realified_root(2, lam, MODE_RATIONAL)
         C = scramble(R, 5)
-        assert extract_signs(C, lam, [2], CONGRUENCE_REAL) == [(2, 1)]
+        space = RootSpace(cosquare(C).cast(complex_mode(C.mode)), lam, 2)
+        assert extract_signs(C, space, [2], CONGRUENCE_REAL) == [(2, 1)]
 
     def test_size_mismatch_raises(self):
         R = plus_root(1, gr(1), MODE_GAUSSIAN)
         with pytest.raises(ValueError):
-            extract_signs(R, gr(1), [2], STAR_AC)
+            extract_signs(R, RootSpace(cosquare(R), gr(1), 1), [2], STAR_AC)
+
+
+class TestOneChainPerEigenvalue:
+    def test_one_cosquare_and_one_root_space_each(self, monkeypatch):
+        u = gr(rational(3, 5), rational(4, 5))
+        bs = BlockSum(STAR_AC, [
+            CanonicalBlock(SIGNED_ROOT, 2, lam=gr(1), eps=1),
+            CanonicalBlock(SIGNED_ROOT, 1, lam=gr(1), eps=-1),
+            CanonicalBlock(SIGNED_ROOT, 2, lam=u, eps=-1),
+            CanonicalBlock(SKEW_PAIR, 1, lam=gr(2))])
+        A = scramble(block_sum_matrix(bs), 3)
+        assert canonicalize(A, STAR_AC) == bs  # fills the reference cache
+        counts = {"cosquare": 0}
+        lams = []
+
+        def counted_cosquare(M):
+            counts["cosquare"] += 1
+            return cosquare(M)
+
+        def counted_space(M, lam, mult):
+            lams.append(lam)
+            return RootSpace(M, lam, mult)
+
+        monkeypatch.setattr(canon, "cosquare", counted_cosquare)
+        monkeypatch.setattr(canon, "RootSpace", counted_space)
+        assert canonicalize(A, STAR_AC) == bs
+        assert counts["cosquare"] == 1
+        # 1, u and the skew pair's 2 and 1/2: one kernel chain each
+        assert sorted(lams, key=lambda x: (x.re, x.im)) == [
+            gr(rational(1, 2)), gr(rational(3, 5), rational(4, 5)), gr(1),
+            gr(2)]
+
+
+class TestFloatSample:
+    def test_no_wrong_answer(self):
+        # 60 non-empty acceptance-gate forms per mode (total size <= 10),
+        # scrambled exactly, then cast to floats at tolerance 1e-8; the
+        # float path may fail on a form but must not answer wrongly
+        recovered = errors = 0
+        for base, cmode in enumerate((STAR_AC, CONGRUENCE_AC,
+                                      CONGRUENCE_REAL)):
+            fm = field_mode_for(cmode, floating=True)
+            fm = FieldMode(fm.base, fm.involution, 1e-8)
+            forms = 0
+            for t in itertools.count():
+                if forms == 60:
+                    break
+                bs = sample_blocks(cmode, random.Random(70000 + 1000 * base
+                                                        + t), maxtotal=10)
+                if bs.total_size() == 0:
+                    continue
+                forms += 1
+                A = scramble(block_sum_matrix(bs), 77000 + 1000 * base + t)
+                try:
+                    got = canonicalize(A.cast(fm), cmode)
+                except ValueError:
+                    errors += 1
+                    continue
+                assert close_blocks(got, bs), (cmode, t, bs, got)
+                recovered += 1
+        assert recovered + errors == 180
+        assert recovered >= 175  # 5 forms fail, all congruence-real
 
 
 class TestCanonicalize:

@@ -12,8 +12,7 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
 from congruence.matrix import Matrix, Poly, direct_sum
 from congruence.blocks import jordan_block, frobenius_block
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
-                               eigenvalues, UnsplittablePolynomial,
-                               _partition_from_ranks)
+                               eigenvalues, UnsplittablePolynomial, RootSpace)
 
 
 def gr(a, b=0):
@@ -125,26 +124,60 @@ class TestRankChain:
                   jordan_block(1, 1, MODE_RATIONAL),
                   jordan_block(2, -1, MODE_RATIONAL)]
         A = scrambled(blocks, MODE_RATIONAL, 7)
-        assert _partition_from_ranks(A, rational(1), 3) == (2, 1)
+        assert RootSpace(A, rational(1), 3).sizes == (2, 1)
         with pytest.raises(ValueError, match="multiplicity 4"):
-            _partition_from_ranks(A, rational(1), 4)
+            RootSpace(A, rational(1), 4)
 
-    @pytest.mark.parametrize("lam, mult, part, ranks, products", [
-        (2, 1, (1,), 1, 0),     # a simple eigenvalue: one rank, no product
-        (1, 3, (3,), 3, 2),     # stops at nullity 3, no rank past it
+    @pytest.mark.parametrize("lam, mult, part, kernels, products", [
+        (2, 1, (1,), 1, 0),     # a simple eigenvalue: one kernel, no product
+        (1, 3, (3,), 3, 2),     # stops at nullity 3, no kernel past it
     ])
     def test_chain_stops_at_the_multiplicity(self, monkeypatch, lam, mult,
-                                             part, ranks, products):
+                                             part, kernels, products):
         A = scrambled([jordan_block(3, 1, MODE_RATIONAL),
                        jordan_block(1, 2, MODE_RATIONAL)], MODE_RATIONAL, 5)
         calls = Counter()
-        for name in ("rank", "__mul__"):
+        for name in ("right_kernel", "__mul__"):
             def counted(*args, _name=name, _orig=getattr(Matrix, name)):
                 calls[_name] += 1
                 return _orig(*args)
             monkeypatch.setattr(Matrix, name, counted)
-        assert _partition_from_ranks(A, rational(lam), mult) == part
-        assert calls == Counter(rank=ranks, __mul__=products)
+        assert RootSpace(A, rational(lam), mult).sizes == part
+        assert calls == Counter(right_kernel=kernels, __mul__=products)
+
+
+EIGENVALUES = {
+    "rational": st.integers(-3, 3).map(rational),
+    "gaussian": st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: gr(*ab)),
+}
+MODES = {"rational": MODE_RATIONAL, "gaussian": MODE_GAUSSIAN}
+
+
+class TestRootSpace:
+    """The oracle is the Jordan sum the matrix was scrambled from."""
+
+    @pytest.mark.parametrize("field", sorted(MODES))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_sizes_and_chain_basis(self, field, data):
+        mode = MODES[field]
+        lams = data.draw(st.lists(EIGENVALUES[field], min_size=1, max_size=3,
+                                  unique=True))
+        parts = [data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                    max_size=2)) for _ in lams]
+        A = scrambled([jordan_block(m, lam, mode)
+                       for lam, sizes in zip(lams, parts) for m in sizes],
+                      mode, data.draw(st.integers(0, 10 ** 6)))
+        for lam, sizes in zip(lams, parts):
+            want = tuple(sorted(sizes, reverse=True))
+            space = RootSpace(A, lam, sum(sizes))
+            assert space.sizes == want
+            # P has full column rank, so A P = P J pins J down
+            P = space.basis()
+            assert P.rank() == P.cols
+            assert A * P == P * direct_sum(
+                *[jordan_block(m, lam, mode) for m in want])
 
 
 class TestChainBasis:
