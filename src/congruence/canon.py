@@ -7,8 +7,9 @@ core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
 kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
 is snapped onto the unit circle; that one chain gives the Jordan partition,
 which pairs non-unimodular eigenvalues into skew sums, and the chain basis
-on which the unimodular ones get their signs, through signatures of the
-chain pairing forms on the root subspace.
+on which the unimodular ones get their signs: the signatures s_k of the
+chain pairing forms on the root subspace follow a closed-form table in the
+single blocks, so the signed count at size n is d_n = s_n -+ s_{n+2}.
 """
 
 import random
@@ -203,11 +204,8 @@ def _reg_rec(A):
         Y.a[pc] = row[n:]
     KA = K.conj_transpose() * A
     G = KA * Y
-    rank = G.rank()
-    if rank < nch:
-        G, rank = _repair_lifts(G, rank, Y, KA, Arows.right_kernel())
-    if rank < nch:
-        raise ClassificationError("cannot normalize chain pairings")
+    if G.rank() < nch:
+        G = _repair_lifts(G, Y, KA, Arows.right_kernel())
     # dual kernel basis: k'_i pairs to 1 against y_i and 0 against the rest;
     # A K' = 0, so A Y stays put while Y and X move by multiples of K'
     Kp = K * G.inverse().conj_transpose()
@@ -223,26 +221,27 @@ def _reg_rec(A):
             [2 + (lengths[j] if j < nlive else 0) for j in range(nch)])
 
 
-def _repair_lifts(G, rank, Y, KA, H):
-    """Add columns h of H (homogeneous lift solutions) to the lifts Y in
-    place until G = KA Y has full rank: j outer, h inner, the first trial
-    that raises the rank is kept.  Each trial changes one column of G by
-    the matching column of KA H.  Returns (G, rank)."""
+def _repair_lifts(G, Y, KA, H):
+    """Add columns of H (homogeneous lift solutions) to the lifts Y in place
+    so that G = KA Y gets full rank; returns the new G.
+
+    One elimination of [G | KA H]: each column of G outside G's pivots lies
+    in the span of the pivot ones, so adding to it the next pivot column of
+    KA H, independent modulo that span, raises the rank by one.
+    """
+    nch = G.cols
     KH = KA * H
-    for j in range(G.cols):
-        if rank == G.cols:
-            break
-        for h in range(H.cols):
-            G2 = G.copy()
-            for row, kh in zip(G2.a, KH.a):
-                row[j] = row[j] + kh[h]
-            r2 = G2.rank()
-            if r2 > rank:
-                G, rank = G2, r2
-                for row, hrow in zip(Y.a, H.a):
-                    row[j] = row[j] + hrow[h]
-                break
-    return G, rank
+    pivots = G.hstack(KH).rref().pivots
+    extra = [p - nch for p in pivots if p >= nch]
+    fill = [j for j in range(nch) if j not in pivots]
+    if len(extra) < len(fill):
+        raise ClassificationError("cannot normalize chain pairings")
+    for j, h in zip(fill, extra):
+        for row, kh in zip(G.a, KH.a):
+            row[j] = row[j] + kh[h]
+        for row, hrow in zip(Y.a, H.a):
+            row[j] = row[j] + hrow[h]
+    return G
 
 
 def regularize(A, mode=None):
@@ -472,7 +471,8 @@ def _raw_root(n, lam, fm):
 
 
 def _reference(n, lam, fm, realified):
-    """Calibrated (+1)-reference root and its signature vector at size n."""
+    """The calibrated (+1) root at size n: the deterministic root, negated
+    when the signature of its top chain pairing form is -1."""
     key = (n, scalar_key(lam), fm.base, fm.involution, fm.tolerance,
            realified)
     hit = _REF_CACHE.get(key)
@@ -495,13 +495,11 @@ def _reference(n, lam, fm, realified):
         svec = s_vector(R, space, n)
     if space.sizes != (n,):
         raise ClassificationError("reference root has wrong chain structure")
-    sign = int(round(float(svec[n])))
-    if sign not in (1, -1):
+    if svec[n] not in (1, -1):
         raise ClassificationError("reference root calibration failed")
-    sigma = {k: sign * int(round(float(v))) for k, v in svec.items()}
-    entry = (sign, sigma, R)
-    _REF_CACHE[key] = entry
-    return entry
+    R = R if svec[n] == 1 else -R
+    _REF_CACHE[key] = R
+    return R
 
 
 def plus_root(n, lam, field_mode, signed=True):
@@ -514,24 +512,25 @@ def plus_root(n, lam, field_mode, signed=True):
     lam = field_mode.promote(lam)
     if not signed:
         return _raw_root(n, lam, field_mode)
-    sign, _, R = _reference(n, lam, field_mode, False)
-    return R if sign == 1 else -R
+    return _reference(n, lam, field_mode, False)
 
 
 def plus_realified_root(n, lam, field_mode):
     """The + representative of a realified unimodular root block."""
-    sign, _, R = _reference(n, lam, field_mode, True)
-    return R if sign == 1 else -R
+    return _reference(n, lam, field_mode, True)
 
 
 def extract_signs(core, space, sizes, cmode):
     """The sign multiset attached to the root blocks at space.lam in core.
 
     space is the RootSpace of core's cosquare at lam (of its complexification
-    for a non-real lam under congruence-real).  Solves s = sum_n d_n
-    sigma^(n) where s is the core's signature vector at lam and sigma^(n)
-    the calibrated single-block references; the triangular system yields the
-    (+-1)-counts per block size uniquely.
+    for a non-real lam under congruence-real).  The signatures s_k of the
+    chain pairing forms add over blocks: a + block of size m adds
+    [m - k even] to s_k, times (-1)^((m-k)/2) for the symmetric forms at
+    +-1, and a - block the negative.  So the signed count at size n is
+    d_n = s_n - c s_{n+2}, with c = 1 for the Hermitian forms (star-ac,
+    realified roots), c = -1 for the symmetric ones, and s_k = 0 past the
+    largest size.
     """
     fm = core.mode
     lam = space.lam
@@ -541,7 +540,6 @@ def extract_signs(core, space, sizes, cmode):
     counts = {}
     for n in sizes:
         counts[n] = counts.get(n, 0) + 1
-    realified = False
     expected = sorted(space.sizes)
     if cmode == STAR_AC:
         if not is_unimodular(lam, fm):
@@ -549,8 +547,7 @@ def extract_signs(core, space, sizes, cmode):
         s_vector = _s_vector_star
     elif cmode == CONGRUENCE_REAL:
         g = complex_mode(fm)
-        realified = not g.is_zero(scalar_key(lam)[1])
-        if realified:
+        if not g.is_zero(scalar_key(lam)[1]):
             if not is_unimodular(lam, g):
                 raise ValueError("signed blocks need a unimodular parameter")
             core = core.cast(g)
@@ -569,20 +566,15 @@ def extract_signs(core, space, sizes, cmode):
         raise ValueError("sizes disagree with the cosquare structure: "
                          "%r vs %r" % (sizes, expected))
     svec = s_vector(core, space, max(sizes))
-    refs = {n: _reference(n, lam, fm, realified) for n in counts}
+    c = -1 if s_vector is _s_vector_sym else 1
     out = []
-    solved = {}
     for n in sorted(counts, reverse=True):
-        t = svec[n]
-        for m, dm in solved.items():
-            t -= dm * refs[m][1].get(n, 0)
-        dn = int(round(float(t)))
+        dn = svec[n] - c * svec.get(n + 2, 0)
         if (counts[n] + dn) % 2:
             raise ClassificationError("odd sign defect at size %d" % n)
         p = (counts[n] + dn) // 2
         if not 0 <= p <= counts[n]:
             raise ClassificationError("sign count out of range at size %d" % n)
-        solved[n] = dn
         out += [(n, 1)] * p + [(n, -1)] * (counts[n] - p)
     return out
 

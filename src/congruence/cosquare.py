@@ -192,12 +192,17 @@ def toeplitz_root(F, mode=None):
         mode = F.mode
     if not _is_frobenius(F):
         raise ValueError("expected a companion matrix")
-    chi = chi_of_frobenius(F)
-    n = chi.degree
     if mode.exact:
         ok, reason = root_exists(F, mode)
         if not ok:
             raise RootNotFound(reason)
+    return _toeplitz(F, mode)
+
+
+def _toeplitz(F, mode):
+    """toeplitz_root's construction, for a companion F known to have a root."""
+    chi = chi_of_frobenius(F)
+    n = chi.degree
     a = _root_seed_value(chi, mode)
     m = n // 2 if n % 2 == 0 else (n + 1) // 2
     seed = [a] + [mode.zero()] * (2 * m - 2) + [mode.involve(a)]
@@ -227,7 +232,7 @@ def star_root_jordan(n, lam, mode):
         raise RootNotFound(reason)
     chi = Poly([-lam, mode.one()], mode) ** n
     F = frobenius_block(chi)
-    R = toeplitz_root(F, mode)
+    R = _toeplitz(F, mode)  # root_exists_jordan has decided existence
     # Jordan chain of the companion matrix: columns (F - lam)^{n-k} e0
     N = F.minus_scalar(lam)
     v = Matrix([[mode.one() if i == 0 else mode.zero()] for i in range(n)],

@@ -70,10 +70,6 @@ class Matrix:
             rows[i][i] = mode.promote(e)
         return Matrix(rows, mode, promote=False)
 
-    def copy(self):
-        return Matrix([row[:] for row in self.a], self.mode, promote=False,
-                      shape=self._shape)
-
     # -- shape --------------------------------------------------------------
 
     @property
@@ -277,14 +273,13 @@ class Matrix:
             m = data["mode"]
             tol = m.get("tolerance") or None
             mode = FieldMode(m["base"], m["involution"], tol)
+        shape = (data["rows"], data["cols"])
         rows = [[scalar_from_json(e, mode) for e in row]
                 for row in data["entries"]]
-        if not rows:
-            rows = []
-        mat = Matrix(rows or [[]][:0], mode, promote=False)
-        if data["rows"] == 0 or data["cols"] == 0:
-            return Matrix.zeros(data["rows"], data["cols"], mode)
-        return mat
+        if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+            raise ValueError("entries do not match the declared %rx%r shape"
+                             % shape)
+        return Matrix(rows, mode, promote=False, shape=shape)
 
 
 # -- generic scalar back end ------------------------------------------------

@@ -14,7 +14,7 @@ from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                REAL_SIGNED_ROOT, REAL_SKEW_PAIR,
                                CanonicalBlock, BlockSum, block_sum_matrix,
                                field_mode_for, jordan_block)
-from congruence.cosquare import cosquare
+from congruence.cosquare import cosquare, star_root_jordan
 from congruence.jordan import RootSpace, jordan_structure
 from congruence.canon import (regularize, select_representative, extract_signs,
                               canonicalize, canonicalize_with_confidence,
@@ -85,6 +85,30 @@ class TestRegularize:
             assert reg.singular_blocks == [2] * k
             assert reg.witness.verify()
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_eliminations_do_not_grow_with_the_chain_count(self, cmode,
+                                                            monkeypatch):
+        # scrambled J_2^k needs its chain lifts repaired: one elimination,
+        # whatever the number of chains (rank reads rref too)
+        fm = field_mode_for(cmode)
+        rref = Matrix.rref
+        calls = []
+
+        def counting(a, limit=None):
+            calls.append(1)
+            return rref(a, limit)
+
+        counts = []
+        for k in (2, 4, 8):
+            A = scramble(direct_sum(*[jordan_block(2, 0, fm)] * k), k)
+            monkeypatch.setattr(Matrix, "rref", counting)
+            del calls[:]
+            reg = regularize(A)
+            counts.append(len(calls))
+            monkeypatch.setattr(Matrix, "rref", rref)
+            assert reg.singular_blocks == [2] * k
+        assert counts[0] == counts[1] == counts[2]
 
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
     def test_all_nilpotent_sizes_twice_plus_a_root(self, cmode):
@@ -240,7 +264,50 @@ class TestSelectRepresentative:
                                   CONGRUENCE_REAL, fm)
 
 
+SIGNED_LAMS = [gr(1), gr(-1), gr(0, 1), gr(0, -1),
+               gr(rational(3, 5), rational(4, 5)),
+               gr(rational(5, 13), rational(-12, 13))]
+
+
+def _plus_s_vector(n, lam, fm, realified):
+    """The computed chain pairing signatures of the + block of size n."""
+    if realified:
+        g = complex_mode(fm)
+        R, lam = plus_realified_root(n, lam, fm).cast(g), g.promote(lam)
+        s_vector = canon._s_vector_star
+    else:
+        R, lam = plus_root(n, lam, fm), fm.promote(lam)
+        s_vector = (canon._s_vector_sym if fm.involution == "identity"
+                    else canon._s_vector_star)
+    return s_vector(R, RootSpace(cosquare(R), lam, n), n)
+
+
 class TestExtractSigns:
+    @pytest.mark.parametrize("tol", [None, 1e-8])
+    @pytest.mark.parametrize("setting", ["star", "sym", "realified"])
+    def test_signature_table(self, setting, tol):
+        # a + block of size n has s_k = [n - k even], times (-1)^((n-k)/2)
+        # for the symmetric forms at +-1 (which only have k of n's parity)
+        fm = field_mode_for(STAR_AC if setting == "star" else CONGRUENCE_REAL,
+                            floating=tol is not None)
+        if tol is not None:
+            fm = FieldMode(fm.base, fm.involution, tol)
+        nmax = 8 if tol is None else 5
+        if setting == "sym":
+            cases = [(n, (-1) ** (n + 1)) for n in range(1, nmax + 1)]
+        else:
+            lams = SIGNED_LAMS if setting == "star" else SIGNED_LAMS[2:]
+            cases = [(n, lam if tol is None else complex(lam))
+                     for lam in lams for n in range(1, nmax + 1)]
+        for n, lam in cases:
+            if setting == "sym":
+                want = {k: (-1) ** ((n - k) // 2)
+                        for k in range(n % 2 or 2, n + 1, 2)}
+            else:
+                want = {k: int((n - k) % 2 == 0) for k in range(1, n + 1)}
+            got = _plus_s_vector(n, lam, fm, setting == "realified")
+            assert got == want, (n, lam)
+
     def test_reads_back_constructed_signs(self):
         lam = gr(rational(3, 5), rational(4, 5))
         want = [(2, 1), (1, -1), (1, -1)]
@@ -268,6 +335,34 @@ class TestExtractSigns:
             extract_signs(R, RootSpace(cosquare(R), gr(1), 1), [2], STAR_AC)
 
 
+class TestColdReferenceCache:
+    def test_canonicalize_builds_no_reference_root(self, monkeypatch):
+        u = gr(rational(3, 5), rational(4, 5))
+        forms = [
+            BlockSum(STAR_AC, [
+                CanonicalBlock(SIGNED_ROOT, 2, lam=u, eps=-1),
+                CanonicalBlock(SIGNED_ROOT, 1, lam=gr(1), eps=1),
+                CanonicalBlock(SIGNED_ROOT, 1, lam=gr(0, -1), eps=-1)]),
+            BlockSum(CONGRUENCE_REAL, [
+                CanonicalBlock(SIGNED_ROOT, 3, lam=rational(1), eps=-1),
+                CanonicalBlock(SIGNED_ROOT, 1, lam=rational(1), eps=1),
+                CanonicalBlock(SIGNED_ROOT, 2, lam=rational(-1), eps=1),
+                CanonicalBlock(REAL_SIGNED_ROOT, 1, lam=u, eps=-1)])]
+        mats = [scramble(block_sum_matrix(bs), 9) for bs in forms]
+        calls = []
+
+        def counted_root(*args):
+            calls.append(args)
+            return star_root_jordan(*args)
+
+        monkeypatch.setattr(canon, "_REF_CACHE", {})
+        monkeypatch.setattr(canon, "star_root_jordan", counted_root)
+        for bs, A in zip(forms, mats):
+            assert canonicalize(A, bs.cmode) == bs
+        assert canon._REF_CACHE == {}
+        assert calls == []
+
+
 class TestOneChainPerEigenvalue:
     def test_one_cosquare_and_one_root_space_each(self, monkeypatch):
         u = gr(rational(3, 5), rational(4, 5))
@@ -277,7 +372,6 @@ class TestOneChainPerEigenvalue:
             CanonicalBlock(SIGNED_ROOT, 2, lam=u, eps=-1),
             CanonicalBlock(SKEW_PAIR, 1, lam=gr(2))])
         A = scramble(block_sum_matrix(bs), 3)
-        assert canonicalize(A, STAR_AC) == bs  # fills the reference cache
         counts = {"cosquare": 0}
         lams = []
 
@@ -357,7 +451,6 @@ class TestCanonicalize:
         assert b.lam == gr(0, 1)
 
     def test_idempotent(self):
-        rng = random.Random(100)
         bs = BlockSum(CONGRUENCE_REAL, [
             CanonicalBlock(SINGULAR_JORDAN, 2),
             CanonicalBlock(SIGNED_ROOT, 1, lam=rational(1), eps=-1),

@@ -6,10 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from congruence.cli import main, parse_poly
-from congruence.scalar import MODE_RATIONAL, MODE_GAUSSIAN, rational
+from congruence.scalar import MODE_RATIONAL, rational
 from congruence.blocks import BlockSum, block_sum_matrix
 from congruence.canon import canonicalize
-from congruence.matrix import Matrix, Poly
+from congruence.matrix import Poly
 
 
 @pytest.fixture
@@ -67,6 +67,15 @@ class TestCanonCommand:
         assert r.exit_code == 2
         err = json.loads(r.output)
         assert err["error"]["code"] == 2
+
+    def test_declared_shape_mismatch_exit_2(self, runner):
+        doc = {"mode": {"base": "rational", "involution": "identity",
+                        "tolerance": 0},
+               "rows": 3, "cols": 3, "entries": [["1", "0"], ["0", "1"]]}
+        r = run(runner, ["canon", "--mode", "congruence-real"],
+                stdin=json.dumps(doc))
+        assert r.exit_code == 2
+        assert "declared 3x3 shape" in json.loads(r.output)["error"]["message"]
 
     def test_unsplittable_exit_3(self, runner):
         r = run(runner, ["canon", "--mode", "congruence-real"],

@@ -2,14 +2,15 @@
 
 import pytest
 
+from congruence import cosquare as cosquare_module
 from congruence.scalar import (GaussianRational, MODE_RATIONAL, MODE_GAUSSIAN,
                                MODE_GAUSSIAN_ID, rational)
-from congruence.matrix import Matrix, Poly, char_poly
-from congruence.blocks import frobenius_block, jordan_block, gamma
+from congruence.matrix import Matrix, Poly
+from congruence.blocks import frobenius_block, jordan_block
 from congruence.cosquare import (cosquare, poly_dual, recurrent_extend,
                                  root_exists, root_exists_jordan,
                                  toeplitz_root, star_root_jordan,
-                                 transport_root, chi_of_frobenius,
+                                 transport_root,
                                  QForm, q_eval, type_iii_matrix, RootNotFound)
 
 
@@ -128,6 +129,20 @@ class TestStarRootJordan:
         with pytest.raises(RootNotFound):
             star_root_jordan(2, gr(2), MODE_GAUSSIAN)
 
+    def test_no_second_existence_test(self, monkeypatch):
+        # root_exists_jordan has decided existence; root_exists factors
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return root_exists(*args)
+
+        monkeypatch.setattr(cosquare_module, "root_exists", counted)
+        for n, lam in ((3, gr(rational(3, 5), rational(4, 5))), (2, gr(0, 1))):
+            R = star_root_jordan(n, lam, MODE_GAUSSIAN)
+            assert cosquare(R) == jordan_block(n, lam, MODE_GAUSSIAN)
+        assert calls == []
+
 
 class TestQForm:
     def test_constant_term_fixed(self):
@@ -137,7 +152,7 @@ class TestQForm:
     def test_eval_is_selfadjoint_on_cosquares(self):
         F = frobenius_block(poly([-1, 3, -3, 1]))
         q = QForm([rational(2), rational(1)], MODE_RATIONAL)
-        A = toeplitz_root(F)
+        toeplitz_root(F)
         V = q_eval(q, F)
         # q(Phi) commutes with Phi and A* q(Phi) ... = A q(Phi) identity
         assert V * F == F * V

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
-                               MODE_GAUSSIAN, MODE_GF2, MODE_REAL_FLOAT,
-                               MODE_QUAT_CONJ, Quaternion, rational)
+                               MODE_GAUSSIAN, MODE_GF2, MODE_QUAT_CONJ,
+                               Quaternion, rational)
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
                                realify, complexify, _mul_generic,
                                _rref_generic)
@@ -109,7 +109,6 @@ class TestSolveInvertRank:
 class TestCharPoly:
     def test_companion_matrix_oracle(self):
         # chi of the companion matrix is the polynomial it was built from
-        c = [rational(2), rational(-3), rational(1)]  # 2 - 3x + x^2 ... cubic
         F = Matrix([[0, 0, -2], [1, 0, 3], [0, 1, -1]], MODE_RATIONAL)
         chi = char_poly(F)
         assert [chi.coeff(k) for k in range(4)] == [2, -3, 1, 1]
@@ -294,6 +293,19 @@ class TestStructure:
         A = Matrix([[GaussianRational(1, -2), GaussianRational(Fraction(1, 3))]],
                    MODE_GAUSSIAN)
         assert Matrix.from_json(A.to_json()) == A
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+    def test_json_empty_shapes(self, m, n):
+        A = Matrix.zeros(m, n, MODE_RATIONAL)
+        B = Matrix.from_json(A.to_json())
+        assert (B.rows, B.cols) == (m, n) and B == A
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (2, 3), (3, 2), (0, 2)])
+    def test_json_rejects_a_shape_the_entries_miss(self, rows, cols):
+        data = mat([[1, 0], [0, 1]]).to_json()
+        data["rows"], data["cols"] = rows, cols
+        with pytest.raises(ValueError, match="declared"):
+            Matrix.from_json(data)
 
 
 class TestPoly:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from congruence.scalar import (GaussianRational, Quaternion, MODE_QUAT_CONJ,
-                               MODE_QUAT_SEMI, MODE_GAUSSIAN, MODE_RATIONAL,
-                               QUAT_CONJUGATION, QUAT_SEMICONJUGATION,
-                               rational, abs_squared)
+                               MODE_GAUSSIAN, QUAT_CONJUGATION,
+                               QUAT_SEMICONJUGATION, rational, abs_squared)
 from congruence.matrix import Matrix, realify
-from congruence.blocks import gamma, gamma_prime, delta
+from congruence.blocks import gamma, delta
 from congruence.canon import ClassificationError, CongruenceWitness
 from congruence.quat import (GAMMA_FORM, DELTA_FORM, EpsilonRule,
                              epsilon_choices, quat_block, verify_witness,
