@@ -136,7 +136,7 @@ class CongruenceWitness:
         n = S.rows
         if S.cols != n or self.lhs.rows != n or not self.lhs.is_square():
             return False
-        if S.rank() != n:
+        if not S.is_nonsingular():
             return False
         return S.conj_transpose() * self.lhs * S == self.rhs
 
@@ -204,7 +204,7 @@ def _reg_rec(A):
         Y.a[pc] = row[n:]
     KA = K.conj_transpose() * A
     G = KA * Y
-    if G.rank() < nch:
+    if not G.is_nonsingular():
         G = _repair_lifts(G, Y, KA, Arows.right_kernel())
     # dual kernel basis: k'_i pairs to 1 against y_i and 0 against the rest;
     # A K' = 0, so A Y stays put while Y and X move by multiples of K'
@@ -248,8 +248,13 @@ def regularize(A, mode=None):
     """Split A into a nonsingular core plus nilpotent Jordan summands.
 
     The returned witness satisfies S* A S = core + J_m1(0) + ... exactly
-    in exact modes (to tolerance otherwise); the block sizes are also
-    cross-checked against the basis-free subspace-chain profile.
+    in exact modes (to tolerance otherwise).  Three checks run on the
+    basis T of the recursion: T* A T is formed once, its leading block is
+    the core, and the rest must equal the Jordan blocks and zeros; T must
+    be nonsingular, proved by Matrix.is_nonsingular (a nonzero determinant
+    mod a prime, with an exact-elimination fallback; the float rank in
+    float mode); and in exact modes the block sizes must match the
+    basis-free subspace-chain profile.
     """
     if mode is not None and A.mode != mode:
         A = A.cast(mode)
@@ -267,22 +272,19 @@ def regularize(A, mode=None):
         cols += range(starts[j], starts[j + 1])
     T = X.submatrix(range(n), cols)
     sizes = [lengths[j] for j in order]
-    C0 = X.submatrix(range(n), range(starts[0]))
-    C0 = C0.conj_transpose() * A * C0
+    TAT = T.conj_transpose() * A * T
+    C0 = TAT.submatrix(range(starts[0]), range(starts[0]))
     if sizes:
         D = direct_sum(C0, *[jordan_block(m, 0, fm) for m in sizes])
     else:
         D = C0
-    if T.conj_transpose() * A * T != D:
+    if TAT != D:
         raise ClassificationError("regularizing basis fails the block form")
-    if fm.exact:
-        if n and fm.is_zero(T.det()):
-            raise ClassificationError("singular regularizing basis")
-        if sizes != singular_profile(A):
-            raise ClassificationError("block sizes disagree with the "
-                                      "subspace-chain profile")
-    elif T.rank() != n:
+    if not T.is_nonsingular():
         raise ClassificationError("singular regularizing basis")
+    if fm.exact and sizes != singular_profile(A):
+        raise ClassificationError("block sizes disagree with the "
+                                  "subspace-chain profile")
     witness = CongruenceWitness(T, A, D)
     return RegularizationResult(sizes, C0, witness)
 
@@ -822,11 +824,8 @@ def random_congruence(K, seed):
             break
         S = Matrix([[entry() for _ in range(n)] for _ in range(n)], fm,
                    promote=False)
-        if fm.base == QUATERNION:
-            if S.rank() == n:
-                break
-        elif fm.exact:
-            if not fm.is_zero(S.det()):
+        if fm.exact:
+            if S.is_nonsingular():
                 break
         elif abs(S.det()) >= 0.5:
             break

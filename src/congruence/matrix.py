@@ -17,7 +17,9 @@ treat them, through two back ends chosen by the base alone:
   tolerance relative to the matrix scale.
 
 Matrix.rref is the one elimination primitive of both back ends; rank, det,
-inverse, solve and right_kernel read its result.
+inverse, solve and right_kernel read its result.  Matrix.is_nonsingular
+first tries a cheaper exact certificate: the integer rows reduced mod one
+prime.
 """
 
 from collections import namedtuple
@@ -203,6 +205,26 @@ class Matrix:
             raise ValueError("no determinant over the quaternions here")
         return self.rref().det
 
+    def is_nonsingular(self):
+        """Whether this square matrix is nonsingular, proved exactly.
+
+        Over the rationals and Gaussian rationals each row is scaled to
+        integer numerators, which keeps det = 0 or det != 0 as it was, and
+        mapped into GF(_P) by the ring homomorphism Z[i] -> GF(_P),
+        i -> _I_MOD_P.  The determinant maps to the determinant of the
+        image, so a nonzero image proves det != 0 with no tolerance and no
+        chance involved.  A zero image proves nothing: that case, and every
+        other base, is decided by rank (exact elimination, or the float
+        tolerance).
+        """
+        if not self.is_square():
+            raise ValueError("nonsingularity of a nonsquare matrix")
+        ring = _RINGS.get(self.mode.base)
+        if ring is not None and _nonzero_mod_p(
+                [ring.mod_p(ring.vector(row)[0]) for row in self.a]):
+            return True
+        return self.rank() == self.rows
+
     def inverse(self):
         return self.solve(Matrix.identity(self.rows, self.mode))
 
@@ -362,6 +384,11 @@ def _rref_generic(M, limit):
 
 _Q0 = rational(0)
 
+# the prime of Matrix.is_nonsingular; _P = 1 (mod 4), so -1 has the square
+# root _I_MOD_P in GF(_P) and i -> _I_MOD_P maps Z[i] into GF(_P)
+_P = 2147483629
+_I_MOD_P = 629208553
+
 
 def _q(num, den):
     """num / den as a rational."""
@@ -412,6 +439,10 @@ class _IntRows:
     @staticmethod
     def divide(row, d):
         return [_q(a, d) for a in row]
+
+    @staticmethod
+    def mod_p(row):
+        return [a % _P for a in row]
 
 
 class _GaussRows:
@@ -475,6 +506,10 @@ class _GaussRows:
         return [GaussianRational(_q(a * dr + b * di, nd),
                                  _q(b * dr - a * di, nd))
                 for a, b in zip(*row)]
+
+    @staticmethod
+    def mod_p(row):
+        return [(a + _I_MOD_P * b) % _P for a, b in zip(*row)]
 
 
 _RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
@@ -561,6 +596,26 @@ def _rref_int(M, limit):
     out = [ring.divide(rows[r], d) for r in range(k)]
     return Reduction(pivots, Matrix(out, mode, promote=False, shape=(k, n)),
                      det)
+
+
+def _nonzero_mod_p(rows):
+    """Whether the square matrix of residues mod _P in rows has a nonzero
+    determinant in GF(_P): forward elimination, dropping each pivot row and
+    the first column."""
+    while rows:
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return False
+        prow = rows.pop(k)
+        inv = pow(prow[0], -1, _P)
+        prow = [b * inv % _P for b in prow[1:]]
+        rest = []
+        for row in rows:
+            f = row[0]
+            rest.append([(a - f * b) % _P for a, b in zip(row[1:], prow)]
+                        if f else row[1:])
+        rows = rest
+    return True
 
 
 def column_complement(S, T):

@@ -120,7 +120,7 @@ def verify_witness(A, B, S, involution=None):
         raise ValueError("witness verification needs square matrices")
     if not A.rows == B.rows == S.rows:
         raise ValueError("dimension mismatch")
-    if S.rank() != S.rows:
+    if not S.is_nonsingular():
         raise ValueError("witness must be nonsingular")
     return S.conj_transpose() * A * S == B
 

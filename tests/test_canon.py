@@ -7,7 +7,8 @@ import pytest
 
 from congruence import canon
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
-                               MODE_GAUSSIAN, complex_mode, rational)
+                               MODE_GAUSSIAN, MODE_QUAT_CONJ, QUATERNION,
+                               complex_mode, rational)
 from congruence.matrix import Matrix, direct_sum
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
@@ -125,6 +126,36 @@ class TestRegularize:
         assert reg.core.rows == 1
         assert reg.witness.verify()
         assert canonicalize(A, cmode) == want
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_checks_take_one_product_pair_and_no_determinant(self, cmode,
+                                                             monkeypatch):
+        # T* A T is formed once and holds the core; T's nonsingularity is
+        # proved without an exact determinant
+        fm = field_mode_for(cmode)
+        A = scramble(direct_sum(*[jordan_block(m, 0, fm)
+                                  for m in (4, 3, 2, 1)]), 31)
+
+        def refuse(*args):
+            raise AssertionError("determinant computed")
+
+        mul = Matrix.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        def products(fn):
+            del calls[:]
+            fn(A)
+            return len(calls)
+
+        monkeypatch.setattr(Matrix, "det", refuse)
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+        assert products(regularize) == (products(canon._reg_rec)
+                                        + products(canon.singular_profile)
+                                        + 2)
 
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
     def test_lift_repair_branch(self, cmode, monkeypatch):
@@ -500,6 +531,37 @@ class TestRandomCongruence:
         assert A1 == A2 and w1.S == w2.S
         A3, _ = random_congruence(K, 124)
         assert A1 != A3
+
+    # sizes at which some of the 50 seeds draw a singular S first
+    @pytest.mark.parametrize("mode, n", [(MODE_RATIONAL, 2),
+                                         (MODE_GAUSSIAN, 2),
+                                         (MODE_QUAT_CONJ, 1)])
+    def test_draws_what_the_determinant_test_drew(self, mode, n, monkeypatch):
+        # the certificate changes no decision: every seed gets the S that
+        # the det != 0 (rank == n over the quaternions) test accepted, and
+        # no determinant is taken
+        det, rank = Matrix.det, Matrix.rank
+        tests = []
+
+        def old_test(S):
+            tests.append(1)
+            if S.mode.base == QUATERNION:
+                return rank(S) == S.rows
+            return det(S) != 0
+
+        def refuse(*args):
+            raise AssertionError("determinant computed")
+
+        K = Matrix.identity(n, mode)
+        for seed in range(50):
+            with monkeypatch.context() as m:
+                m.setattr(Matrix, "is_nonsingular", old_test)
+                _, want = random_congruence(K, seed)
+            with monkeypatch.context() as m:
+                m.setattr(Matrix, "det", refuse)
+                _, got = random_congruence(K, seed)
+            assert got.S == want.S
+        assert len(tests) > 50
 
     def test_witness_verifies(self):
         K = Matrix([[rational(2)]], MODE_RATIONAL)

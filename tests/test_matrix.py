@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GF2, MODE_QUAT_CONJ,
                                Quaternion, rational)
+from congruence import matrix
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
                                realify, complexify, _mul_generic,
                                _rref_generic)
@@ -257,6 +259,88 @@ class TestIntegerKernels:
             assert E.right_kernel() == Matrix.identity(4, mode)
             assert (E.transpose() * E).rows == 4
             assert Matrix.zeros(0, 0, mode).det() == mode.one()
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of the Matrix method name from here on."""
+    orig = getattr(Matrix, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(Matrix, name, counting)
+    return calls
+
+
+class TestIsNonsingular:
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_determinant(self, n, gauss, data):
+        A = data.draw(exact_matrix(rows=(n, gauss), cols=n))
+        assert A.is_nonsingular() == (A.det() != 0)
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_rank_deficient_is_singular(self, mode):
+        c = mode.promote(GaussianRational(1, 2) if mode == MODE_GAUSSIAN
+                         else 3)
+        r0 = [mode.promote(x) for x in (1, 2, 5)]
+        r1 = [mode.promote(Fraction(x, 7)) for x in (0, -1, 4)]
+        A = Matrix([r0, r1, [x + c * y for x, y in zip(r0, r1)]], mode)
+        assert not A.is_nonsingular()
+        assert not Matrix.zeros(2, 2, mode).is_nonsingular()
+
+    def test_multiple_of_the_prime_falls_back(self, monkeypatch):
+        # diag(p, 1) vanishes mod p, so only exact elimination proves it
+        calls = count_calls(monkeypatch, "rref")
+        assert Matrix.diagonal([matrix._P, 1], MODE_RATIONAL).is_nonsingular()
+        assert calls
+
+    def test_image_of_i_falls_back(self, monkeypatch):
+        # s - i maps to s - s = 0 in GF(p)
+        calls = count_calls(monkeypatch, "rref")
+        z = GaussianRational(matrix._I_MOD_P, -1)
+        assert Matrix.diagonal([z, 1], MODE_GAUSSIAN).is_nonsingular()
+        assert calls
+
+    def test_root_of_minus_one_mod_the_prime(self):
+        assert sympy.isprime(matrix._P) and matrix._P % 4 == 1
+        assert (matrix._I_MOD_P ** 2 + 1) % matrix._P == 0
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN,
+                                      MODE_QUAT_CONJ])
+    def test_empty_is_nonsingular(self, mode):
+        assert Matrix.zeros(0, 0, mode).is_nonsingular()
+
+    def test_nonsquare_raises(self):
+        with pytest.raises(ValueError):
+            Matrix.zeros(2, 3, MODE_RATIONAL).is_nonsingular()
+
+    def test_quaternion_and_float_go_through_rank(self, monkeypatch):
+        calls = count_calls(monkeypatch, "rank")
+        i, j = Quaternion(0, 1), Quaternion(0, 0, 1)
+        Q = Matrix([[i, j], [j, i]], MODE_QUAT_CONJ)
+        assert Q.is_nonsingular()
+        # row 1 = i * row 0 (left multiple) over the quaternions
+        assert not Matrix([[1, j], [i, i * j]], MODE_QUAT_CONJ).is_nonsingular()
+        F = FieldMode("real-float", "identity", 1e-9)
+        assert Matrix([[1.0, 2.0], [3.0, 4.0]], F).is_nonsingular()
+        assert not Matrix([[1.0, 2.0], [2.0, 4.0]], F).is_nonsingular()
+        assert len(calls) == 4
+
+    def test_generic_gaussian_needs_no_exact_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact elimination reached")
+
+        rng = random.Random(11)
+        A = Matrix([[GaussianRational(Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 9)),
+                                      rng.randint(-9, 9))
+                     for _ in range(11)] for _ in range(11)], MODE_GAUSSIAN)
+        assert A.det() != 0
+        monkeypatch.setattr(Matrix, "rref", refuse)
+        assert A.is_nonsingular()
 
 
 class TestStructure:
