@@ -1,25 +1,28 @@
-"""Classification engine: regularization, eigenvalue pairing, sign
+"""Classification engine: regularization, eigenvalue orbits, sign
 extraction, and canonical block-sum assembly.
 
 Pipeline: split off the singular summands first (a kernel-quotient
 recursion that builds an explicit congruence witness), then compute the
 core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
 kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
-is snapped onto the unit circle; that one chain gives the Jordan partition,
-which pairs non-unimodular eigenvalues into skew sums, and the chain basis
-on which the unimodular ones get their signs: the signatures s_k of the
-chain pairing forms on the root subspace follow a closed-form table in the
-single blocks, so the signed count at size n is d_n = s_n -+ s_{n+2}.
+is snapped onto the unit circle.  The eigenvalues are grouped into orbits
+under x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus conjugation
+over the reals, and each orbit gives one kind of block: a one-member orbit
+(two for a unimodular non-real lam over the reals) root blocks, any larger
+orbit skew pairs at its representative.  The root blocks get their signs
+from the chain basis: the signatures s_k of the chain pairing forms on the
+root subspace follow a closed-form table in the single blocks, so the
+signed count at size n is d_n = s_n -+ s_{n+2}.
 """
 
 import random
+from collections import Counter
 from itertools import accumulate
 
-from .scalar import (GaussianRational, Quaternion, FieldMode, rational,
-                     GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT,
-                     IDENTITY, MODE_RATIONAL, MODE_GAUSSIAN,
-                     MODE_COMPLEX_FLOAT, abs_squared, complex_mode,
-                     is_unimodular, scalar_key)
+from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
+                     GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
+                     IDENTITY, MODE_GAUSSIAN, MODE_COMPLEX_FLOAT,
+                     abs_squared, complex_mode, is_unimodular, scalar_key)
 from .matrix import (Matrix, direct_sum, realify, char_poly,
                      column_complement)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
@@ -289,7 +292,38 @@ def regularize(A, mode=None):
     return RegularizationResult(sizes, C0, witness)
 
 
-# -- representative selection -----------------------------------------------
+# -- eigenvalue orbits ------------------------------------------------------
+
+def _orbit(lam, cmode, g):
+    """lam's orbit under the maps that pair cosquare eigenvalues, lam first:
+    x -> 1/conj(x) under star-ac, x -> 1/x under congruence, and complex
+    conjugation too under congruence-real; duplicates removed under g.eq."""
+    images = [lam]
+    if cmode == CONGRUENCE_REAL:
+        images.append(g.involve(lam))
+    images += [g.inv(g.involve(x) if cmode == STAR_AC else x) for x in images]
+    orbit = []
+    for x in images:
+        if not any(g.eq(x, y) for y in orbit):
+            orbit.append(x)
+    return orbit
+
+
+def _representative(orbit, fm):
+    """The member largest by (|x|^2, re, im), each compared at fm's
+    tolerance; the first of the tied members wins."""
+    def key(x):
+        return (abs_squared(x),) + scalar_key(x)
+
+    best = orbit[0]
+    for x in orbit[1:]:
+        for a, b in zip(key(x), key(best)):
+            if not fm.eq(fm.promote(a), fm.promote(b)):
+                if a > b:
+                    best = x
+                break
+    return best
+
 
 def select_representative(lam, n, cmode, field_mode=None):
     """Normalize a type-(ii) parameter within its pairing orbit.
@@ -299,59 +333,31 @@ def select_representative(lam, n, cmode, field_mode=None):
     """
     if cmode not in (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL):
         raise ValueError("unsupported mode %r" % cmode)
+    fm = field_mode or field_mode_for(cmode)
+    cplx = False
     if cmode == CONGRUENCE_REAL:
         try:
-            is_cplx = MODE_GAUSSIAN.promote(lam).im != 0
+            cplx = MODE_GAUSSIAN.promote(lam).im != 0
         except TypeError:
-            is_cplx = isinstance(lam, complex) and lam.imag != 0
-        if is_cplx:
-            return _select_complex_pair(lam, field_mode)
-        fm = field_mode or MODE_RATIONAL
-    else:
-        fm = field_mode or field_mode_for(cmode)
+            cplx = isinstance(lam, complex) and lam.imag != 0
+        if cplx:
+            fm = (complex_mode(field_mode) if field_mode else
+                  MODE_COMPLEX_FLOAT if isinstance(lam, complex)
+                  else MODE_GAUSSIAN)
     lam = fm.promote(lam)
     if fm.is_zero(lam):
         raise ValueError("zero is not a valid parameter")
-    if cmode == STAR_AC:
-        if is_unimodular(lam, fm):
-            raise ValueError("unimodular parameters belong to the signed kind")
-        mu = fm.inv(fm.involve(lam))
-        return (lam if abs_squared(lam) > abs_squared(mu) else mu), False
-    mu = fm.inv(lam)
-    if fm.eq(lam, mu):
+    if (cmode == STAR_AC or cplx) and is_unimodular(lam, fm):
+        raise ValueError("unimodular parameters belong to the signed kind")
+    orbit = _orbit(lam, cmode, fm)
+    if len(orbit) == 1:
         if fm.eq(lam, fm.promote((-1) ** (n + 1))):
             raise ValueError("parameter (-1)^(n+1) belongs to the root kind")
         return lam, True
-    a, b = abs_squared(lam), abs_squared(mu)
-    if not fm.eq(fm.promote(a), fm.promote(b)):
-        return (lam if a > b else mu), False
-    # unimodular non-real orbit (congruence-ac only: a real lam with
-    # |lam| = |1/lam| is +-1): prefer the larger (re, im) pair
-    return (lam if _lex_gt(lam, mu, fm) else mu), False
-
-
-def _select_complex_pair(lam, field_mode):
-    """Real-mode complex parameter: pick b > 0 and a^2 + b^2 > 1."""
-    g = (complex_mode(field_mode) if field_mode else
-         MODE_COMPLEX_FLOAT if isinstance(lam, complex) else MODE_GAUSSIAN)
-    lam = g.promote(lam)
-    if is_unimodular(lam, g):
-        raise ValueError("unimodular parameters belong to the signed kind")
-    orbit = [lam, g.involve(lam)]
-    orbit += [g.inv(x) for x in orbit]
-    for x in orbit:
-        if scalar_key(x)[1] > 0 and abs_squared(x) > 1:
-            return x, False
-    raise ValueError("no normalized member in the orbit of %r" % (lam,))
-
-
-def _lex_gt(x, y, fm):
-    """x > y by (re, im), comparing coordinates up to the mode tolerance."""
-    xr, xi = scalar_key(x)
-    yr, yi = scalar_key(y)
-    if not fm.eq(fm.promote(xr - yr), fm.zero()):
-        return xr > yr
-    return xi > yi
+    rep = _representative(orbit, fm)
+    if cplx and not (scalar_key(rep)[1] > 0 and abs_squared(rep) > 1):
+        raise ValueError("no normalized member in the orbit of %r" % (lam,))
+    return rep, False
 
 
 # -- sign extraction --------------------------------------------------------
@@ -403,56 +409,45 @@ def _pairing_setup(C, space):
             J.inverse())
 
 
-def _s_vector_star(C, space, kmax):
-    """Signatures of the Hermitian chain pairing forms F K^(k-1).
+def _s_vector(C, space, kmax):
+    """Signatures of the chain pairing forms F K^(k-1), for k <= kmax.
 
     Writing the form on the root subspace as H with H* = H J^{-1}, the
-    matrices F = H f(J) and K = i (lbar J - I)(lbar J + I)^{-1} make every
-    F K^(k-1) Hermitian; their signatures are congruence invariants that
-    add over direct summands and flip with the block sign.
+    matrices F = H f(J) and K, a Cayley transform of J, make every
+    F K^(k-1) Hermitian under a conjugation; under the identity (lam =
+    +-1) only one parity of k gives a symmetric form and the other a skew
+    one.  The signatures are congruence invariants that add over direct
+    summands and flip with the block sign.
     """
     fm = C.mode
     lam = space.lam
-    lbar = fm.involve(lam)
     H, J, I, Jinv = _pairing_setup(C, space)
-    if fm.eq(lam, -fm.one()):
-        F = (H * (I - Jinv)).scale_left(fm.i())
+    minus = fm.eq(lam, -fm.one())
+    if fm.involution == IDENTITY:
+        if not (minus or fm.eq(lam, fm.one())):
+            raise ClassificationError("signed congruence blocks need "
+                                      "lam = +-1")
+        if minus:
+            F, K = H * (I - Jinv), (J + I) * (J - I).inverse()
+        else:
+            F, K = H * (I + Jinv), (J - I) * (J + I).inverse()
+        usable, kind = (0 if minus else 1), "symmetric"
     else:
-        c = (fm.one() + lbar) * fm.inv(fm.promote(2))
-        F = (H * (I + Jinv.scale_left(lam))).scale_left(c)
-    K = ((J.scale_left(lbar) - I)
-         * (J.scale_left(lbar) + I).inverse()).scale_left(fm.i())
+        lbar = fm.involve(lam)
+        if minus:
+            F = (H * (I - Jinv)).scale_left(fm.i())
+        else:
+            c = (fm.one() + lbar) * fm.inv(fm.promote(2))
+            F = (H * (I + Jinv.scale_left(lam))).scale_left(c)
+        K = ((J.scale_left(lbar) - I)
+             * (J.scale_left(lbar) + I).inverse()).scale_left(fm.i())
+        usable, kind = None, "hermitian"
     out = {}
     G = F
     for k in range(1, kmax + 1):
-        if G != G.conj_transpose():
-            raise ClassificationError("pairing form is not hermitian")
-        out[k] = _signature(G)
-        G = G * K
-    return out
-
-
-def _s_vector_sym(C, space, kmax):
-    """Transpose-involution analogue; only one parity of k is symmetric."""
-    fm = C.mode
-    lam = space.lam
-    H, J, I, Jinv = _pairing_setup(C, space)
-    if fm.eq(lam, fm.one()):
-        F = H * (I + Jinv)
-        K = (J - I) * (J + I).inverse()
-        usable = 1
-    elif fm.eq(lam, -fm.one()):
-        F = H * (I - Jinv)
-        K = (J + I) * (J - I).inverse()
-        usable = 0
-    else:
-        raise ClassificationError("signed congruence blocks need lam = +-1")
-    out = {}
-    G = F
-    for k in range(1, kmax + 1):
-        if k % 2 == usable:
-            if G != G.transpose():
-                raise ClassificationError("pairing form is not symmetric")
+        if usable is None or k % 2 == usable:
+            if G != G.conj_transpose():
+                raise ClassificationError("pairing form is not " + kind)
             out[k] = _signature(G)
         elif G != -G.transpose():
             raise ClassificationError("pairing form is not skew-symmetric")
@@ -460,7 +455,10 @@ def _s_vector_sym(C, space, kmax):
     return out
 
 
+# calibrated roots by (n, lam, mode, realified); the oldest entry is evicted
+# past _REF_CACHE_MAX, so a long-lived process stays bounded
 _REF_CACHE = {}
+_REF_CACHE_MAX = 256
 
 
 def _raw_root(n, lam, fm):
@@ -474,7 +472,7 @@ def _raw_root(n, lam, fm):
 
 def _reference(n, lam, fm, realified):
     """The calibrated (+1) root at size n: the deterministic root, negated
-    when the signature of its top chain pairing form is -1."""
+    when extract_signs reads its single block as -1."""
     key = (n, scalar_key(lam), fm.base, fm.involution, fm.tolerance,
            realified)
     hit = _REF_CACHE.get(key)
@@ -482,24 +480,19 @@ def _reference(n, lam, fm, realified):
         return hit
     if realified:
         g = complex_mode(fm)
-        gl = g.promote(lam)
-        R = realify(_raw_root(n, gl, g))
-        if R.mode != fm:
-            R = R.cast(fm)
-        Rg = R.cast(g)
-        space = RootSpace(cosquare(Rg), gl, n)
-        svec = _s_vector_star(Rg, space, n)
+        lam = g.promote(lam)
+        R = realify(_raw_root(n, lam, g)).cast(fm)
+        space = RootSpace(cosquare(R.cast(g)), lam, n)
     else:
         lam = fm.promote(lam)
         R = _raw_root(n, lam, fm)
         space = RootSpace(cosquare(R), lam, n)
-        s_vector = _s_vector_sym if fm.involution == IDENTITY else _s_vector_star
-        svec = s_vector(R, space, n)
-    if space.sizes != (n,):
-        raise ClassificationError("reference root has wrong chain structure")
-    if svec[n] not in (1, -1):
-        raise ClassificationError("reference root calibration failed")
-    R = R if svec[n] == 1 else -R
+    cmode = (CONGRUENCE_REAL if realified or fm.involution == IDENTITY
+             else STAR_AC)
+    ((_, sign),) = extract_signs(R, space, [n], cmode)
+    R = R if sign == 1 else -R
+    if len(_REF_CACHE) >= _REF_CACHE_MAX:
+        del _REF_CACHE[next(iter(_REF_CACHE))]
     _REF_CACHE[key] = R
     return R
 
@@ -539,36 +532,31 @@ def extract_signs(core, space, sizes, cmode):
     sizes = sorted(int(n) for n in sizes)
     if not sizes:
         return []
-    counts = {}
-    for n in sizes:
-        counts[n] = counts.get(n, 0) + 1
+    counts = Counter(sizes)
     expected = sorted(space.sizes)
     if cmode == STAR_AC:
         if not is_unimodular(lam, fm):
             raise ValueError("signed blocks need a unimodular parameter")
-        s_vector = _s_vector_star
     elif cmode == CONGRUENCE_REAL:
         g = complex_mode(fm)
         if not g.is_zero(scalar_key(lam)[1]):
             if not is_unimodular(lam, g):
                 raise ValueError("signed blocks need a unimodular parameter")
             core = core.cast(g)
-            s_vector = _s_vector_star
         else:
             if not (fm.eq(lam, fm.one()) or fm.eq(lam, -fm.one())):
                 raise ValueError("real signed blocks need lam = +-1")
             lint = 1 if fm.eq(lam, fm.one()) else -1
             if any((-1) ** (n + 1) != lint for n in sizes):
                 raise ValueError("block size parity contradicts lam")
-            s_vector = _s_vector_sym
             expected = [n for n in expected if (-1) ** (n + 1) == lint]
     else:
         raise ValueError("mode %r carries no signs" % cmode)
     if expected != sizes:
         raise ValueError("sizes disagree with the cosquare structure: "
                          "%r vs %r" % (sizes, expected))
-    svec = s_vector(core, space, max(sizes))
-    c = -1 if s_vector is _s_vector_sym else 1
+    svec = _s_vector(core, space, max(sizes))
+    c = -1 if core.mode.involution == IDENTITY else 1
     out = []
     for n in sorted(counts, reverse=True):
         dn = svec[n] - c * svec.get(n + 2, 0)
@@ -628,31 +616,25 @@ def canonicalize_with_confidence(A, cmode):
         if floating:
             report["eigenvalue_gap"] = _eigen_gap(ents)
         used = [False] * len(ents)
-
-        def find(val):
-            for idx, (l, _) in enumerate(ents):
-                if work_mode.eq(l, val):
-                    return idx
-            return -1
-
-        def take_partner(val, sizes, who):
-            j = find(val)
-            if j < 0 or used[j] or sorted(ents[j][1].sizes) != sorted(sizes):
-                raise ClassificationError("unpaired eigenvalue in %s" % who)
-            used[j] = True
-            return ents[j]
-
         for idx, (lam, space) in enumerate(ents):
             if used[idx]:
                 continue
             used[idx] = True
-            if cmode == STAR_AC:
-                _partition_star(C, sfm, lam, space, blocks, take_partner)
-            elif cmode == CONGRUENCE_AC:
-                _partition_ac(sfm, lam, space.sizes, blocks, take_partner)
-            else:
-                _partition_real(C, sfm, work_mode, lam, space, blocks,
-                                take_partner)
+            # the orbit's other members must be unused eigenvalues with the
+            # same partition; their spaces line up with the orbit
+            orbit = _orbit(lam, cmode, work_mode)
+            spaces = [space]
+            for x in orbit[1:]:
+                j = next((j for j, (l, _) in enumerate(ents)
+                          if work_mode.eq(l, x)), None)
+                if j is None or used[j] or ents[j][1].sizes != space.sizes:
+                    raise ClassificationError("unpaired eigenvalue %r"
+                                              % (lam,))
+                used[j] = True
+                spaces.append(ents[j][1])
+            rep = _representative(orbit, work_mode)
+            blocks += _orbit_blocks(C, cmode, sfm, orbit, rep,
+                                    spaces[orbit.index(rep)])
     return BlockSum(cmode, blocks), report
 
 
@@ -679,38 +661,17 @@ def _root_space(Phi, Phic, fm, g, lam, mult, cmode):
     return g.promote(lam), RootSpace(M, lam, mult)
 
 
-def _partition_star(C, fm, lam, space, blocks, take_partner):
-    sizes = space.sizes
-    if is_unimodular(lam, fm):
-        for n, e in extract_signs(C, space, sizes, STAR_AC):
-            blocks.append(CanonicalBlock(SIGNED_ROOT, n, lam=lam, eps=e))
-        return
-    mu = fm.inv(fm.involve(lam))
-    take_partner(mu, sizes, "star pairing")
-    rep, _ = select_representative(lam, sizes[0], STAR_AC, fm)
-    for n in sizes:
-        blocks.append(CanonicalBlock(SKEW_PAIR, n, lam=rep))
-
-
 def _self_paired(fm, lam, sizes, blocks):
-    """Split the blocks at lam = +-1, whose orbit pairs with itself.
+    """Split the blocks at lam = +-1, the one-member orbits of congruence.
 
-    Returns None unless lam is +-1.  Otherwise a size n with
-    (-1)^(n+1) != lam must occur an even number of times, and each two
-    such blocks append one skew pair to blocks; the result is lam, snapped
-    to exactly +-1, with the sizes left for root blocks.
+    A size n with (-1)^(n+1) != lam must occur an even number of times,
+    and each two such blocks append one skew pair to blocks; the result is
+    lam, snapped to exactly +-1, with the sizes left for root blocks.
     """
-    one = fm.one()
-    if not (fm.eq(lam, one) or fm.eq(lam, -one)):
-        return None
-    lint = 1 if fm.eq(lam, one) else -1
+    lint = 1 if fm.eq(lam, fm.one()) else -1
     lam = fm.promote(lint)
-    roots, pairs = [], {}
-    for n in sizes:
-        if (-1) ** (n + 1) == lint:
-            roots.append(n)
-        else:
-            pairs[n] = pairs.get(n, 0) + 1
+    roots = [n for n in sizes if (-1) ** (n + 1) == lint]
+    pairs = Counter(n for n in sizes if (-1) ** (n + 1) != lint)
     for n, c in pairs.items():
         if c % 2:
             raise ClassificationError("odd multiplicity in a "
@@ -719,52 +680,35 @@ def _self_paired(fm, lam, sizes, blocks):
     return lam, roots
 
 
-def _partition_ac(fm, lam, sizes, blocks, take_partner):
-    split = _self_paired(fm, lam, sizes, blocks)
-    if split is not None:
-        lam, roots = split
-        blocks.extend(CanonicalBlock(SIGNED_ROOT, n, lam=lam) for n in roots)
-        return
-    mu = fm.inv(lam)
-    take_partner(mu, sizes, "congruence pairing")
-    rep, _ = select_representative(lam, sizes[0], CONGRUENCE_AC, fm)
-    for n in sizes:
-        blocks.append(CanonicalBlock(SKEW_PAIR, n, lam=rep))
+def _orbit_blocks(C, cmode, fm, orbit, rep, space):
+    """The canonical blocks of one eigenvalue orbit of C's cosquare.
 
-
-def _partition_real(C, fm, g, lam, space, blocks, take_partner):
+    rep is the orbit's representative and space its RootSpace.  An orbit
+    of one member (of two under congruence-real: a unimodular non-real lam
+    and its conjugate) gives root blocks at space.lam: signed by
+    extract_signs, except under congruence-ac, and at +-1 under congruence
+    first split by _self_paired.  A larger orbit gives one skew pair at rep
+    per block size, realified for a non-real rep under congruence-real.
+    """
     sizes = space.sizes
-    lr, im = scalar_key(lam)
-    if g.is_zero(im):
-        lr = fm.promote(lr)
-        split = _self_paired(fm, lr, sizes, blocks)
-        if split is not None:
-            lr, roots = split
-            for n, e in extract_signs(C, space, roots, CONGRUENCE_REAL):
-                blocks.append(CanonicalBlock(SIGNED_ROOT, n, lam=lr, eps=e))
-            return
-        mu = fm.inv(lr)
-        take_partner(g.promote(mu), sizes, "real pairing")
-        rep, _ = select_representative(lr, sizes[0], CONGRUENCE_REAL, fm)
-        for n in sizes:
-            blocks.append(CanonicalBlock(SKEW_PAIR, n, lam=rep))
-        return
-    conjl = g.involve(lam)
-    if is_unimodular(lam, g):
-        partner = take_partner(conjl, sizes, "realified root pairing")
-        if im < 0:
-            # the signs are read at the root with positive imaginary part
-            lam, space = partner
-        for n, e in extract_signs(C, space, sizes, CONGRUENCE_REAL):
-            blocks.append(CanonicalBlock(REAL_SIGNED_ROOT, n, lam=lam, eps=e))
-        return
-    take_partner(conjl, sizes, "realified pairing")
-    li = g.inv(lam)
-    take_partner(li, sizes, "realified pairing")
-    take_partner(g.involve(li), sizes, "realified pairing")
-    rep, _ = select_representative(lam, sizes[0], CONGRUENCE_REAL, fm)
-    for n in sizes:
-        blocks.append(CanonicalBlock(REAL_SKEW_PAIR, n, lam=rep))
+    realified = (cmode == CONGRUENCE_REAL
+                 and not fm.is_zero(scalar_key(rep)[1]))
+    if len(orbit) > (2 if realified else 1):
+        if realified:
+            return [CanonicalBlock(REAL_SKEW_PAIR, n, lam=rep) for n in sizes]
+        if cmode == CONGRUENCE_REAL:
+            rep = fm.promote(scalar_key(rep)[0])
+        return [CanonicalBlock(SKEW_PAIR, n, lam=rep) for n in sizes]
+    lam, blocks = space.lam, []
+    if cmode != STAR_AC and not realified:
+        lam, sizes = _self_paired(fm, lam, sizes, blocks)
+    if cmode == CONGRUENCE_AC:
+        signs = [(n, None) for n in sizes]
+    else:
+        signs = extract_signs(C, space, sizes, cmode)
+    kind = REAL_SIGNED_ROOT if realified else SIGNED_ROOT
+    return blocks + [CanonicalBlock(kind, n, lam=lam, eps=e)
+                     for n, e in signs]
 
 
 def _eigen_gap(ents):
@@ -816,6 +760,8 @@ def random_congruence(K, seed):
             return complex(rng.randint(-2, 2), rng.randint(-2, 2))
         if fm.base == REAL_FLOAT:
             return float(rng.randint(-3, 3))
+        if fm.base == GF2_BASE:
+            return GF2(rng.randint(0, 1))
         return rational(rng.randint(-3, 3))
 
     while True:

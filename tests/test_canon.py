@@ -7,9 +7,10 @@ import pytest
 
 from congruence import canon
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
-                               MODE_GAUSSIAN, MODE_QUAT_CONJ, QUATERNION,
-                               complex_mode, rational)
-from congruence.matrix import Matrix, direct_sum
+                               MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_GF2,
+                               MODE_QUAT_CONJ, QUATERNION, complex_mode,
+                               rational, scalar_key)
+from congruence.matrix import Matrix, direct_sum, skew_sum
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
                                REAL_SIGNED_ROOT, REAL_SKEW_PAIR,
@@ -294,6 +295,58 @@ class TestSelectRepresentative:
             select_representative((0.6 + 0.8j) * (1 + 2e-4), 1,
                                   CONGRUENCE_REAL, fm)
 
+    @pytest.mark.parametrize("lam", [gr(0, -1),
+                                     gr(rational(3, 5), rational(-4, 5))])
+    def test_ac_unimodular_pair_takes_the_positive_imaginary_part(self, lam):
+        # lam and 1/lam tie in |x|^2 and re, so the larger im wins
+        rep, sp = select_representative(lam, 1, CONGRUENCE_AC)
+        assert rep == lam.conj() and not sp
+        fm = field_mode_for(CONGRUENCE_AC)
+        A = scramble(skew_sum(jordan_block(1, lam, fm),
+                              Matrix.identity(1, fm)), 4)
+        assert canonicalize(A, CONGRUENCE_AC).blocks == [
+            CanonicalBlock(SKEW_PAIR, 1, lam=lam.conj())]
+
+
+class TestOrbit:
+    def test_star(self):
+        lam = gr(2, 1)
+        assert canon._orbit(lam, STAR_AC, MODE_GAUSSIAN) == [
+            lam, gr(rational(2, 5), rational(1, 5))]
+        u = gr(rational(3, 5), rational(4, 5))
+        assert canon._orbit(u, STAR_AC, MODE_GAUSSIAN) == [u]
+
+    def test_congruence_ac(self):
+        fm = MODE_GAUSSIAN_ID
+        assert canon._orbit(gr(0, 2), CONGRUENCE_AC, fm) == [
+            gr(0, 2), gr(0, rational(-1, 2))]
+        assert canon._orbit(gr(1), CONGRUENCE_AC, fm) == [gr(1)]
+        assert canon._orbit(gr(-1), CONGRUENCE_AC, fm) == [gr(-1)]
+
+    def test_congruence_real(self):
+        g = MODE_GAUSSIAN
+        assert canon._orbit(gr(3), CONGRUENCE_REAL, g) == [
+            gr(3), gr(rational(1, 3))]
+        u = gr(rational(3, 5), rational(-4, 5))
+        assert canon._orbit(u, CONGRUENCE_REAL, g) == [u, u.conj()]
+        half = rational(1, 2)
+        assert canon._orbit(gr(1, 1), CONGRUENCE_REAL, g) == [
+            gr(1, 1), gr(1, -1), gr(half, -half), gr(half, half)]
+
+    def test_representative_is_largest_by_modulus_then_re_then_im(self):
+        orbit = canon._orbit(gr(rational(1, 2), rational(-1, 2)),
+                             CONGRUENCE_REAL, MODE_GAUSSIAN)
+        assert canon._representative(orbit, MODE_GAUSSIAN) == gr(1, 1)
+
+    def test_unpaired_error_names_the_eigenvalue(self, monkeypatch):
+        orbit = canon._orbit
+        monkeypatch.setattr(canon, "_orbit", lambda lam, cmode, g:
+                            orbit(lam, cmode, g) + [g.promote(7)])
+        A = Matrix([[gr(2)]], MODE_GAUSSIAN)
+        with pytest.raises(ClassificationError,
+                           match="^unpaired eigenvalue 1$"):
+            canonicalize(A, STAR_AC)
+
 
 SIGNED_LAMS = [gr(1), gr(-1), gr(0, 1), gr(0, -1),
                gr(rational(3, 5), rational(4, 5)),
@@ -305,12 +358,9 @@ def _plus_s_vector(n, lam, fm, realified):
     if realified:
         g = complex_mode(fm)
         R, lam = plus_realified_root(n, lam, fm).cast(g), g.promote(lam)
-        s_vector = canon._s_vector_star
     else:
         R, lam = plus_root(n, lam, fm), fm.promote(lam)
-        s_vector = (canon._s_vector_sym if fm.involution == "identity"
-                    else canon._s_vector_star)
-    return s_vector(R, RootSpace(cosquare(R), lam, n), n)
+    return canon._s_vector(R, RootSpace(cosquare(R), lam, n), n)
 
 
 class TestExtractSigns:
@@ -392,6 +442,39 @@ class TestColdReferenceCache:
             assert canonicalize(A, bs.cmode) == bs
         assert canon._REF_CACHE == {}
         assert calls == []
+
+    def test_one_sign_read_per_reference_root(self, monkeypatch):
+        calls = []
+
+        def counted_signs(*args):
+            calls.append(args)
+            return extract_signs(*args)
+
+        monkeypatch.setattr(canon, "_REF_CACHE", {})
+        monkeypatch.setattr(canon, "extract_signs", counted_signs)
+        u = gr(rational(3, 5), rational(4, 5))
+        plus_root(3, u, MODE_GAUSSIAN)
+        assert len(calls) == 1
+        plus_realified_root(2, u, MODE_RATIONAL)
+        assert len(calls) == 2
+        plus_root(2, rational(-1), MODE_RATIONAL)
+        assert len(calls) == 3
+        plus_root(3, u, MODE_GAUSSIAN)  # a cache hit reads nothing
+        assert len(calls) == 3
+
+    def test_bounded_oldest_entry_evicted(self, monkeypatch):
+        monkeypatch.setattr(canon, "_REF_CACHE", {})
+        monkeypatch.setattr(canon, "_REF_CACHE_MAX", 3)
+        lams = [gr(rational(a, c), rational(b, c))
+                for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17),
+                                (7, 24, 25), (20, 21, 29))]
+        roots = [plus_root(1, lam, MODE_GAUSSIAN) for lam in lams]
+        assert len(canon._REF_CACHE) == 3
+        assert [key[1] for key in canon._REF_CACHE] == [
+            scalar_key(lam) for lam in lams[2:]]
+        assert plus_root(1, lams[-1], MODE_GAUSSIAN) is roots[-1]
+        assert plus_root(1, lams[0], MODE_GAUSSIAN) == roots[0]
+        assert len(canon._REF_CACHE) == 3
 
 
 class TestOneChainPerEigenvalue:
@@ -562,6 +645,13 @@ class TestRandomCongruence:
                 _, got = random_congruence(K, seed)
             assert got.S == want.S
         assert len(tests) > 50
+
+    def test_gf2_draws_gf2_entries(self):
+        K = Matrix([[1, 0], [1, 1]], MODE_GF2)
+        for seed in range(10):
+            A, w = random_congruence(K, seed)
+            assert A.mode == w.S.mode == MODE_GF2
+            assert w.verify()
 
     def test_witness_verifies(self):
         K = Matrix([[rational(2)]], MODE_RATIONAL)

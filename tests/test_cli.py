@@ -135,6 +135,22 @@ class TestGenVerify:
         assert r2.exit_code == 0
         assert json.loads(r2.output)["verified"] is True
 
+    def test_gf2_round_trip_with_witness(self, runner, tmp_path):
+        k = tmp_path / "k.json"
+        k.write_text("[[1,0],[1,1]]")
+        r = run(runner, ["gen", str(k), "--seed", "3", "--field", "gf2",
+                         "--with-witness"])
+        assert r.exit_code == 0
+        out = json.loads(r.output)
+        assert out["witness"]["mode"]["base"] == "gf2"
+        for name, payload in (("a", out["matrix"]), ("s", out["witness"])):
+            (tmp_path / (name + ".json")).write_text(json.dumps(payload))
+        r2 = run(runner, ["verify", "--witness", str(tmp_path / "s.json"),
+                          "--lhs", str(k), "--rhs", str(tmp_path / "a.json"),
+                          "--field", "gf2"])
+        assert r2.exit_code == 0
+        assert json.loads(r2.output)["verified"] is True
+
     def test_gen_deterministic(self, runner, tmp_path):
         k = tmp_path / "k.json"
         k.write_text("[[0,1],[1,0]]")
