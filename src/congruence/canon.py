@@ -329,11 +329,16 @@ def select_representative(lam, n, cmode, field_mode=None):
     """Normalize a type-(ii) parameter within its pairing orbit.
 
     Returns (representative, is_self_paired); rejects parameters that
-    belong to the signed (type-(iii)) family instead.
+    belong to the signed (type-(iii)) family instead, and a field_mode
+    whose involution is not the mode's.
     """
     if cmode not in (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL):
         raise ValueError("unsupported mode %r" % cmode)
     fm = field_mode or field_mode_for(cmode)
+    involution = field_mode_for(cmode).involution
+    if fm.involution != involution:
+        raise ValueError("mode %r needs the %r involution, not %r"
+                         % (cmode, involution, fm.involution))
     cplx = False
     if cmode == CONGRUENCE_REAL:
         try:

@@ -1,20 +1,24 @@
 """Dense matrices and univariate polynomials over a FieldMode.
 
 Everything here is pure: operations return new objects.  Matrix entries are
-the scalars of scalar.py; this module owns how products and elimination
-treat them, through two back ends chosen by the base alone:
+the scalars of scalar.py; this module owns how products, elimination and
+the characteristic polynomial treat them, through two back ends chosen by
+the base alone:
 
 - over the rationals and the Gaussian rationals, each row (or column) is
   written as integer numerators over one common denominator.  Products are
   integer dot products; elimination is fraction-free (Bareiss), dividing
-  exactly by the previous pivot.  Both are written once: only the integer
-  arithmetic differs, ints over the rationals and (re, im) int pairs over
-  the Gaussian rationals.  Each result entry becomes one
-  rational(num, den) at the end, so gmpy2's rationals serve when present;
+  exactly by the previous pivot; char_poly, the third primitive here, runs
+  Berkowitz's division-free recursion on the integer rows of d A.  Each is
+  written once: only the integer arithmetic differs, ints over the
+  rationals and (re, im) int pairs over the Gaussian rationals.  Each result
+  entry or coefficient becomes one rational(num, den) at the end, so
+  gmpy2's rationals serve when present;
 - over the quaternions, GF(2) and the floats, one generic scalar
   elimination uses left-multiplication row operations (valid over the
   noncommutative quaternions) and, for floats, the largest pivot above a
-  tolerance relative to the matrix scale.
+  tolerance relative to the matrix scale; char_poly runs Berkowitz on the
+  scalars of GF(2) and the floats.
 
 Matrix.rref is the one elimination primitive of both back ends; rank, det,
 inverse, solve and right_kernel read its result.  Matrix.is_nonsingular
@@ -379,8 +383,9 @@ def _rref_generic(M, limit):
 # -- integer-numerator back end (rational and Gaussian-rational bases) ------
 #
 # A vector is held as integer numerators over one common denominator.  The
-# product and the elimination below are written once; only the arithmetic
-# on the integer rows depends on the base, and _RINGS holds it.
+# product and the elimination below, and char_poly's Berkowitz after Poly,
+# are written once; only the arithmetic on the integer rows depends on the
+# base, and _RINGS holds it.
 
 _Q0 = rational(0)
 
@@ -417,6 +422,14 @@ class _IntRows:
     @staticmethod
     def dot(x, y):
         return sum(map(mul, x, y))
+
+    @staticmethod
+    def part(vec, s):
+        return vec[s]
+
+    @staticmethod
+    def pack(entries):
+        return entries
 
     @staticmethod
     def scalar(num, den):
@@ -468,6 +481,16 @@ class _GaussRows:
                 sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
 
     @staticmethod
+    def part(vec, s):
+        """The entries that the slice s picks."""
+        return vec[0][s], vec[1][s]
+
+    @staticmethod
+    def pack(entries):
+        """The row of a list of (re, im) entries."""
+        return [a for a, _ in entries], [b for _, b in entries]
+
+    @staticmethod
     def scalar(num, den):
         return GaussianRational(_q(num[0], den), _q(num[1], den))
 
@@ -479,24 +502,23 @@ class _GaussRows:
 
     @staticmethod
     def update(x, y, c, p, q):
-        """(p x - x[c] y) / q = (p x - x[c] y) conj(q) / |q|^2, exact in
-        Z[i]."""
+        """(p x - x[c] y) / q = ((p conj(q)) x - (x[c] conj(q)) y) / |q|^2,
+        exact in Z[i]: conj(q) is folded into the two scalars."""
         (xr, xi), (yr, yi) = x, y
         (pr, pi), (qr, qi) = p, q
         fr, fi = xr[c], xi[c]
-        if fr or fi:
-            tr = [pr * a - pi * b - fr * u + fi * v
-                  for a, b, u, v in zip(xr, xi, yr, yi)]
-            ti = [pr * b + pi * a - fr * v - fi * u
-                  for a, b, u, v in zip(xr, xi, yr, yi)]
-        elif p != q:
-            tr = [pr * a - pi * b for a, b in zip(xr, xi)]
-            ti = [pr * b + pi * a for a, b in zip(xr, xi)]
-        else:
+        if not (fr or fi) and p == q:
             return x
         nq = qr * qr + qi * qi
-        return ([(a * qr + b * qi) // nq for a, b in zip(tr, ti)],
-                [(b * qr - a * qi) // nq for a, b in zip(tr, ti)])
+        sr, si = pr * qr + pi * qi, pi * qr - pr * qi
+        if fr or fi:
+            gr, gi = fr * qr + fi * qi, fi * qr - fr * qi
+            return ([(sr * a - si * b - gr * u + gi * v) // nq
+                     for a, b, u, v in zip(xr, xi, yr, yi)],
+                    [(sr * b + si * a - gr * v - gi * u) // nq
+                     for a, b, u, v in zip(xr, xi, yr, yi)])
+        return ([(sr * a - si * b) // nq for a, b in zip(xr, xi)],
+                [(sr * b + si * a) // nq for a, b in zip(xr, xi)])
 
     @staticmethod
     def divide(row, d):
@@ -820,26 +842,63 @@ def char_poly(A):
     beyond the leading r x r block A_r, the block's polynomial p_r gives
     p_(r+1) = T p_r: T is lower-triangular Toeplitz on the column
     (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).
+
+    Over the rationals and Gaussian rationals it is the third primitive on
+    the integer back end: A is scaled once to the integer (Z[i]) matrix
+    N = d A, Berkowitz runs on N's integer rows, and coefficient k of
+    det(xI - N), d^k times A's, becomes one rational.  Over GF(2) and the
+    floats the same recursion runs on the scalars.
     """
     if not A.is_square():
         raise ValueError("characteristic polynomial of a nonsquare matrix")
     mode = A.mode
     if mode.base == QUATERNION:
         raise ValueError("no characteristic polynomial over the quaternions")
-    zero, one = mode.zero(), mode.one()
-    p = [one]  # coefficients of p_r, highest power first
-    for r in range(A.rows):
-        col = [one, -A.a[r][r]]
-        if r:
-            # v <- v A_r and v C in one product with [A_r | C]
-            AC = A.submatrix(range(r), range(r + 1))
-            v = A.submatrix([r], range(r))
-            for _ in range(r):
-                w = (v * AC).a[0]
-                col.append(-w[r])
-                v = Matrix([w[:r]], mode, promote=False, shape=(1, r))
-        T = Matrix([[col[i - j] if i >= j else zero for j in range(r + 1)]
-                    for i in range(r + 2)], mode, promote=False)
-        P = Matrix([[c] for c in p], mode, promote=False, shape=(r + 1, 1))
-        p = [row[0] for row in (T * P).a]
+    ring = _RINGS.get(mode.base)
+    p = _char_poly_generic(A) if ring is None else _char_poly_int(A, ring)
     return Poly(p[::-1], mode, promote=False)
+
+
+def _char_poly_generic(A):
+    """char_poly's coefficients, highest power first, on A's scalars: each
+    step of v <- v A_r and v C is one row of products with [A_r | C]."""
+    mode = A.mode
+    zero, one = mode.zero(), mode.one()
+    a = A.a
+    p = [one]
+    for r in range(A.rows):
+        col = [one, -a[r][r]]
+        AC = list(zip(*[row[:r + 1] for row in a[:r]]))
+        v = a[r][:r]
+        for _ in range(r):
+            w = [sum(map(mul, v, c), zero) for c in AC]
+            col.append(-w[r])
+            v = w[:r]
+        p = [sum(map(mul, col[i::-1], p), zero) for i in range(r + 2)]
+    return p
+
+
+def _char_poly_int(A, ring):
+    """char_poly's coefficients, highest power first, over the rationals and
+    Gaussian rationals: Berkowitz on the integer rows of N = d A, then
+    coefficient k divided by d^k."""
+    n = A.rows
+    dot, part, pack = ring.dot, ring.part, ring.pack
+    flat, d = ring.vector([x for row in A.a for x in row])
+    rows = [part(flat, slice(i * n, (i + 1) * n)) for i in range(n)]
+    zero, one = A.mode.zero(), A.mode.one()
+    p = [ring.one]
+    for r, row in enumerate(rows):
+        # the column is (1, row . u) for u = -e_r, -C, -N_r C, ...: dot cuts
+        # the longer rows of N to u's length, so that x . u over the first r
+        # rows x is N_r u, and row . u is -a, then -R N_r^k C
+        head = rows[:r]
+        u = ring.vector([zero] * r + [-one])[0]
+        col = [ring.one, dot(row, u)]
+        for _ in range(r):
+            u = pack([dot(x, u) for x in head])
+            col.append(dot(row, u))
+        # p <- T p: entry i is col[i], ..., col[0] against p
+        col, pv = pack(col), pack(p)
+        p = [dot(part(col, slice(i, None, -1)), pv) for i in range(r + 2)]
+    return [ring.scalar(c, d ** k) for k, c in enumerate(p)]

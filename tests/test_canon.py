@@ -287,6 +287,15 @@ class TestSelectRepresentative:
         with pytest.raises(ValueError, match="unsupported mode"):
             select_representative(2, 1, "quaternion-star")
 
+    def test_rejects_a_field_mode_with_the_wrong_involution(self):
+        # star-ac pairs lam with 1/conj(lam); an identity-involution field
+        # would pair 1j with 1/1j and pass the unimodular 1j as a skew pair
+        fm = FieldMode("complex-float", "identity", 1e-8)
+        with pytest.raises(ValueError, match="involution"):
+            select_representative(1j, 1, STAR_AC, fm)
+        with pytest.raises(ValueError, match="involution"):
+            select_representative(2, 1, CONGRUENCE_AC, MODE_GAUSSIAN)
+
     def test_real_complex_unimodular_at_the_mode_tolerance(self):
         # |lam|^2 = 1.0004 is 1 at tolerance 1e-3, where check_block
         # rejects the same lam as a real-skew-pair parameter

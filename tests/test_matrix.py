@@ -13,7 +13,7 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
 from congruence import matrix
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
                                realify, complexify, _mul_generic,
-                               _rref_generic)
+                               _rref_generic, _char_poly_generic)
 
 
 def mat(rows, mode=MODE_RATIONAL):
@@ -272,6 +272,111 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(Matrix, name, counting)
     return calls
+
+
+class TestIntegerCharPoly:
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_berkowitz(self, n, gauss, data):
+        A = data.draw(exact_matrix(rows=(n, gauss), cols=n))
+        got = char_poly(A).c
+        want = _char_poly_generic(A)[::-1]
+        assert len(got) == len(want) == n + 1
+        assert all(type(x) is type(y) and x == y for x, y in zip(got, want))
+
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_value_is_the_determinant(self, n, gauss, data):
+        A = data.draw(exact_matrix(rows=(n, gauss), cols=n))
+        points = ([GaussianRational(0), GaussianRational(Fraction(1, 2), -1),
+                   GaussianRational(-3, Fraction(2, 3))] if gauss
+                  else [rational(0), rational(1, 2), rational(-3)])
+        chi = char_poly(A)
+        for t in points:
+            assert chi.eval(t) == A.minus_scalar(t).scale_left(-1).det()
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_empty_and_one_by_one(self, mode):
+        assert char_poly(Matrix.zeros(0, 0, mode)) == Poly([1], mode)
+        a = mode.promote(GaussianRational(Fraction(-2, 3), 5)
+                         if mode == MODE_GAUSSIAN else Fraction(-2, 3))
+        assert char_poly(Matrix([[a]], mode)) == Poly([-a, 1], mode)
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_nilpotent_is_a_power_of_x(self, mode):
+        # S J S^-1 for J the 5 x 5 shift: nilpotent with full entries
+        n = 5
+        J = Matrix([[1 if j == i + 1 else 0 for j in range(n)]
+                    for i in range(n)], mode)
+        c = GaussianRational(Fraction(1, 3), -1) if mode == MODE_GAUSSIAN else 2
+        S = Matrix([[c if i == j else Fraction(i - j, 2 + i) for j in range(n)]
+                    for i in range(n)], mode)
+        N = S * J * S.inverse()
+        assert char_poly(N) == Poly([0] * n + [1], mode)
+        assert char_poly(Matrix.zeros(n, n, mode)) == Poly([0] * n + [1], mode)
+
+    def test_gaussian_six_by_six_makes_no_matrix_product(self, monkeypatch):
+        rng = random.Random(3)
+        A = Matrix([[GaussianRational(Fraction(rng.randint(-5, 5),
+                                               rng.randint(1, 7)),
+                                      rng.randint(-5, 5))
+                     for _ in range(6)] for _ in range(6)], MODE_GAUSSIAN)
+        calls = count_calls(monkeypatch, "__mul__")
+        chi = char_poly(A)
+        assert calls == []
+        assert chi.degree == 6 and chi.coeff(0) == A.det()
+
+
+def gr(re, im=0):
+    return GaussianRational(re, im)
+
+
+class TestGaussianBareissUpdate:
+    """The Z[i] row update (p x - f y) / q against the generic elimination,
+    with the update's calls recorded as (q, f == 0, p == q, returned x)."""
+
+    def reduce(self, monkeypatch, rows):
+        calls = []
+        orig = matrix._GaussRows.update
+
+        def spy(x, y, c, p, q):
+            out = orig(x, y, c, p, q)
+            f = (x[0][c], x[1][c])
+            calls.append((q, f == (0, 0), p == q, out is x))
+            return out
+
+        monkeypatch.setattr(matrix._GaussRows, "update", staticmethod(spy))
+        A = Matrix(rows, MODE_GAUSSIAN)
+        got, want = A.rref(), _rref_generic(A, A.cols)
+        assert got.pivots == want.pivots
+        assert got.det == want.det
+        assert same_entries(got.rows, want.rows)
+        return calls
+
+    def test_non_real_pivots(self, monkeypatch):
+        # pivots 1 + i, then the minor (1 + i)(1 - 2i) - 1 = 2 - i: the
+        # later steps divide by q with conj(q) != q
+        rows = [[gr(1, 1), 1, 2, gr(0, 1)],
+                [1, gr(1, -2), 0, 3],
+                [2, gr(0, 1), gr(1, -1), 1],
+                [gr(0, 3), 1, gr(2, 5), gr(-1, 2)]]
+        qs = {q for q, _, _, _ in self.reduce(monkeypatch, rows)}
+        assert {(1, 1), (2, -1)} <= qs
+
+    def test_zero_in_the_pivot_column(self, monkeypatch):
+        # the last row has no entry under the pivot 1 + i != 1
+        rows = [[gr(1, 1), 1, gr(2, -1)],
+                [1, gr(1, -2), 0],
+                [0, gr(3, 1), gr(1, 1)]]
+        calls = self.reduce(monkeypatch, rows)
+        assert (matrix._GaussRows.one, True, False, False) in calls
+
+    def test_unit_first_pivot_keeps_rows(self, monkeypatch):
+        rows = [[1, 2, gr(0, 1)],
+                [0, 3, 1],
+                [gr(0, 1), 1, gr(1, 1)]]
+        calls = self.reduce(monkeypatch, rows)
+        assert calls[0] == ((1, 0), True, True, True)
 
 
 class TestIsNonsingular:
