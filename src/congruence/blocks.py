@@ -7,8 +7,8 @@ mode it belongs to.
 
 from .scalar import (FieldMode, MODE_RATIONAL, MODE_GAUSSIAN,
                      MODE_GAUSSIAN_ID, MODE_REAL_FLOAT, MODE_COMPLEX_FLOAT,
-                     COMPLEX_FLOAT, IDENTITY, complex_mode, is_unimodular,
-                     scalar_key, scalar_to_json, scalar_from_json)
+                     COMPLEX_FLOAT, IDENTITY, complex_mode, scalar_key,
+                     scalar_to_json, scalar_from_json)
 from .matrix import Matrix, direct_sum, skew_sum, realify
 
 # classification modes
@@ -251,52 +251,38 @@ class BlockSum:
 # -- block realization ------------------------------------------------------
 
 def check_block(b, cmode, field_mode):
-    """Validate a block's parameters against its classification mode."""
-    n, lam = b.n, b.lam
-    fm = field_mode
+    """Validate a block's parameters against its classification mode.
+
+    lam must be nonzero; the root kinds need J_n(lam) to have a cosquare
+    root (root_exists_jordan) and the skew-pair kinds need it not to.  The
+    realified kinds occur only under congruence-real and read a non-real
+    lam over the complex extension.  A root block carries a sign in every
+    mode except congruence-ac.
+    """
+    # imported here, as block_matrix imports canon: blocks itself loads
+    # without sympy, which cosquare imports
+    from .cosquare import root_exists_jordan
     if b.kind == SINGULAR_JORDAN:
         return
-    if b.kind == SKEW_PAIR:
-        lam = fm.promote(lam)
-        if fm.is_zero(lam):
-            raise ValueError("skew-pair parameter must be nonzero")
-        if cmode == STAR_AC:
-            if is_unimodular(lam, fm):
-                raise ValueError("unimodular parameters belong to the root kind")
-        elif cmode in (CONGRUENCE_AC, CONGRUENCE_REAL):
-            if fm.eq(lam, fm.promote((-1) ** (n + 1))):
-                raise ValueError("parameter (-1)^(n+1) belongs to the root kind")
-        return
-    if b.kind == SIGNED_ROOT:
-        lam = fm.promote(lam)
-        if cmode == STAR_AC:
-            if not is_unimodular(lam, fm):
-                raise ValueError("signed roots need a unimodular parameter")
-            if b.eps is None:
-                raise ValueError("root blocks carry a sign in this mode")
-        elif cmode == CONGRUENCE_REAL:
-            if not fm.eq(lam, fm.promote((-1) ** (n + 1))):
-                raise ValueError("real root blocks need parameter (-1)^(n+1)")
-            if b.eps is None:
-                raise ValueError("root blocks carry a sign in this mode")
-        elif cmode == CONGRUENCE_AC:
-            if not fm.eq(lam, fm.promote((-1) ** (n + 1))):
-                raise ValueError("root blocks need parameter (-1)^(n+1)")
-            if b.eps is not None:
-                raise ValueError("root blocks are unsigned in this mode")
-        return
-    # the realified kinds
-    if cmode != CONGRUENCE_REAL:
-        raise ValueError("realified blocks only occur over a real closed field")
-    g = complex_mode(fm)
-    lam = g.promote(lam)
-    if g.is_zero(lam) or g.is_zero(scalar_key(lam)[1]):
+    fm = field_mode
+    realified = b.kind in (REAL_SKEW_PAIR, REAL_SIGNED_ROOT)
+    if realified:
+        if cmode != CONGRUENCE_REAL:
+            raise ValueError("realified blocks only occur over a real "
+                             "closed field")
+        fm = complex_mode(fm)
+    lam = fm.promote(b.lam)
+    if fm.is_zero(lam):
+        raise ValueError("block parameters must be nonzero")
+    if realified and fm.is_zero(scalar_key(lam)[1]):
         raise ValueError("realified blocks need a strictly complex parameter")
-    unimodular = is_unimodular(lam, g)
-    if b.kind == REAL_SKEW_PAIR and unimodular:
-        raise ValueError("unimodular parameters belong to the root kind")
-    if b.kind == REAL_SIGNED_ROOT and not unimodular:
-        raise ValueError("realified roots need a unimodular parameter")
+    root = b.kind in _SIGNED_KINDS
+    if root_exists_jordan(b.n, lam, fm)[0] != root:
+        raise ValueError("%s blocks need J_n(lam) %s a cosquare root"
+                         % (b.kind, "to have" if root else "not to have"))
+    if root and (b.eps is None) != (cmode == CONGRUENCE_AC):
+        raise ValueError("root blocks carry a sign in every mode except "
+                         "congruence-ac")
 
 
 def block_matrix(b, cmode, field_mode=None):

@@ -7,12 +7,13 @@ core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
 kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
 is snapped onto the unit circle.  The eigenvalues are grouped into orbits
 under x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus conjugation
-over the reals, and each orbit gives one kind of block: a one-member orbit
-(two for a unimodular non-real lam over the reals) root blocks, any larger
-orbit skew pairs at its representative.  The root blocks get their signs
-from the chain basis: the signatures s_k of the chain pairing forms on the
-root subspace follow a closed-form table in the single blocks, so the
-signed count at size n is d_n = s_n -+ s_{n+2}.
+over the reals.  A one-member orbit (two for a unimodular non-real lam over
+the reals) gives root blocks at the sizes n where J_n(lam) has a cosquare
+root (cosquare.root_exists_jordan) and pairs the other sizes off into skew
+pairs; any larger orbit gives skew pairs at its representative.  The root
+blocks get their signs from the chain basis: the signatures s_k of the
+chain pairing forms on the root subspace follow a closed-form table in the
+single blocks, so the signed count at size n is d_n = s_n -+ s_{n+2}.
 """
 
 import random
@@ -21,15 +22,15 @@ from itertools import accumulate
 
 from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
                      GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
-                     IDENTITY, MODE_GAUSSIAN, MODE_COMPLEX_FLOAT,
-                     abs_squared, complex_mode, is_unimodular, scalar_key)
+                     IDENTITY, abs_squared, complex_mode, is_unimodular,
+                     scalar_key)
 from .matrix import (Matrix, direct_sum, realify, char_poly,
                      column_complement)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
                      BlockSum, jordan_block, field_mode_for)
-from .cosquare import cosquare, star_root_jordan
+from .cosquare import cosquare, root_exists_jordan, star_root_jordan
 from .jordan import RootSpace, eigenvalues, _distinct
 
 
@@ -325,46 +326,6 @@ def _representative(orbit, fm):
     return best
 
 
-def select_representative(lam, n, cmode, field_mode=None):
-    """Normalize a type-(ii) parameter within its pairing orbit.
-
-    Returns (representative, is_self_paired); rejects parameters that
-    belong to the signed (type-(iii)) family instead, and a field_mode
-    whose involution is not the mode's.
-    """
-    if cmode not in (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL):
-        raise ValueError("unsupported mode %r" % cmode)
-    fm = field_mode or field_mode_for(cmode)
-    involution = field_mode_for(cmode).involution
-    if fm.involution != involution:
-        raise ValueError("mode %r needs the %r involution, not %r"
-                         % (cmode, involution, fm.involution))
-    cplx = False
-    if cmode == CONGRUENCE_REAL:
-        try:
-            cplx = MODE_GAUSSIAN.promote(lam).im != 0
-        except TypeError:
-            cplx = isinstance(lam, complex) and lam.imag != 0
-        if cplx:
-            fm = (complex_mode(field_mode) if field_mode else
-                  MODE_COMPLEX_FLOAT if isinstance(lam, complex)
-                  else MODE_GAUSSIAN)
-    lam = fm.promote(lam)
-    if fm.is_zero(lam):
-        raise ValueError("zero is not a valid parameter")
-    if (cmode == STAR_AC or cplx) and is_unimodular(lam, fm):
-        raise ValueError("unimodular parameters belong to the signed kind")
-    orbit = _orbit(lam, cmode, fm)
-    if len(orbit) == 1:
-        if fm.eq(lam, fm.promote((-1) ** (n + 1))):
-            raise ValueError("parameter (-1)^(n+1) belongs to the root kind")
-        return lam, True
-    rep = _representative(orbit, fm)
-    if cplx and not (scalar_key(rep)[1] > 0 and abs_squared(rep) > 1):
-        raise ValueError("no normalized member in the orbit of %r" % (lam,))
-    return rep, False
-
-
 # -- sign extraction --------------------------------------------------------
 
 def _signature(G):
@@ -532,36 +493,23 @@ def extract_signs(core, space, sizes, cmode):
     realified roots), c = -1 for the symmetric ones, and s_k = 0 past the
     largest size.
     """
-    fm = core.mode
+    fm = space.A.mode
     lam = space.lam
     sizes = sorted(int(n) for n in sizes)
     if not sizes:
         return []
     counts = Counter(sizes)
-    expected = sorted(space.sizes)
-    if cmode == STAR_AC:
-        if not is_unimodular(lam, fm):
-            raise ValueError("signed blocks need a unimodular parameter")
-    elif cmode == CONGRUENCE_REAL:
-        g = complex_mode(fm)
-        if not g.is_zero(scalar_key(lam)[1]):
-            if not is_unimodular(lam, g):
-                raise ValueError("signed blocks need a unimodular parameter")
-            core = core.cast(g)
-        else:
-            if not (fm.eq(lam, fm.one()) or fm.eq(lam, -fm.one())):
-                raise ValueError("real signed blocks need lam = +-1")
-            lint = 1 if fm.eq(lam, fm.one()) else -1
-            if any((-1) ** (n + 1) != lint for n in sizes):
-                raise ValueError("block size parity contradicts lam")
-            expected = [n for n in expected if (-1) ** (n + 1) == lint]
-    else:
+    if cmode not in (STAR_AC, CONGRUENCE_REAL):
         raise ValueError("mode %r carries no signs" % cmode)
+    expected = sorted(n for n in space.sizes
+                      if root_exists_jordan(n, lam, fm)[0])
     if expected != sizes:
         raise ValueError("sizes disagree with the cosquare structure: "
                          "%r vs %r" % (sizes, expected))
+    if core.mode != fm:
+        core = core.cast(fm)
     svec = _s_vector(core, space, max(sizes))
-    c = -1 if core.mode.involution == IDENTITY else 1
+    c = -1 if fm.involution == IDENTITY else 1
     out = []
     for n in sorted(counts, reverse=True):
         dn = svec[n] - c * svec.get(n + 2, 0)
@@ -666,34 +614,16 @@ def _root_space(Phi, Phic, fm, g, lam, mult, cmode):
     return g.promote(lam), RootSpace(M, lam, mult)
 
 
-def _self_paired(fm, lam, sizes, blocks):
-    """Split the blocks at lam = +-1, the one-member orbits of congruence.
-
-    A size n with (-1)^(n+1) != lam must occur an even number of times,
-    and each two such blocks append one skew pair to blocks; the result is
-    lam, snapped to exactly +-1, with the sizes left for root blocks.
-    """
-    lint = 1 if fm.eq(lam, fm.one()) else -1
-    lam = fm.promote(lint)
-    roots = [n for n in sizes if (-1) ** (n + 1) == lint]
-    pairs = Counter(n for n in sizes if (-1) ** (n + 1) != lint)
-    for n, c in pairs.items():
-        if c % 2:
-            raise ClassificationError("odd multiplicity in a "
-                                      "self-paired orbit")
-        blocks.extend([CanonicalBlock(SKEW_PAIR, n, lam=lam)] * (c // 2))
-    return lam, roots
-
-
 def _orbit_blocks(C, cmode, fm, orbit, rep, space):
     """The canonical blocks of one eigenvalue orbit of C's cosquare.
 
     rep is the orbit's representative and space its RootSpace.  An orbit
     of one member (of two under congruence-real: a unimodular non-real lam
-    and its conjugate) gives root blocks at space.lam: signed by
-    extract_signs, except under congruence-ac, and at +-1 under congruence
-    first split by _self_paired.  A larger orbit gives one skew pair at rep
-    per block size, realified for a non-real rep under congruence-real.
+    and its conjugate) stays at space.lam: the sizes n at which J_n(lam)
+    has no cosquare root (root_exists_jordan) pair off into skew pairs, and
+    the others give root blocks, signed by extract_signs except under
+    congruence-ac.  A larger orbit gives one skew pair at rep per block
+    size, realified for a non-real rep under congruence-real.
     """
     sizes = space.sizes
     realified = (cmode == CONGRUENCE_REAL
@@ -705,12 +635,18 @@ def _orbit_blocks(C, cmode, fm, orbit, rep, space):
             rep = fm.promote(scalar_key(rep)[0])
         return [CanonicalBlock(SKEW_PAIR, n, lam=rep) for n in sizes]
     lam, blocks = space.lam, []
-    if cmode != STAR_AC and not realified:
-        lam, sizes = _self_paired(fm, lam, sizes, blocks)
+    pairs = Counter(n for n in sizes
+                    if not root_exists_jordan(n, lam, space.A.mode)[0])
+    for n, c in pairs.items():
+        if c % 2:
+            raise ClassificationError("odd multiplicity in a "
+                                      "self-paired orbit")
+        blocks += [CanonicalBlock(SKEW_PAIR, n, lam=lam)] * (c // 2)
+    roots = [n for n in sizes if n not in pairs]
     if cmode == CONGRUENCE_AC:
-        signs = [(n, None) for n in sizes]
+        signs = [(n, None) for n in roots]
     else:
-        signs = extract_signs(C, space, sizes, cmode)
+        signs = extract_signs(C, space, roots, cmode)
     kind = REAL_SIGNED_ROOT if realified else SIGNED_ROOT
     return blocks + [CanonicalBlock(kind, n, lam=lam, eps=e)
                      for n, e in signs]

@@ -6,6 +6,7 @@ matrix A with A = A* F, so that the cosquare A^{-*} A is exactly F.
 """
 
 import sympy
+from sympy.polys.factortools import dup_factor_list
 
 from .scalar import (GaussianRational, GAUSSIAN, IDENTITY, rational,
                      is_unimodular)
@@ -73,42 +74,24 @@ def recurrent_extend(seed, f, add_left=0, add_right=0):
     return vals
 
 
-def _to_sympy(f):
-    x = sympy.Symbol("x")
-    expr = 0
-    for k in range(f.degree + 1):
-        c = f.coeff(k)
-        if isinstance(c, GaussianRational):
-            sc = sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I
-        else:
-            sc = sympy.Rational(c)
-        expr += sc * x ** k
-    domain = "QQ_I" if f.mode.base == GAUSSIAN else "QQ"
-    return sympy.Poly(expr, x, domain=domain)
+def _from_qq(c):
+    return rational(c.numerator, c.denominator)
 
 
 def _prime_power(chi):
-    """Return (p, s) with chi = p^s, p irreducible, or raise ValueError."""
-    mode = chi.mode
-    sp = _to_sympy(chi)
-    _, factors = sp.factor_list()
+    """Return (p, s) with chi = p^s, p irreducible, or raise ValueError.
+
+    chi's dense coefficient list is factored over QQ, or over QQ_I for a
+    Gaussian base."""
+    gauss = chi.mode.base == GAUSSIAN
+    dom = sympy.QQ_I if gauss else sympy.QQ
+    cs = [dom(c.re, c.im) if gauss else dom(c) for c in chi.c[::-1]]
+    factors = dup_factor_list(cs, dom)[1]
     if len(factors) != 1:
         raise ValueError("characteristic polynomial is not a prime power")
     fac, s = factors[0]
-    fac = fac.monic()
-    x = sympy.Symbol("x")
-    coeffs = []
-    for k in range(fac.degree() + 1):
-        c = sympy.expand(fac.as_expr().coeff(x, k))
-        re, im = sympy.Rational(sympy.re(c)), sympy.Rational(sympy.im(c))
-        if mode.base == GAUSSIAN:
-            coeffs.append(GaussianRational(rational(int(re.p), int(re.q)),
-                                           rational(int(im.p), int(im.q))))
-        else:
-            if im != 0:
-                raise ValueError("factor leaves the base field")
-            coeffs.append(rational(int(re.p), int(re.q)))
-    return Poly(coeffs, mode), int(s)
+    return Poly([GaussianRational(_from_qq(c.x), _from_qq(c.y)) if gauss
+                 else _from_qq(c) for c in fac[::-1]], chi.mode).monic(), s
 
 
 def root_exists(Phi, mode=None):
@@ -120,16 +103,13 @@ def root_exists(Phi, mode=None):
     if mode.is_zero(chi.coeff(0)):
         return False, "singular matrix"
     try:
-        p, s = _prime_power(chi)
+        p, _ = _prime_power(chi)
     except ValueError as e:
         return False, str(e)
+    if p.degree == 1:
+        return root_exists_jordan(Phi.rows, -p.coeff(0), mode)
     if p != poly_dual(p, mode):
         return False, "characteristic factor is not self-dual"
-    n = Phi.rows
-    if mode.involution == IDENTITY:
-        bad = Poly([mode.promote((-1) ** (n + 1)), mode.one()], mode)
-        if p == bad:
-            return False, "excluded linear factor under the transpose involution"
     return True, "ok"
 
 

@@ -25,14 +25,15 @@ the chain-ordered basis from the kernels themselves.
 """
 
 from functools import reduce
-from math import isqrt, lcm
+from math import isqrt
 
 import sympy
 from sympy.polys.factortools import dup_factor_list
 
-from .scalar import (GaussianRational, GAUSSIAN, RATIONAL, REAL_FLOAT,
-                     rational, scalar_key)
-from .matrix import Matrix, Poly, char_poly, column_complement, complexify
+from .scalar import (GaussianRational, GAUSSIAN, REAL_FLOAT, rational,
+                     scalar_key)
+from .matrix import (Matrix, Poly, char_poly, column_complement, complexify,
+                     _RINGS)
 
 
 class UnsplittablePolynomial(ValueError):
@@ -42,18 +43,12 @@ class UnsplittablePolynomial(ValueError):
 def _numerators(chi):
     """Integer coefficient lists p, q, highest power first, with
     chi = (p + i q) / d for one positive integer d."""
-    cs = chi.c[::-1]
-    if chi.mode.base == GAUSSIAN:
-        re, im = [c.re for c in cs], [c.im for c in cs]
-    elif chi.mode.base == RATIONAL:
-        re, im = cs, []
-    else:
+    ring = _RINGS.get(chi.mode.base)
+    if ring is None:
         raise ValueError("exact eigenvalues need a rational or Gaussian "
                          "rational base, not %r" % chi.mode.base)
-    ratios = [x.as_integer_ratio() for x in re + im]
-    den = lcm(*[b for _, b in ratios])
-    ints = [a * (den // b) for a, b in ratios]
-    return ints[:len(re)], ints[len(re):]
+    ints, _ = ring.vector(chi.c[::-1])
+    return ints if chi.mode.base == GAUSSIAN else (ints, [])
 
 
 def _square(f):

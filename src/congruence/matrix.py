@@ -725,14 +725,6 @@ class Poly:
         self.c = coeffs
         self.mode = mode
 
-    @staticmethod
-    def x(mode):
-        return Poly([0, 1], mode)
-
-    @staticmethod
-    def constant(v, mode):
-        return Poly([v], mode)
-
     @property
     def degree(self):
         return len(self.c) - 1 if self.c else -1

@@ -115,6 +115,23 @@ class TestValidation:
         b = CanonicalBlock(REAL_SIGNED_ROOT, 1, lam=lam, eps=1)
         check_block(b, CONGRUENCE_REAL, fm)
         assert block_matrix(b, CONGRUENCE_REAL, fm).rows == 2
+        with pytest.raises(ValueError):
+            check_block(CanonicalBlock(REAL_SKEW_PAIR, 1, lam=lam),
+                        CONGRUENCE_REAL, fm)
+
+    def test_zero_parameter_raises_value_error(self):
+        # zero has no modulus: the root test must answer, not divide by it
+        b = CanonicalBlock(SIGNED_ROOT, 1, lam=0, eps=1)
+        with pytest.raises(ValueError):
+            check_block(b, STAR_AC, field_mode_for(STAR_AC))
+
+    def test_realified_root_needs_a_sign(self):
+        b = CanonicalBlock(REAL_SIGNED_ROOT, 1,
+                           lam=gr(rational(3, 5), rational(4, 5)))
+        with pytest.raises(ValueError):
+            check_block(b, CONGRUENCE_REAL, field_mode_for(CONGRUENCE_REAL))
+        with pytest.raises(ValueError):
+            block_matrix(b, CONGRUENCE_REAL)
 
     def test_general_field_kinds_are_unknown(self):
         with pytest.raises(ValueError):
@@ -122,6 +139,56 @@ class TestValidation:
         with pytest.raises(ValueError):
             BlockSum.from_json({"mode": CONGRUENCE_REAL,
                                 "blocks": [{"kind": "gf-type-iii", "n": 1}]})
+
+
+GRID_LAMS = [gr(0), gr(1), gr(-1), gr(0, 1), gr(0, -1),
+             gr(rational(3, 5), rational(4, 5)), gr(2), gr(1, 1)]
+REALIFIED = (REAL_SKEW_PAIR, REAL_SIGNED_ROOT)
+ROOTS = (SIGNED_ROOT, REAL_SIGNED_ROOT)
+
+
+def closed_form_accepts(kind, cmode, lam, n):
+    """J_n(lam) has a cosquare root iff lam = (-1)^(n+1) under the
+    transpose and |lam| = 1 under the conjugate transpose (the realified
+    kinds read a non-real lam over C); root kinds need one, skew pairs
+    none, and zero is never a parameter."""
+    realified = kind in REALIFIED
+    if lam == 0 or realified and (cmode != CONGRUENCE_REAL or lam.im == 0):
+        return False
+    if cmode == STAR_AC or realified:
+        root = lam.re ** 2 + lam.im ** 2 == 1
+    else:
+        root = lam == (-1) ** (n + 1)
+    return root == (kind in ROOTS)
+
+
+class TestKindRule:
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC,
+                                       CONGRUENCE_REAL])
+    @pytest.mark.parametrize("kind", [SKEW_PAIR, SIGNED_ROOT,
+                                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT])
+    def test_acceptance_matches_the_closed_forms(self, kind, cmode):
+        fm = field_mode_for(cmode)
+        signed = kind in ROOTS and cmode != CONGRUENCE_AC
+        for lam in GRID_LAMS:
+            for n in range(1, 5):
+                b = CanonicalBlock(kind, n, lam=lam,
+                                   eps=1 if signed else None)
+                if (cmode == CONGRUENCE_REAL and kind not in REALIFIED
+                        and lam.im):
+                    with pytest.raises(TypeError):  # not a real scalar
+                        check_block(b, cmode, fm)
+                elif closed_form_accepts(kind, cmode, lam, n):
+                    check_block(b, cmode, fm)
+                    if kind in ROOTS:
+                        # signed in every mode except congruence-ac
+                        flip = CanonicalBlock(kind, n, lam=lam,
+                                              eps=None if signed else 1)
+                        with pytest.raises(ValueError):
+                            check_block(flip, cmode, fm)
+                else:
+                    with pytest.raises(ValueError):
+                        check_block(b, cmode, fm)
 
 
 class TestRealization:

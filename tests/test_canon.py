@@ -18,8 +18,7 @@ from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                field_mode_for, jordan_block)
 from congruence.cosquare import cosquare, star_root_jordan
 from congruence.jordan import RootSpace, jordan_structure
-from congruence.canon import (regularize, select_representative, extract_signs,
-                              canonicalize, canonicalize_with_confidence,
+from congruence.canon import (regularize, extract_signs, canonicalize, canonicalize_with_confidence,
                               are_equivalent, random_congruence,
                               plus_root, plus_realified_root,
                               CongruenceWitness, ClassificationError)
@@ -259,64 +258,6 @@ class TestWitness:
         assert not CongruenceWitness(S, A, Matrix([[0]], MODE_RATIONAL)).verify()
 
 
-class TestSelectRepresentative:
-    def test_star_picks_outside_unit_circle(self):
-        rep, sp = select_representative(gr(rational(1, 2)), 1, STAR_AC)
-        assert rep == gr(2) and not sp
-
-    def test_star_rejects_unimodular(self):
-        with pytest.raises(ValueError):
-            select_representative(gr(0, 1), 1, STAR_AC)
-
-    def test_ac_self_paired_minus_one(self):
-        rep, sp = select_representative(gr(-1), 1, CONGRUENCE_AC)
-        assert rep == gr(-1) and sp
-
-    def test_real_complex_orbit(self):
-        rep, sp = select_representative(gr(rational(1, 2), -2), 2,
-                                        CONGRUENCE_REAL)
-        assert rep == gr(rational(1, 2), 2) and not sp
-        # representative leaves the normalization region invariants intact
-        assert rep.im > 0 and rep.re ** 2 + rep.im ** 2 > 1
-
-    def test_real_real_orbit(self):
-        rep, sp = select_representative(rational(1, 3), 1, CONGRUENCE_REAL)
-        assert rep == rational(3) and not sp
-
-    def test_quaternion_star_is_unsupported(self):
-        with pytest.raises(ValueError, match="unsupported mode"):
-            select_representative(2, 1, "quaternion-star")
-
-    def test_rejects_a_field_mode_with_the_wrong_involution(self):
-        # star-ac pairs lam with 1/conj(lam); an identity-involution field
-        # would pair 1j with 1/1j and pass the unimodular 1j as a skew pair
-        fm = FieldMode("complex-float", "identity", 1e-8)
-        with pytest.raises(ValueError, match="involution"):
-            select_representative(1j, 1, STAR_AC, fm)
-        with pytest.raises(ValueError, match="involution"):
-            select_representative(2, 1, CONGRUENCE_AC, MODE_GAUSSIAN)
-
-    def test_real_complex_unimodular_at_the_mode_tolerance(self):
-        # |lam|^2 = 1.0004 is 1 at tolerance 1e-3, where check_block
-        # rejects the same lam as a real-skew-pair parameter
-        fm = FieldMode("real-float", "identity", 1e-3)
-        with pytest.raises(ValueError, match="belong to the signed kind"):
-            select_representative((0.6 + 0.8j) * (1 + 2e-4), 1,
-                                  CONGRUENCE_REAL, fm)
-
-    @pytest.mark.parametrize("lam", [gr(0, -1),
-                                     gr(rational(3, 5), rational(-4, 5))])
-    def test_ac_unimodular_pair_takes_the_positive_imaginary_part(self, lam):
-        # lam and 1/lam tie in |x|^2 and re, so the larger im wins
-        rep, sp = select_representative(lam, 1, CONGRUENCE_AC)
-        assert rep == lam.conj() and not sp
-        fm = field_mode_for(CONGRUENCE_AC)
-        A = scramble(skew_sum(jordan_block(1, lam, fm),
-                              Matrix.identity(1, fm)), 4)
-        assert canonicalize(A, CONGRUENCE_AC).blocks == [
-            CanonicalBlock(SKEW_PAIR, 1, lam=lam.conj())]
-
-
 class TestOrbit:
     def test_star(self):
         lam = gr(2, 1)
@@ -341,6 +282,28 @@ class TestOrbit:
         half = rational(1, 2)
         assert canon._orbit(gr(1, 1), CONGRUENCE_REAL, g) == [
             gr(1, 1), gr(1, -1), gr(half, -half), gr(half, half)]
+
+    def test_star_picks_outside_unit_circle(self):
+        orbit = canon._orbit(gr(rational(1, 2)), STAR_AC, MODE_GAUSSIAN)
+        assert canon._representative(orbit, MODE_GAUSSIAN) == gr(2)
+
+    def test_real_real_orbit(self):
+        orbit = canon._orbit(gr(rational(1, 3)), CONGRUENCE_REAL,
+                             MODE_GAUSSIAN)
+        assert canon._representative(orbit, MODE_GAUSSIAN) == gr(3)
+
+    def test_real_complex_orbit(self):
+        orbit = canon._orbit(gr(rational(1, 2), -2), CONGRUENCE_REAL,
+                             MODE_GAUSSIAN)
+        assert canon._representative(orbit, MODE_GAUSSIAN) == gr(
+            rational(1, 2), 2)
+
+    @pytest.mark.parametrize("lam", [gr(0, -1),
+                                     gr(rational(3, 5), rational(-4, 5))])
+    def test_ac_unimodular_pair_representative(self, lam):
+        # lam and 1/lam tie in |x|^2 and re, so the larger im wins
+        orbit = canon._orbit(lam, CONGRUENCE_AC, MODE_GAUSSIAN_ID)
+        assert canon._representative(orbit, MODE_GAUSSIAN_ID) == lam.conj()
 
     def test_representative_is_largest_by_modulus_then_re_then_im(self):
         orbit = canon._orbit(gr(rational(1, 2), rational(-1, 2)),
@@ -423,6 +386,14 @@ class TestExtractSigns:
         R = plus_root(1, gr(1), MODE_GAUSSIAN)
         with pytest.raises(ValueError):
             extract_signs(R, RootSpace(cosquare(R), gr(1), 1), [2], STAR_AC)
+
+    def test_zero_parameter_raises_value_error(self):
+        # zero has no modulus: the root test must answer, not divide by it
+        Z = Matrix([[gr(0)]], MODE_GAUSSIAN)
+        space = RootSpace(Z, gr(0), 1)
+        with pytest.raises(ValueError):
+            extract_signs(Matrix([[gr(1)]], MODE_GAUSSIAN), space, [1],
+                          STAR_AC)
 
 
 class TestColdReferenceCache:
@@ -565,6 +536,22 @@ class TestCanonicalize:
         A = Matrix([[0, 1], [-1, 0]], MODE_RATIONAL)
         bs = canonicalize(A, CONGRUENCE_REAL)
         assert bs.blocks == [CanonicalBlock(SKEW_PAIR, 1, lam=rational(-1))]
+
+    def test_ac_self_paired_minus_one(self):
+        # J_1(-1) has no cosquare root under the transpose: the two sizes 1
+        # of the one-member orbit {-1} pair off into one skew pair
+        A = Matrix([[0, 1], [-1, 0]], field_mode_for(CONGRUENCE_AC))
+        bs = canonicalize(A, CONGRUENCE_AC)
+        assert bs.blocks == [CanonicalBlock(SKEW_PAIR, 1, lam=gr(-1))]
+
+    @pytest.mark.parametrize("lam", [gr(0, -1),
+                                     gr(rational(3, 5), rational(-4, 5))])
+    def test_ac_unimodular_pair_takes_the_positive_imaginary_part(self, lam):
+        fm = field_mode_for(CONGRUENCE_AC)
+        A = scramble(skew_sum(jordan_block(1, lam, fm),
+                              Matrix.identity(1, fm)), 4)
+        assert canonicalize(A, CONGRUENCE_AC).blocks == [
+            CanonicalBlock(SKEW_PAIR, 1, lam=lam.conj())]
 
     def test_real_rotation_is_realified_root(self):
         A = Matrix([[1, 1], [-1, 1]], MODE_RATIONAL)

@@ -75,6 +75,13 @@ class TestExistence:
         conj = root_exists_jordan(n, lam, MODE_GAUSSIAN)[0]
         assert conj == (lam * lam.conj() == gr(1))
 
+    def test_prime_power_factors_the_coefficient_list(self):
+        # over QQ_I for a Gaussian base; the factor comes back monic
+        lin = poly([gr(-1, -1), 1], MODE_GAUSSIAN)
+        assert cosquare_module._prime_power(lin ** 2) == (lin, 2)
+        third = poly([rational(-1, 3), 1])
+        assert cosquare_module._prime_power(third ** 3) == (third, 3)
+
     def test_rejects_non_prime_power(self):
         F = frobenius_block(poly([-1, 0, 1]))  # (x-1)(x+1)
         ok, reason = root_exists(F)
