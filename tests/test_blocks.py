@@ -115,7 +115,13 @@ class TestValidation:
         b = CanonicalBlock(REAL_SIGNED_ROOT, 1, lam=lam, eps=1)
         check_block(b, CONGRUENCE_REAL, fm)
         assert block_matrix(b, CONGRUENCE_REAL, fm).rows == 2
-        with pytest.raises(ValueError):
+
+    def test_realified_skew_pair_rejects_a_root_at_the_float_tolerance(self):
+        # |lam|^2 = 1.0004 is 1 at tolerance 1e-3, so J_1(lam) has a
+        # cosquare root and lam cannot be a real-skew-pair parameter
+        fm = FieldMode(REAL_FLOAT, IDENTITY, 1e-3)
+        lam = (0.6 + 0.8j) * (1 + 2e-4)
+        with pytest.raises(ValueError, match="not to have a cosquare root"):
             check_block(CanonicalBlock(REAL_SKEW_PAIR, 1, lam=lam),
                         CONGRUENCE_REAL, fm)
 
