@@ -11,9 +11,9 @@ over the reals.  A one-member orbit (two for a unimodular non-real lam over
 the reals) gives root blocks at the sizes n where J_n(lam) has a cosquare
 root (cosquare.root_exists_jordan) and pairs the other sizes off into skew
 pairs; any larger orbit gives skew pairs at its representative.  The root
-blocks get their signs from the chain basis: the signatures s_k of the
-chain pairing forms on the root subspace follow a closed-form table in the
-single blocks, so the signed count at size n is d_n = s_n -+ s_{n+2}.
+blocks get their signs from the chain basis: the signature of the scaled
+form that pairs the tops of the size-n chains with their bottoms is the
+signed count d_n of the size-n root blocks.
 """
 
 import random
@@ -362,62 +362,48 @@ def _signature(G):
     return pos - neg
 
 
-def _pairing_setup(C, space):
-    """The form H = P* C P on the chain basis P of space, the restriction J
-    of the cosquare to that basis, the identity I and J^-1."""
-    P = space.basis()
-    J = _solve_cols(P, space.A * P)
-    fm = J.mode
-    if J != direct_sum(*[jordan_block(m, space.lam, fm)
-                         for m in space.sizes]):
-        raise ClassificationError("restriction is not a Jordan matrix")
-    return (P.conj_transpose() * C * P, J, Matrix.identity(J.rows, fm),
-            J.inverse())
+def _top_form_signs(C, space, sizes):
+    """d_m, the signed count of the root blocks of size m at space.lam, for
+    each m in sizes.
 
-
-def _s_vector(C, space, kmax):
-    """Signatures of the chain pairing forms F K^(k-1), for k <= kmax.
-
-    Writing the form on the root subspace as H with H* = H J^{-1}, the
-    matrices F = H f(J) and K, a Cayley transform of J, make every
-    F K^(k-1) Hermitian under a conjugation; under the identity (lam =
-    +-1) only one parity of k gives a symmetric form and the other a skew
-    one.  The signatures are congruence invariants that add over direct
-    summands and flip with the block sign.
+    On the chain basis P of space (chains longest first, each from its
+    bottom to its top) the form H = P* C P satisfies H = H* J, J the
+    cosquare's restriction, since C = C* Phi.  The top form G_m pairs the
+    tops of the size-m chains (rows) with their bottoms (columns); scaled
+    by sigma_m = lam^(m-1) under the identity (lam = +-1), by
+    c (i conj(lam))^(m-1) with c = 1 + conj(lam) (c = i at lam = -1) under
+    a conjugation, it is Hermitian (symmetric), and its signature is the
+    classical sign characteristic: a + block of size m adds 1, a - block
+    -1.  It is the form x* C (Phi - lam)^(m-1) y on the size-m tops, so up
+    to congruence it does not depend on the chains chosen.
     """
     fm = C.mode
     lam = space.lam
-    H, J, I, Jinv = _pairing_setup(C, space)
-    minus = fm.eq(lam, -fm.one())
+    at = "signs at eigenvalue %s, " % (lam,)
+    P = space.basis()
+    J = _solve_cols(P, space.A * P)
+    if J != direct_sum(*[jordan_block(m, lam, fm) for m in space.sizes]):
+        raise ClassificationError(at + "sizes %s: restriction is not a "
+                                  "Jordan matrix" % (list(space.sizes),))
+    H = P.conj_transpose() * C * P
+    if H != H.conj_transpose() * J:
+        raise ClassificationError(at + "sizes %s: the chain form H is not "
+                                  "H* J" % (list(space.sizes),))
     if fm.involution == IDENTITY:
-        if not (minus or fm.eq(lam, fm.one())):
-            raise ClassificationError("signed congruence blocks need "
-                                      "lam = +-1")
-        if minus:
-            F, K = H * (I - Jinv), (J + I) * (J - I).inverse()
-        else:
-            F, K = H * (I + Jinv), (J - I) * (J + I).inverse()
-        usable, kind = (0 if minus else 1), "symmetric"
+        c, z, kind = fm.one(), lam, "symmetric"
     else:
-        lbar = fm.involve(lam)
-        if minus:
-            F = (H * (I - Jinv)).scale_left(fm.i())
-        else:
-            c = (fm.one() + lbar) * fm.inv(fm.promote(2))
-            F = (H * (I + Jinv.scale_left(lam))).scale_left(c)
-        K = ((J.scale_left(lbar) - I)
-             * (J.scale_left(lbar) + I).inverse()).scale_left(fm.i())
-        usable, kind = None, "hermitian"
+        z, kind = fm.i() * fm.involve(lam), "hermitian"
+        c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
+    starts = list(accumulate(space.sizes, initial=0))
     out = {}
-    G = F
-    for k in range(1, kmax + 1):
-        if usable is None or k % 2 == usable:
-            if G != G.conj_transpose():
-                raise ClassificationError("pairing form is not " + kind)
-            out[k] = _signature(G)
-        elif G != -G.transpose():
-            raise ClassificationError("pairing form is not skew-symmetric")
-        G = G * K
+    for m in sizes:
+        bottoms = [s for s, h in zip(starts, space.sizes) if h == m]
+        G = H.submatrix([s + m - 1 for s in bottoms], bottoms)
+        G = G.scale_left(c * z ** (m - 1))
+        if G != G.conj_transpose():
+            raise ClassificationError(at + "size %d: the top form is not %s"
+                                      % (m, kind))
+        out[m] = _signature(G)
     return out
 
 
@@ -485,13 +471,11 @@ def extract_signs(core, space, sizes, cmode):
     """The sign multiset attached to the root blocks at space.lam in core.
 
     space is the RootSpace of core's cosquare at lam (of its complexification
-    for a non-real lam under congruence-real).  The signatures s_k of the
-    chain pairing forms add over blocks: a + block of size m adds
-    [m - k even] to s_k, times (-1)^((m-k)/2) for the symmetric forms at
-    +-1, and a - block the negative.  So the signed count at size n is
-    d_n = s_n - c s_{n+2}, with c = 1 for the Hermitian forms (star-ac,
-    realified roots), c = -1 for the symmetric ones, and s_k = 0 past the
-    largest size.
+    for a non-real lam under congruence-real).  The sizes must be those of
+    space.sizes at which J_n(lam) has a cosquare root.  The signed count d_n
+    of the blocks of size n is the signature of the scaled top form of the
+    size-n chains (_top_form_signs), so p = (count + d_n) / 2 of them carry
+    the + sign.
     """
     fm = space.A.mode
     lam = space.lam
@@ -508,16 +492,15 @@ def extract_signs(core, space, sizes, cmode):
                          "%r vs %r" % (sizes, expected))
     if core.mode != fm:
         core = core.cast(fm)
-    svec = _s_vector(core, space, max(sizes))
-    c = -1 if fm.involution == IDENTITY else 1
+    d = _top_form_signs(core, space, counts)
     out = []
     for n in sorted(counts, reverse=True):
-        dn = svec[n] - c * svec.get(n + 2, 0)
-        if (counts[n] + dn) % 2:
-            raise ClassificationError("odd sign defect at size %d" % n)
-        p = (counts[n] + dn) // 2
+        at = "signs at eigenvalue %s, size %d: " % (lam, n)
+        if (counts[n] + d[n]) % 2:
+            raise ClassificationError(at + "odd sign defect")
+        p = (counts[n] + d[n]) // 2
         if not 0 <= p <= counts[n]:
-            raise ClassificationError("sign count out of range at size %d" % n)
+            raise ClassificationError(at + "sign count out of range")
         out += [(n, 1)] * p + [(n, -1)] * (counts[n] - p)
     return out
 

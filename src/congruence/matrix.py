@@ -297,8 +297,7 @@ class Matrix:
     def from_json(data, mode=None):
         if mode is None:
             m = data["mode"]
-            tol = m.get("tolerance") or None
-            mode = FieldMode(m["base"], m["involution"], tol)
+            mode = FieldMode(m["base"], m["involution"], m.get("tolerance"))
         shape = (data["rows"], data["cols"])
         rows = [[scalar_from_json(e, mode) for e in row]
                 for row in data["entries"]]

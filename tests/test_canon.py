@@ -325,22 +325,22 @@ SIGNED_LAMS = [gr(1), gr(-1), gr(0, 1), gr(0, -1),
                gr(rational(5, 13), rational(-12, 13))]
 
 
-def _plus_s_vector(n, lam, fm, realified):
-    """The computed chain pairing signatures of the + block of size n."""
+def _plus_top_form_signs(n, lam, fm, realified, eps):
+    """The top-form sign counts of the eps block of size n."""
     if realified:
         g = complex_mode(fm)
         R, lam = plus_realified_root(n, lam, fm).cast(g), g.promote(lam)
     else:
         R, lam = plus_root(n, lam, fm), fm.promote(lam)
-    return canon._s_vector(R, RootSpace(cosquare(R), lam, n), n)
+    R = R if eps == 1 else -R
+    return canon._top_form_signs(R, RootSpace(cosquare(R), lam, n), [n])
 
 
 class TestExtractSigns:
     @pytest.mark.parametrize("tol", [None, 1e-8])
     @pytest.mark.parametrize("setting", ["star", "sym", "realified"])
-    def test_signature_table(self, setting, tol):
-        # a + block of size n has s_k = [n - k even], times (-1)^((n-k)/2)
-        # for the symmetric forms at +-1 (which only have k of n's parity)
+    def test_top_form_signs(self, setting, tol):
+        # the + root reads d_n = +1 and its negative -1, at every size and lam
         fm = field_mode_for(STAR_AC if setting == "star" else CONGRUENCE_REAL,
                             floating=tol is not None)
         if tol is not None:
@@ -353,13 +353,10 @@ class TestExtractSigns:
             cases = [(n, lam if tol is None else complex(lam))
                      for lam in lams for n in range(1, nmax + 1)]
         for n, lam in cases:
-            if setting == "sym":
-                want = {k: (-1) ** ((n - k) // 2)
-                        for k in range(n % 2 or 2, n + 1, 2)}
-            else:
-                want = {k: int((n - k) % 2 == 0) for k in range(1, n + 1)}
-            got = _plus_s_vector(n, lam, fm, setting == "realified")
-            assert got == want, (n, lam)
+            for eps in (1, -1):
+                got = _plus_top_form_signs(n, lam, fm, setting == "realified",
+                                           eps)
+                assert got == {n: eps}, (n, lam, eps)
 
     def test_reads_back_constructed_signs(self):
         lam = gr(rational(3, 5), rational(4, 5))
@@ -381,6 +378,53 @@ class TestExtractSigns:
         C = scramble(R, 5)
         space = RootSpace(cosquare(C).cast(complex_mode(C.mode)), lam, 2)
         assert extract_signs(C, space, [2], CONGRUENCE_REAL) == [(2, 1)]
+
+    @pytest.mark.parametrize("tol", [None, 1e-8])
+    @pytest.mark.parametrize("lam", [1, -1])
+    def test_real_signs_beside_rootless_pairs(self, lam, tol):
+        # several root sizes of both signs and the sizes at lam with no
+        # cosquare root (skew pairs) share one root space at lam = +-1
+        if lam == 1:
+            roots, pairs = [(3, 1), (3, -1), (1, -1), (1, -1)], [2]
+        else:
+            roots, pairs = [(4, -1), (2, 1), (2, 1), (2, -1)], [3, 1]
+        bs = BlockSum(CONGRUENCE_REAL,
+                      [CanonicalBlock(SIGNED_ROOT, n, lam=rational(lam), eps=e)
+                       for n, e in roots]
+                      + [CanonicalBlock(SKEW_PAIR, n, lam=rational(lam))
+                         for n in pairs]
+                      + [CanonicalBlock(SKEW_PAIR, 1, lam=rational(2))])
+        C = scramble(block_sum_matrix(bs), 17)
+        mult = sum(n for n, _ in roots) + 2 * sum(pairs)
+        if tol is not None:
+            fm = field_mode_for(CONGRUENCE_REAL, floating=True)
+            C = C.cast(FieldMode(fm.base, fm.involution, tol))
+        space = RootSpace(cosquare(C), C.mode.promote(lam), mult)
+        got = extract_signs(C, space, [n for n, _ in roots], CONGRUENCE_REAL)
+        assert sorted(got) == sorted(roots)
+
+    def test_chain_form_check_raises(self):
+        # i R has the cosquare -Phi, so R's chain basis breaks H = H* J
+        lam = gr(rational(3, 5), rational(4, 5))
+        R = plus_root(2, lam, MODE_GAUSSIAN)
+        space = RootSpace(cosquare(R), lam, 2)
+        with pytest.raises(ClassificationError) as err:
+            extract_signs(R.scale_left(gr(0, 1)), space, [2], STAR_AC)
+        assert str(err.value) == ("signs at eigenvalue %s, sizes [2]: the "
+                                  "chain form H is not H* J" % (lam,))
+
+    @pytest.mark.parametrize("d, what", [(0, "odd sign defect"),
+                                         (3, "sign count out of range")])
+    def test_sign_errors_name_the_eigenvalue_and_size(self, d, what,
+                                                      monkeypatch):
+        lam = gr(rational(3, 5), rational(4, 5))
+        R = plus_root(1, lam, MODE_GAUSSIAN)
+        space = RootSpace(cosquare(R), lam, 1)
+        monkeypatch.setattr(canon, "_signature", lambda G: d)
+        with pytest.raises(ClassificationError) as err:
+            extract_signs(R, space, [1], STAR_AC)
+        assert str(err.value) == ("signs at eigenvalue %s, size 1: %s"
+                                  % (lam, what))
 
     def test_size_mismatch_raises(self):
         R = plus_root(1, gr(1), MODE_GAUSSIAN)
@@ -515,7 +559,7 @@ class TestFloatSample:
                 assert close_blocks(got, bs), (cmode, t, bs, got)
                 recovered += 1
         assert recovered + errors == 180
-        assert recovered >= 175  # 5 forms fail, all congruence-real
+        assert recovered >= 177  # 3 forms fail, all congruence-real
 
 
 class TestCanonicalize:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GF2, MODE_QUAT_CONJ,
-                               Quaternion, rational)
+                               Quaternion, REAL_FLOAT, IDENTITY, rational)
 from congruence import matrix
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
                                realify, complexify, _mul_generic,
@@ -482,6 +482,13 @@ class TestStructure:
         A = Matrix([[GaussianRational(1, -2), GaussianRational(Fraction(1, 3))]],
                    MODE_GAUSSIAN)
         assert Matrix.from_json(A.to_json()) == A
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6, None])
+    def test_json_round_trip_keeps_a_float_tolerance(self, tol):
+        # a tolerance of 0 must not come back as the default
+        A = Matrix([[0.5, -1.25]], FieldMode(REAL_FLOAT, IDENTITY, tol))
+        B = Matrix.from_json(A.to_json())
+        assert B.mode == A.mode and B == A
 
     @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
     def test_json_empty_shapes(self, m, n):
