@@ -18,7 +18,7 @@ signed count d_n of the size-n root blocks.
 
 import random
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
                      GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
@@ -31,7 +31,8 @@ from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
                      BlockSum, jordan_block, field_mode_for)
 from .cosquare import cosquare, root_exists_jordan, star_root_jordan
-from .jordan import RootSpace, eigenvalues, _distinct
+from .jordan import (RootSpace, chain_counts, eigenvalues, preimage_chain,
+                     _distinct)
 
 
 class ClassificationError(ValueError):
@@ -43,18 +44,6 @@ class ClassificationError(ValueError):
 def _colspace(X):
     """The reduced echelon basis of the column span of X (unique)."""
     return X.transpose().rref().rows.transpose()
-
-
-def _perp(V):
-    """Orthogonal complement of a column space, standard inner product."""
-    return V.conj_transpose().right_kernel()
-
-
-def _preimage(A, V):
-    """Basis of {x : A x in col-space(V)}: the kernel of (V^perp)^* A."""
-    if V.cols == 0:
-        return A.right_kernel()
-    return (_perp(V).conj_transpose() * A).right_kernel()
 
 
 def _solve_cols(A, B):
@@ -74,21 +63,19 @@ def _solve_cols(A, B):
 def singular_profile(A):
     """Multiset of nilpotent block sizes in the congruence canonical form.
 
-    Follows two recursively defined subspace chains, M_j = A^{-1}(A^* M_{j-1})
-    and its swap P_j, reading only their dimensions and those of their
+    Follows the preimage chains M_j = A^{-1}(A^* M_{j-1}) of (A, A^*) and
+    P_j of (A^*, A) until both stall (at most n + 2 steps: a float chain
+    need not grow), reading only their dimensions and those of their
     intersections (dim M + dim P - rank [M | P]); _profile_sizes turns them
     into chain counts, independently of any basis choice.
     """
-    n = A.rows
     As = A.conj_transpose()
-    M = P = Matrix.zeros(n, 0, A.mode)
-    dims, inter = [0], []
-    while len(dims) <= n + 2:
-        M2 = _preimage(A, As * M)
-        P2 = _preimage(As, A * P)
-        if M2.cols == M.cols and P2.cols == P.cols:
+    dims, inter, last = [0], [], (0, 0)
+    for M, P in islice(zip(preimage_chain(A, As), preimage_chain(As, A)),
+                       A.rows + 2):
+        if (M.cols, P.cols) == last:
             break
-        M, P = M2, P2
+        last = (M.cols, P.cols)
         dims.append(M.cols)
         inter.append(M.cols + P.cols - M.hstack(P).rank())
     return _profile_sizes(dims, inter)
@@ -98,15 +85,14 @@ def _profile_sizes(dims, inter):
     """Chain sizes from dims[j] = dim M_j (dims[0] = 0) and
     inter[j-1] = dim (M_j meet P_j), largest first.
 
-    The increments w_t = dims[t] - dims[t-1] count the chains of half-length
-    class at least t, so class t (sizes 2t-1 and 2t) holds w_t - w_{t+1}
-    chains.  Only the o_h odd chains of class h meet both subspace chains,
-    in max(0, 2 min(j, h) - h) directions at step j, so the differences
+    Class t (sizes 2t-1 and 2t) holds chain_counts(dims)[t-1] chains.  Only
+    the o_h odd chains of class h meet both subspace chains, in
+    max(0, 2 min(j, h) - h) directions at step j, so the differences
     D_j = inter_j - inter_{j-1} read 2 (o_j + ... + o_{2j-2}) + o_{2j-1}
     (just o_1 for j = 1): triangular, solved from the largest class down.
     Every equation is checked, since a class with no chains must get o = 0.
     """
-    w = [b - a for a, b in zip(dims, dims[1:])] + [0]
+    counts = chain_counts(dims)
     maxt = len(inter)
     odd = [0] * (2 * maxt + 1)
     for j in range(maxt, 0, -1):
@@ -114,12 +100,12 @@ def _profile_sizes(dims, inter):
         if j > 1:
             d -= 2 * sum(odd[j + 1:2 * j - 1]) + odd[2 * j - 1]
         o, rem = divmod(d, 2 if j > 1 else 1)
-        if rem or not 0 <= o <= w[j - 1] - w[j]:
+        if rem or not 0 <= o <= counts[j - 1]:
             raise ClassificationError("inconsistent singular chain dimensions")
         odd[j] = o
     sizes = []
     for t in range(1, maxt + 1):
-        sizes += [2 * t - 1] * odd[t] + [2 * t] * (w[t - 1] - w[t] - odd[t])
+        sizes += [2 * t - 1] * odd[t] + [2 * t] * (counts[t - 1] - odd[t])
     return sorted(sizes, reverse=True)
 
 
@@ -186,10 +172,11 @@ def _reg_rec(A):
         X, lengths = _reg_rec(W0.conj_transpose() * A * W0)
         return (W0 * X).hstack(V0), lengths + [1] * V0.cols
     # ker A now meets ker A* trivially; each kernel line heads a chain of
-    # length >= 2.  Pass to the quotient W of P = (A* ker A)^perp by ker A,
-    # which shortens every chain by two and leaves the core untouched.
+    # length >= 2.  The quotient W of (A* K)^perp = ker K* A by K = ker A
+    # shortens every chain by two and leaves the core untouched.
     nch = K.cols
-    W = column_complement(K, _perp(As * K))
+    KA = K.conj_transpose() * A
+    W = column_complement(K, KA.right_kernel())
     Xs, lengths = _reg_rec(W.conj_transpose() * A * W)
     X = W * Xs
     starts = list(accumulate(lengths, initial=X.cols - sum(lengths)))
@@ -206,7 +193,6 @@ def _reg_rec(A):
     Y = Matrix.zeros(n, nch, mode)
     for pc, row in zip(red.pivots, red.rows.a):
         Y.a[pc] = row[n:]
-    KA = K.conj_transpose() * A
     G = KA * Y
     if not G.is_nonsingular():
         G = _repair_lifts(G, Y, KA, Arows.right_kernel())
@@ -248,7 +234,7 @@ def _repair_lifts(G, Y, KA, H):
     return G
 
 
-def regularize(A, mode=None):
+def regularize(A):
     """Split A into a nonsingular core plus nilpotent Jordan summands.
 
     The returned witness satisfies S* A S = core + J_m1(0) + ... exactly
@@ -260,8 +246,6 @@ def regularize(A, mode=None):
     float mode); and in exact modes the block sizes must match the
     basis-free subspace-chain profile.
     """
-    if mode is not None and A.mode != mode:
-        A = A.cast(mode)
     fm = A.mode
     if not A.is_square():
         raise ValueError("regularize needs a square matrix")

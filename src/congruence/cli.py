@@ -69,7 +69,7 @@ def _read_json(path):
 def _load_matrix(path, mode):
     data = _read_json(path)
     if isinstance(data, dict):
-        return _wrap(Matrix.from_json, data, None)
+        return _wrap(Matrix.from_json, data)
     if isinstance(data, list):
         if mode is None:
             raise CliError("bare matrix lists need --field/--involution")

@@ -17,11 +17,11 @@ chi left undivided.
 Float modes cluster numerically computed eigenvalues at radius
 tolerance**(1/2).
 
-RootSpace holds the one kernel chain at an eigenvalue lam: the kernels of
-(A - lam)^k, which stop as soon as the nullity reaches lam's algebraic
-multiplicity (a nullity that stalls below it or passes it raises
-ValueError).  The Jordan partition at lam is read from their dimensions and
-the chain-ordered basis from the kernels themselves.
+preimage_chain builds every chain of subspaces, K_k = {x : B x in S K_(k-1)}.
+RootSpace holds the chain of A - lam (the kernels of (A - lam)^k) at an
+eigenvalue lam, stopped once the nullity reaches lam's algebraic multiplicity
+(a nullity that stalls below it or passes it raises ValueError); the Jordan
+partition (chain_counts) and the chain-ordered basis are read from it.
 """
 
 from functools import reduce
@@ -30,8 +30,8 @@ from math import isqrt
 import sympy
 from sympy.polys.factortools import dup_factor_list
 
-from .scalar import (GaussianRational, GAUSSIAN, REAL_FLOAT, rational,
-                     scalar_key)
+from .scalar import (GaussianRational, GAUSSIAN, REAL_FLOAT, complex_mode,
+                     rational, scalar_key)
 from .matrix import (Matrix, Poly, char_poly, column_complement, complexify,
                      _RINGS)
 
@@ -148,16 +148,15 @@ class JordanStructure:
         self.entries = entries
 
     def sizes(self, lam, mode):
+        mode = complex_mode(mode) if mode.base == REAL_FLOAT else mode
         for v, s in self.entries:
             if mode.eq(mode.promote(v), mode.promote(lam)):
                 return s
         return ()
 
     def key(self):
-        ks = []
-        for v, s in self.entries:
-            ks.append((scalar_key(v), tuple(s)))
-        return tuple(sorted(ks))
+        return tuple(sorted((scalar_key(v), tuple(s))
+                            for v, s in self.entries))
 
     def __eq__(self, other):
         if not isinstance(other, JordanStructure):
@@ -179,10 +178,31 @@ def _distinct(vals, mode):
     return out
 
 
+def preimage_chain(B, S=None):
+    """K_1, K_2, ... with K_0 = 0 and K_k = {x : B x in S K_(k-1)} (S = None
+    for the identity): the kernel of ((S K_(k-1))^perp)^* B, or of B while
+    K_(k-1) is empty.  right_kernel's basis depends only on the subspace."""
+    K = B.right_kernel()
+    while True:
+        yield K
+        if K.cols:
+            V = K if S is None else S * K
+            K = (V.conj_transpose().right_kernel().conj_transpose()
+                 * B).right_kernel()
+
+
+def chain_counts(dims):
+    """c_k, the number of chains of length exactly k (k = 1, 2, ...), from
+    the dimensions dims[k] = dim K_k (dims[0] = 0): the increments w_k count
+    the chains of length at least k, so c_k = w_k - w_(k+1)."""
+    w = [b - a for a, b in zip(dims, dims[1:])] + [0]
+    return [a - b for a, b in zip(w, w[1:])]
+
+
 class RootSpace:
     """The root subspace of A at lam, an eigenvalue of algebraic
-    multiplicity mult, as the kernels of (A - lam)^k for k = 1, 2, ...
-    until the nullity reaches mult.
+    multiplicity mult, as the preimage chain of A - lam: the kernels of
+    (A - lam)^k for k = 1, 2, ... until the nullity reaches mult.
 
     A nullity that stalls below mult or passes it raises ValueError: in
     exact modes neither can happen, in float modes either means the
@@ -193,13 +213,11 @@ class RootSpace:
     __slots__ = ("A", "lam", "sizes", "_N", "_kernels")
 
     def __init__(self, A, lam, mult):
-        n = A.rows
         self.A, self.lam = A, A.mode.promote(lam)
         N = self._N = A.minus_scalar(self.lam)
-        kernels = [Matrix.zeros(n, 0, A.mode)]
-        P = N
-        while True:
-            kernels.append(P.right_kernel())
+        kernels = [Matrix.zeros(A.rows, 0, A.mode)]
+        for K in preimage_chain(N):
+            kernels.append(K)
             nul = [K.cols for K in kernels]
             if nul[-1] == nul[-2] or nul[-1] > mult:
                 raise ValueError(
@@ -207,15 +225,10 @@ class RootSpace:
                     "algebraic multiplicity %d" % (lam, nul[1:], mult))
             if nul[-1] == mult:
                 break
-            P = P * N
         self._kernels = kernels
-        # blocks of size >= k: nul[k] - nul[k-1]
-        counts = [b - a for a, b in zip(nul, nul[1:])]
-        sizes = []
-        for k, c in enumerate(counts, start=1):
-            more = counts[k] if k < len(counts) else 0
-            sizes.extend([k] * (c - more))
-        self.sizes = tuple(sorted(sizes, reverse=True))
+        counts = chain_counts(nul)
+        self.sizes = tuple(k for k in range(len(counts), 0, -1)
+                           for _ in range(counts[k - 1]))
 
     def basis(self):
         """Chain-ordered basis, longest chains first.
@@ -252,7 +265,9 @@ def jordan_structure(A):
 
 def generalized_eigenbasis(A, lam):
     """Chain-ordered basis of the root subspace at lam (RootSpace.basis);
-    ValueError when lam is not an eigenvalue."""
+    ValueError when lam is not an eigenvalue.  A real-float A is read over
+    the complex floats, as in jordan_structure."""
+    A = complexify(A) if A.mode.base == REAL_FLOAT else A
     mode = A.mode
     lam = mode.promote(lam)
     mult = sum(mode.eq(mode.promote(v), lam) for v in eigenvalues(A))

@@ -294,10 +294,9 @@ class Matrix:
         }
 
     @staticmethod
-    def from_json(data, mode=None):
-        if mode is None:
-            m = data["mode"]
-            mode = FieldMode(m["base"], m["involution"], m.get("tolerance"))
+    def from_json(data):
+        m = data["mode"]
+        mode = FieldMode(m["base"], m["involution"], m.get("tolerance"))
         shape = (data["rows"], data["cols"])
         rows = [[scalar_from_json(e, mode) for e in row]
                 for row in data["entries"]]

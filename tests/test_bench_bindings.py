@@ -1,0 +1,22 @@
+"""The benchmark tracer resolves every program name it traces.
+
+perfbench/spans.py binds its traced functions by module and name, so a
+program change that deletes or renames one of them fails here, on every
+test run, instead of only in a traced benchmark run.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_tracer_binds_every_traced_name():
+    importlib.import_module("congruence.canon")  # loads every traced module
+    # run the source without importing it, so no bytecode cache is written
+    spans = types.ModuleType("spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans.__dict__)
+    tracer = spans.Tracer()  # looks every traced name up, rebinds nothing
+    bound = {(owner.__name__, attr) for owner, attr, _, _ in tracer._binds}
+    assert {(module, attr) for _, module, attr in spans.FUNCTIONS} <= bound

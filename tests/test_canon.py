@@ -17,7 +17,7 @@ from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                CanonicalBlock, BlockSum, block_sum_matrix,
                                field_mode_for, jordan_block)
 from congruence.cosquare import cosquare, star_root_jordan
-from congruence.jordan import RootSpace, jordan_structure
+from congruence.jordan import RootSpace, jordan_structure, preimage_chain
 from congruence.canon import (regularize, extract_signs, canonicalize, canonicalize_with_confidence,
                               are_equivalent, random_congruence,
                               plus_root, plus_realified_root,
@@ -235,6 +235,28 @@ class TestSingularProfile:
                     else:
                         assert canon._profile_sizes(dims, bad) == old
         assert seen == 795  # partitions of 0..16 into parts <= 8
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_pencil_chains_match_the_preimage_recursion(self, cmode):
+        # the oracle takes each step by hand: {x : A x in span V} is the
+        # kernel of (V^perp)^* A, and ker A while V is empty
+        def preimage(A, V):
+            if V.cols == 0:
+                return A.right_kernel()
+            perp = V.conj_transpose().right_kernel()
+            return (perp.conj_transpose() * A).right_kernel()
+
+        fm = field_mode_for(cmode)
+        K = direct_sum(*[jordan_block(m, 0, fm) for m in (4, 3, 2, 1, 1)],
+                       Matrix.identity(2, fm))
+        A = scramble(K, 23)
+        As = A.conj_transpose()
+        for S, T in ((As, A), (A, As)):
+            M = Matrix.zeros(A.rows, 0, fm)
+            for j, got in zip(range(4), preimage_chain(T, S)):
+                M = preimage(T, S * M)
+                assert got == M, j
+            assert M.cols == 7  # (m + 1) // 2 per nilpotent block
 
     def test_matches_regularize(self):
         K = direct_sum(jordan_block(4, 0, MODE_GAUSSIAN),

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
-                               MODE_GAUSSIAN, MODE_GAUSSIAN_ID, rational)
+                               MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
+                               rational)
 from congruence.matrix import Matrix, Poly, direct_sum
 from congruence.blocks import jordan_block, frobenius_block
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
-                               eigenvalues, UnsplittablePolynomial, RootSpace)
+                               eigenvalues, UnsplittablePolynomial, RootSpace,
+                               chain_counts, preimage_chain)
+from test_matrix import exact_matrix
 
 
 def gr(a, b=0):
@@ -128,9 +131,11 @@ class TestRankChain:
         with pytest.raises(ValueError, match="multiplicity 4"):
             RootSpace(A, rational(1), 4)
 
+    # step k > 1 of the chain takes two kernels (the complement of K_(k-1)
+    # and K_k) and one product
     @pytest.mark.parametrize("lam, mult, part, kernels, products", [
         (2, 1, (1,), 1, 0),     # a simple eigenvalue: one kernel, no product
-        (1, 3, (3,), 3, 2),     # stops at nullity 3, no kernel past it
+        (1, 3, (3,), 5, 2),     # stops at nullity 3, no kernel past it
     ])
     def test_chain_stops_at_the_multiplicity(self, monkeypatch, lam, mult,
                                              part, kernels, products):
@@ -144,6 +149,27 @@ class TestRankChain:
             monkeypatch.setattr(Matrix, name, counted)
         assert RootSpace(A, rational(lam), mult).sizes == part
         assert calls == Counter(right_kernel=kernels, __mul__=products)
+
+
+class TestPreimageChain:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_identity_chain_is_the_kernels_of_the_powers(self, data):
+        n = data.draw(st.integers(0, 5))
+        N = data.draw(exact_matrix(rows=(n, data.draw(st.booleans())),
+                                   cols=n))
+        power = N
+        for k, K in zip(range(1, n + 2), preimage_chain(N)):
+            assert K == power.right_kernel(), k
+            power = power * N
+
+    @pytest.mark.parametrize("dims, counts", [
+        ([0], []),
+        ([0, 2, 3, 4], [1, 0, 1]),     # J_1 + J_3
+        ([0, 2, 4, 5], [0, 1, 1]),     # J_2 + J_3
+    ])
+    def test_chain_counts(self, dims, counts):
+        assert chain_counts(dims) == counts
 
 
 EIGENVALUES = {
@@ -205,6 +231,15 @@ class TestFloat:
         A = Matrix([[2.0, 1.0], [0.0, -1.0]], m)
         vals = sorted(v.real for v in eigenvalues(A))
         assert abs(vals[0] + 1) < 1e-8 and abs(vals[1] - 2) < 1e-8
+
+    def test_real_float_root_space(self):
+        # a real-float matrix is read over the complex floats, so its
+        # (complex) computed eigenvalues compare with a real lam
+        A = Matrix([[2, 0], [0, 3]], MODE_REAL_FLOAT)
+        P = generalized_eigenbasis(A, 2)
+        assert P.cols == 1 and abs(complex(P.a[1][0])) < 1e-12
+        assert jordan_structure(A).sizes(2, MODE_REAL_FLOAT) == (1,)
+        assert jordan_structure(A).sizes(5, MODE_REAL_FLOAT) == ()
 
     def test_clusters_defective_eigenvalue(self):
         # a 4-chain scatters its computed eigenvalues roughly like eps^(1/4);
