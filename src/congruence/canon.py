@@ -14,18 +14,24 @@ pairs; any larger orbit gives skew pairs at its representative.  The root
 blocks get their signs from the chain basis: the signature of the scaled
 form that pairs the tops of the size-n chains with their bottoms is the
 signed count d_n of the size-n root blocks.
+
+regularize proves T* A T = C0 + J_m1(0) + ... with T and the core C0
+nonsingular, which fixes the sizes m_i; their subspace-chain profile is
+read mod a prime and recomputed exactly only when that image disagrees.
 """
 
 import random
 from collections import Counter
 from itertools import accumulate, islice
+from operator import mul
 
 from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
                      GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
                      IDENTITY, abs_squared, complex_mode, is_unimodular,
                      scalar_key)
 from .matrix import (Matrix, direct_sum, realify, char_poly,
-                     column_complement)
+                     column_complement, _P, _images_mod_p, _kernel_mod_p,
+                     _rref_mod_p)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
@@ -64,20 +70,55 @@ def singular_profile(A):
     """Multiset of nilpotent block sizes in the congruence canonical form.
 
     Follows the preimage chains M_j = A^{-1}(A^* M_{j-1}) of (A, A^*) and
-    P_j of (A^*, A) until both stall (at most n + 2 steps: a float chain
-    need not grow), reading only their dimensions and those of their
-    intersections (dim M + dim P - rank [M | P]); _profile_sizes turns them
-    into chain counts, independently of any basis choice.
+    P_j of (A^*, A) (_chain_profile), independently of any basis choice:
+    the exact arbiter when the mod-p profile (_profile_mod_p) disagrees.
     """
     As = A.conj_transpose()
+    return _chain_profile(zip(preimage_chain(A, As), preimage_chain(As, A)),
+                          A.rows, lambda M: M.cols,
+                          lambda M, P: M.hstack(P).rank())
+
+
+def _profile_mod_p(A):
+    """singular_profile of A's image in GF(_P) (matrix._images_mod_p); None
+    when that is undefined or inconsistent.  K_k = {x : B x in S K_(k-1)}
+    is the kernel of L^T B, L spanning {y : y^T S K_(k-1) = 0}: transposes
+    only, so the chain holds over any field."""
+    images = _images_mod_p(A)
+    if images is None:
+        return None
+    n = A.rows
+
+    def chain(B, S):
+        Bt = list(zip(*B))
+        K = _kernel_mod_p(B, n)
+        while True:
+            yield K
+            if K:
+                SK = [[sum(map(mul, row, x)) % _P for row in S] for x in K]
+                K = _kernel_mod_p([[sum(map(mul, col, y)) % _P for col in Bt]
+                                   for y in _kernel_mod_p(SK, n)], n)
+
+    B, Bs = images
+    try:
+        return _chain_profile(zip(chain(B, Bs), chain(Bs, B)), n, len,
+                              lambda M, P: len(_rref_mod_p(M + P, n)[0]))
+    except ClassificationError:
+        return None
+
+
+def _chain_profile(chains, n, dim, joint_rank):
+    """Block sizes from the chain pairs (M_j, P_j) of an n x n matrix, read
+    until both stall (at most n + 2 steps: a float chain need not grow):
+    only dim M_j and dim (M_j meet P_j) = dim M + dim P - joint_rank(M, P)
+    are used, and _profile_sizes turns them into chain counts."""
     dims, inter, last = [0], [], (0, 0)
-    for M, P in islice(zip(preimage_chain(A, As), preimage_chain(As, A)),
-                       A.rows + 2):
-        if (M.cols, P.cols) == last:
+    for M, P in islice(chains, n + 2):
+        if (dim(M), dim(P)) == last:
             break
-        last = (M.cols, P.cols)
-        dims.append(M.cols)
-        inter.append(M.cols + P.cols - M.hstack(P).rank())
+        last = (dim(M), dim(P))
+        dims.append(last[0])
+        inter.append(sum(last) - joint_rank(M, P))
     return _profile_sizes(dims, inter)
 
 
@@ -238,13 +279,15 @@ def regularize(A):
     """Split A into a nonsingular core plus nilpotent Jordan summands.
 
     The returned witness satisfies S* A S = core + J_m1(0) + ... exactly
-    in exact modes (to tolerance otherwise).  Three checks run on the
-    basis T of the recursion: T* A T is formed once, its leading block is
-    the core, and the rest must equal the Jordan blocks and zeros; T must
-    be nonsingular, proved by Matrix.is_nonsingular (a nonzero determinant
-    mod a prime, with an exact-elimination fallback; the float rank in
-    float mode); and in exact modes the block sizes must match the
-    basis-free subspace-chain profile.
+    in exact modes (to tolerance otherwise).  On the basis T of the
+    recursion, T* A T is formed once: its leading block is the core C0,
+    and the rest must equal the Jordan blocks and zeros.  T must be
+    nonsingular, proved by Matrix.is_nonsingular (mod a prime, with an
+    exact fallback; the float rank in float mode).  In exact modes C0 must
+    be nonsingular too; then, by the uniqueness of the regularization
+    (Horn & Sergeichuk 2006), the sizes are A's singular sizes.  As a
+    cross-check they must match the subspace-chain profile of A's image
+    mod the prime, or failing that (an unlucky prime) the exact one.
     """
     fm = A.mode
     if not A.is_square():
@@ -270,7 +313,10 @@ def regularize(A):
         raise ClassificationError("regularizing basis fails the block form")
     if not T.is_nonsingular():
         raise ClassificationError("singular regularizing basis")
-    if fm.exact and sizes != singular_profile(A):
+    if fm.exact and not C0.is_nonsingular():
+        raise ClassificationError("regularizing basis leaves a singular core")
+    if (fm.exact and sizes != _profile_mod_p(A)
+            and sizes != singular_profile(A)):
         raise ClassificationError("block sizes disagree with the "
                                   "subspace-chain profile")
     witness = CongruenceWitness(T, A, D)

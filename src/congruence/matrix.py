@@ -21,16 +21,16 @@ the base alone:
   scalars of GF(2) and the floats.
 
 Matrix.rref is the one elimination primitive of both back ends; rank, det,
-inverse, solve and right_kernel read its result.  Matrix.is_nonsingular
-first tries a cheaper exact certificate: the integer rows reduced mod one
-prime.
+inverse, solve and right_kernel read its result.  One elimination mod a
+prime, _rref_mod_p, gives Matrix.is_nonsingular a cheaper exact certificate
+and the canon module its mod-p singular profile.
 """
 
 from collections import namedtuple
 from math import lcm, prod
 from operator import mul
 
-from .scalar import (FieldMode, GaussianRational, rational,
+from .scalar import (FieldMode, GaussianRational, rational, IDENTITY,
                      RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
                      COMPLEX_FLOAT, MODE_RATIONAL, MODE_REAL_FLOAT,
                      complex_mode, scalar_to_json, scalar_from_json)
@@ -224,8 +224,9 @@ class Matrix:
         if not self.is_square():
             raise ValueError("nonsingularity of a nonsquare matrix")
         ring = _RINGS.get(self.mode.base)
-        if ring is not None and _nonzero_mod_p(
-                [ring.mod_p(ring.vector(row)[0]) for row in self.a]):
+        if ring is not None and len(_rref_mod_p(
+                [ring.mod_p(ring.vector(row)[0]) for row in self.a],
+                self.cols)[0]) == self.rows:
             return True
         return self.rank() == self.rows
 
@@ -452,7 +453,7 @@ class _IntRows:
         return [_q(a, d) for a in row]
 
     @staticmethod
-    def mod_p(row):
+    def mod_p(row, i=_I_MOD_P):
         return [a % _P for a in row]
 
 
@@ -528,8 +529,8 @@ class _GaussRows:
                 for a, b in zip(*row)]
 
     @staticmethod
-    def mod_p(row):
-        return [(a + _I_MOD_P * b) % _P for a, b in zip(*row)]
+    def mod_p(row, i=_I_MOD_P):
+        return [(a + i * b) % _P for a, b in zip(*row)]
 
 
 _RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
@@ -618,24 +619,53 @@ def _rref_int(M, limit):
                      det)
 
 
-def _nonzero_mod_p(rows):
-    """Whether the square matrix of residues mod _P in rows has a nonzero
-    determinant in GF(_P): forward elimination, dropping each pivot row and
-    the first column."""
-    while rows:
-        k = next((i for i, row in enumerate(rows) if row[0]), None)
+def _rref_mod_p(rows, ncols):
+    """Gauss-Jordan elimination of residue rows mod _P with ncols columns:
+    (pivots, the reduced pivot rows).  The input lists are not changed."""
+    rows, pivots = list(rows), []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if k is None:
-            return False
-        prow = rows.pop(k)
-        inv = pow(prow[0], -1, _P)
-        prow = [b * inv % _P for b in prow[1:]]
-        rest = []
-        for row in rows:
-            f = row[0]
-            rest.append([(a - f * b) % _P for a, b in zip(row[1:], prow)]
-                        if f else row[1:])
-        rows = rest
-    return True
+            continue
+        inv = pow(rows[k][c], -1, _P)
+        # columns before c are zero in the pivot row
+        prow = rows[k][:c] + [b * inv % _P for b in rows[k][c:]]
+        rows[k], rows[r] = rows[r], prow
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = row[:c] + [(a - f * b) % _P
+                                     for a, b in zip(row[c:], prow[c:])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+def _kernel_mod_p(rows, ncols):
+    """A basis of {x : M x = 0} over GF(_P), M given by its residue rows,
+    one vector per free column as in Matrix.right_kernel."""
+    at = dict(zip(*_rref_mod_p(rows, ncols)))  # pivot column -> its row
+    return [[-at[c][f] % _P if c in at else int(c == f) for c in range(ncols)]
+            for f in range(ncols) if f not in at]
+
+
+def _images_mod_p(M):
+    """The residue rows of d M and of (d M)* in GF(_P), for d one common
+    denominator of all of M's entries (not one per row: a chain mixes the
+    rows of M and M*), i -> _I_MOD_P and so conj(i) -> -_I_MOD_P; None over
+    a base without integer rows or when _P divides d."""
+    ring = _RINGS.get(M.mode.base)
+    if ring is None:
+        return None
+    ints, d = ring.vector([x for row in M.a for x in row])
+    if d % _P == 0:
+        return None
+    B = ring.mod_p(ints)
+    Bc = (ring.mod_p(ints, _P - _I_MOD_P)
+          if M.mode.involution != IDENTITY else B)
+    n = M.cols
+    return ([B[k * n:(k + 1) * n] for k in range(M.rows)],
+            [Bc[j::n] for j in range(n)])
 
 
 def column_complement(S, T):

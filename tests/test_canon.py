@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from congruence import canon
+from congruence import canon, matrix
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_GF2,
                                MODE_QUAT_CONJ, QUATERNION, complex_mode,
@@ -130,8 +132,9 @@ class TestRegularize:
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
     def test_checks_take_one_product_pair_and_no_determinant(self, cmode,
                                                              monkeypatch):
-        # T* A T is formed once and holds the core; T's nonsingularity is
-        # proved without an exact determinant
+        # T* A T is formed once and holds the core; T's and the core's
+        # nonsingularity are proved without an exact determinant, and the
+        # sizes are checked mod p, so the exact chains never run
         fm = field_mode_for(cmode)
         A = scramble(direct_sum(*[jordan_block(m, 0, fm)
                                   for m in (4, 3, 2, 1)]), 31)
@@ -151,11 +154,43 @@ class TestRegularize:
             fn(A)
             return len(calls)
 
+        def exact_profile(*args):
+            raise AssertionError("exact singular_profile computed")
+
         monkeypatch.setattr(Matrix, "det", refuse)
         monkeypatch.setattr(Matrix, "__mul__", counting)
-        assert products(regularize) == (products(canon._reg_rec)
-                                        + products(canon.singular_profile)
-                                        + 2)
+        monkeypatch.setattr(canon, "singular_profile", exact_profile)
+        assert products(regularize) == products(canon._reg_rec) + 2
+
+    @pytest.mark.parametrize("entry", [matrix._P, Fraction(1, matrix._P)])
+    def test_exact_profile_arbitrates_a_bad_image(self, entry, monkeypatch):
+        # diag(p, 0) has the image profile [1, 1] and diag(1/p, 0) none;
+        # the exact chains then run once and confirm the sizes [1]
+        exact = canon.singular_profile
+        calls = []
+
+        def counting(A):
+            calls.append(1)
+            return exact(A)
+
+        A = Matrix([[entry, 0], [0, 0]], MODE_RATIONAL)
+        assert canon._profile_mod_p(A) == ([1, 1] if entry == matrix._P
+                                           else None)
+        monkeypatch.setattr(canon, "singular_profile", counting)
+        reg = regularize(A)
+        assert reg.singular_blocks == [1]
+        assert reg.core == Matrix([[entry]], MODE_RATIONAL)
+        assert len(calls) == 1
+
+    def test_singular_core_is_refused(self, monkeypatch):
+        # a basis that leaves J_2(0) in the core passes the block-form and
+        # basis checks; only the core certificate catches it
+        A = scramble(direct_sum(jordan_block(2, 0, MODE_RATIONAL),
+                                Matrix([[1]], MODE_RATIONAL)), 5)
+        monkeypatch.setattr(canon, "_reg_rec", lambda A: (
+            Matrix.identity(A.rows, A.mode), []))
+        with pytest.raises(ClassificationError, match="singular core"):
+            regularize(A)
 
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
     def test_lift_repair_branch(self, cmode, monkeypatch):
@@ -257,6 +292,22 @@ class TestSingularProfile:
                 M = preimage(T, S * M)
                 assert got == M, j
             assert M.cols == 7  # (m + 1) // 2 per nilpotent block
+
+    @given(st.sampled_from([STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL]),
+           st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           st.integers(0, 2), st.sampled_from([1, -1, 2]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_mod_p_profile_matches_the_exact_one(self, cmode, sizes, k, lam,
+                                                 seed):
+        # nilpotent blocks plus a nonsingular J_k(lam), scrambled
+        fm = field_mode_for(cmode)
+        parts = [jordan_block(m, 0, fm) for m in sizes]
+        if k:
+            parts.append(jordan_block(k, lam, fm))
+        A = scramble(direct_sum(*parts), seed)
+        assert (canon._profile_mod_p(A) == canon.singular_profile(A)
+                == sorted(sizes, reverse=True))
 
     def test_matches_regularize(self):
         K = direct_sum(jordan_block(4, 0, MODE_GAUSSIAN),
