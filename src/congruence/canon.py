@@ -52,18 +52,6 @@ def _colspace(X):
     return X.transpose().rref().rows.transpose()
 
 
-def _solve_cols(A, B):
-    """X with A X = B for a full-column-rank A whose span contains B."""
-    d = A.cols
-    # float residues of B outside the span stay below the pivots
-    red = A.hstack(B).rref(limit=None if A.mode.exact else d)
-    if red.pivots[:d] != list(range(d)):
-        raise ClassificationError("basis columns are dependent")
-    if len(red.pivots) > d:
-        raise ClassificationError("columns leave the invariant subspace")
-    return red.rows.submatrix(range(d), range(d, d + B.cols))
-
-
 # -- singular structure oracle ----------------------------------------------
 
 def singular_profile(A):
@@ -411,7 +399,7 @@ def _top_form_signs(C, space, sizes):
     lam = space.lam
     at = "signs at eigenvalue %s, " % (lam,)
     P = space.basis()
-    J = _solve_cols(P, space.A * P)
+    J = P.solve(space.A * P)
     if J != direct_sum(*[jordan_block(m, lam, fm) for m in space.sizes]):
         raise ClassificationError(at + "sizes %s: restriction is not a "
                                   "Jordan matrix" % (list(space.sizes),))
@@ -542,6 +530,15 @@ def canonicalize(A, cmode):
     return canonicalize_with_confidence(A, cmode)[0]
 
 
+def _comparison_mode(fm):
+    """fm when exact; over the floats the coarser yardstick eigenvalues are
+    compared at, since a defective eigenvalue scatters its computed copies
+    far beyond the working tolerance while the cluster mean stays accurate."""
+    if fm.exact:
+        return fm
+    return FieldMode(fm.base, fm.involution, fm.tolerance ** 0.4)
+
+
 def canonicalize_with_confidence(A, cmode):
     """canonicalize plus a report of the numerical margins used."""
     if cmode not in (CONGRUENCE_AC, STAR_AC, CONGRUENCE_REAL):
@@ -563,14 +560,9 @@ def canonicalize_with_confidence(A, cmode):
         report["core_size"] = C.rows
         report.update(_float_margins(A, C, reg.witness.S))
     if C.rows:
-        # eigenvalue comparisons need a coarser yardstick in float mode: a
-        # defective eigenvalue scatters its computed copies far beyond the
-        # working tolerance; the cluster mean is accurate again, so only
-        # the comparison stage runs coarse while Phi keeps the fine
-        # tolerance (rank profiles inside the Jordan analysis depend on it).
-        sfm = fm
-        if floating:
-            sfm = FieldMode(fm.base, fm.involution, fm.tolerance ** 0.4)
+        # only the comparison stage runs coarse while Phi keeps the fine
+        # tolerance (rank profiles inside the Jordan analysis depend on it)
+        sfm = _comparison_mode(fm)
         Phi = cosquare(C)
         if cmode == CONGRUENCE_REAL:
             work_mode = complex_mode(sfm)
@@ -692,10 +684,20 @@ def _float_margins(A, core, S):
 # -- equivalence and instance generation ------------------------------------
 
 def are_equivalent(A, B, cmode):
-    """Whether A and B share the same canonical BlockSum."""
+    """Whether A and B share one canonical BlockSum: equal kinds, sizes and
+    signs, and parameters equal at canonicalize's comparison tolerance."""
     if A.rows != B.rows or A.cols != B.cols:
         return False
-    return canonicalize(A, cmode) == canonicalize(B, cmode)
+    cm = complex_mode(_comparison_mode(B.mode if A.mode.exact else A.mode))
+    rest = list(canonicalize(B, cmode).blocks)
+    for b in canonicalize(A, cmode).blocks:
+        same = [c for c in rest if (c.kind, c.n, c.eps) == (b.kind, b.n, b.eps)
+                and (b.lam is None
+                     or cm.eq(cm.promote(b.lam), cm.promote(c.lam)))]
+        if not same:
+            return False
+        rest.remove(same[0])
+    return not rest
 
 
 def random_congruence(K, seed):

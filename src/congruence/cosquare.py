@@ -198,11 +198,6 @@ def _toeplitz(F, mode):
     return A
 
 
-def transport_root(R, S):
-    """Move a cosquare root along a similarity of its cosquare: S* R S."""
-    return S.conj_transpose() * R * S
-
-
 def star_root_jordan(n, lam, mode):
     """A cosquare root of the Jordan block J_n(lam), via the companion form."""
     from .blocks import jordan_block, frobenius_block
@@ -224,51 +219,10 @@ def star_root_jordan(n, lam, mode):
     S = cols[0]
     for c in cols[1:]:
         S = S.hstack(c)
-    RJ = transport_root(R, S)
+    RJ = S.conj_transpose() * R * S  # a root of S^-1 F S = J_n(lam)
     if not mode.exact:
         return RJ
     if cosquare(RJ) != jordan_block(n, lam, mode):
         raise RootNotFound("transport failed the cosquare identity")
     return RJ
 
-
-class QForm:
-    """q(x) = a_r x^r + ... + a_1 x + a_0 + conj(a_1) x^-1 + ... + conj(a_r) x^-r."""
-
-    __slots__ = ("coeffs", "mode")
-
-    def __init__(self, coeffs, mode):
-        self.coeffs = [mode.promote(c) for c in coeffs]
-        self.mode = mode
-        if not self.coeffs:
-            raise ValueError("empty form")
-        a0 = self.coeffs[0]
-        if not mode.eq(a0, mode.involve(a0)):
-            raise ValueError("constant term must be fixed by the involution")
-        if all(mode.is_zero(c) for c in self.coeffs):
-            raise ValueError("identically zero form")
-
-    @property
-    def r(self):
-        return len(self.coeffs) - 1
-
-
-def q_eval(q, Phi):
-    """Evaluate a QForm on a nonsingular matrix, negative powers via inverse."""
-    mode = Phi.mode
-    n = Phi.rows
-    inv = Phi.inverse()
-    out = Matrix.identity(n, mode).scale_left(q.coeffs[0])
-    P = Matrix.identity(n, mode)
-    Pi = Matrix.identity(n, mode)
-    for i in range(1, q.r + 1):
-        P = P * Phi
-        Pi = Pi * inv
-        ai = q.coeffs[i]
-        out = out + P.scale_left(ai) + Pi.scale_left(mode.involve(ai))
-    return out
-
-
-def type_iii_matrix(Phi, q):
-    """toeplitz_root(Phi) * q(Phi)."""
-    return toeplitz_root(Phi) * q_eval(q, Phi)

@@ -133,11 +133,6 @@ class Matrix:
             row[i] = row[i] - c
         return Matrix(rows, self.mode, promote=False, shape=self._shape)
 
-    def scale_right(self, c):
-        c = self.mode.promote(c)
-        return Matrix([[x * c for x in row] for row in self.a], self.mode,
-                      promote=False, shape=self._shape)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -189,9 +184,9 @@ class Matrix:
         reduced pivot rows: 1 at each pivot, 0 elsewhere in pivot columns.
         det is the determinant of a square matrix reduced over all its
         columns, else None (and always None over the quaternions).
-        The transform rides along the same way: for a nonsingular square
-        self, reducing [self | B] with limit=self.cols leaves self^-1 B in
-        the right block (solve; inverse takes B = I).
+        The transform rides along the same way: for a full-column-rank
+        self, reducing [self | B] leaves X with self X = B in the right
+        block of the first self.cols rows (solve; inverse takes B = I).
         """
         if limit is None:
             limit = self.cols
@@ -231,6 +226,8 @@ class Matrix:
         return self.rank() == self.rows
 
     def inverse(self):
+        if not self.is_square():
+            raise ValueError("inverse of a nonsquare matrix")
         return self.solve(Matrix.identity(self.rows, self.mode))
 
     def right_kernel(self):
@@ -250,14 +247,17 @@ class Matrix:
         return Matrix(out, mode, promote=False, shape=(n, len(free)))
 
     def solve(self, B):
-        """X with self * X = B (self square nonsingular)."""
-        if not self.is_square():
-            raise ValueError("solve (and inverse) need a square matrix")
-        n = self.rows
-        red = self.hstack(B).rref(limit=n)
-        if len(red.pivots) != n:
-            raise ValueError("singular matrix")
-        return red.rows.submatrix(range(n), range(n, n + B.cols))
+        """X with self * X = B, for self of full column rank whose column
+        span contains B.  Exact modes reduce [self | B] over all columns, so
+        a B outside the span gets a pivot; floats stop at self.cols, so
+        residues of B outside the span stay below the pivots."""
+        d = self.cols
+        red = self.hstack(B).rref(limit=None if self.mode.exact else d)
+        if red.pivots[:d] != list(range(d)):
+            raise ValueError("dependent columns")
+        if len(red.pivots) > d:
+            raise ValueError("right-hand side outside the column span")
+        return red.rows.submatrix(range(d), range(d, d + B.cols))
 
     # -- block structure ----------------------------------------------------
 

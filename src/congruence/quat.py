@@ -1,15 +1,16 @@
-"""Quaternionic canonical blocks, the epsilon rule and witness checking.
+"""The quaternionic sign rule and *congruence witness checking.
 
-No decomposition runs over the quaternions; everything here is
-constructive: build the scalar multiples of Gamma / Delta blocks allowed
-by the sign tables, and verify explicit *congruence witnesses with the
+No decomposition runs over the quaternions and no block constructor is
+offered: the epsilon rule says which signs survive on a block,
+forced_epsilon_witness exhibits a forced-sign block as *congruent to its
+negative, and verify_witness checks explicit witnesses with the
 noncommutative multiplication order respected.
 """
 
 from .scalar import (GaussianRational, Quaternion, FieldMode, QUATERNION,
                      QUAT_CONJUGATION, QUAT_SEMICONJUGATION,
                      MODE_QUAT_CONJ, MODE_QUAT_SEMI, MODE_RATIONAL,
-                     MODE_GAUSSIAN, rational, is_rational, abs_squared)
+                     MODE_GAUSSIAN, is_rational, abs_squared)
 from .matrix import Matrix
 from .blocks import gamma, gamma_prime, delta
 from .canon import ClassificationError, CongruenceWitness
@@ -69,42 +70,6 @@ def epsilon_choices(rule):
     if rule.lam == forced:
         return {1}
     return {1, -1}
-
-
-def _sign_ok(kind, a, b, n, involution):
-    if kind == GAMMA_FORM:
-        if involution == QUAT_CONJUGATION:
-            return b >= 0, "b >= 0"
-        return a >= 0, "a >= 0"
-    a_branch = ((involution == QUAT_CONJUGATION and n % 2 == 0)
-                or (involution == QUAT_SEMICONJUGATION and n % 2 == 1))
-    if a_branch:
-        return a >= 0, "a >= 0"
-    return b >= 0, "b >= 0"
-
-
-def quat_block(kind, a, b, n, involution, prime=False):
-    """(a+bi) times Gamma_n / Gamma'_n / Delta_n(1) as a quaternion matrix.
-
-    Requires a^2 + b^2 = 1 exactly and the sign normalization of the
-    chosen form under the chosen involution.
-    """
-    mode = quat_mode(involution)
-    if not (is_rational(a) and is_rational(b)):
-        raise ValueError("circle point must have rational coordinates")
-    a, b = rational(a), rational(b)
-    if a * a + b * b != 1:
-        raise ValueError("parameter must satisfy a^2 + b^2 = 1")
-    ok, want = _sign_ok(kind, a, b, n, mode.involution)
-    if not ok:
-        raise ValueError("normalization requires %s for this form" % want)
-    if kind == GAMMA_FORM:
-        base = gamma_prime(n) if prime else gamma(n)
-    elif kind == DELTA_FORM:
-        base = delta(n, 1, MODE_GAUSSIAN)
-    else:
-        raise ValueError("unknown block kind %r" % kind)
-    return base.cast(mode).scale_left(Quaternion(a, b))
 
 
 def verify_witness(A, B, S, involution=None):
@@ -173,24 +138,3 @@ def conjugation_flip(n, mode=MODE_RATIONAL):
         S.a[k][k] = mode.promote(1 if k % 2 == 0 else -1)
     return S
 
-
-def unimodular_from_slope(e):
-    """(e+i)/(e-i): positive rationals onto unimodular lam with b > 0."""
-    e = rational(e)
-    if e <= 0:
-        raise ValueError("slope must be positive")
-    return GaussianRational(e, 1) / GaussianRational(e, -1)
-
-
-def slope_from_unimodular(lam):
-    """Inverse of unimodular_from_slope; needs |lam| = 1, b > 0, lam != 1."""
-    lam = _complex_param(lam)
-    if abs_squared(lam) != 1:
-        raise ValueError("parameter must be unimodular")
-    if lam.im <= 0:
-        raise ValueError("parameter must have positive imaginary part")
-    # lam(e - i) = e + i  =>  e(lam - 1) = i(lam + 1)
-    e = GaussianRational(0, 1) * (lam + 1) / (lam - 1)
-    if e.im != 0:
-        raise ValueError("no rational slope for %r" % lam)
-    return e.re

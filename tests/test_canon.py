@@ -699,6 +699,24 @@ class TestCanonicalize:
         B = Matrix([[gr(-1)]], MODE_GAUSSIAN)
         assert not are_equivalent(A, B, STAR_AC)
 
+    def test_float_are_equivalent_matches_parameters_at_a_tolerance(self):
+        # both answers hold the same blocks, but the root's computed lam
+        # differs in the last bits between the two scramblings
+        fm = field_mode_for(STAR_AC, floating=True)
+        lam = gr(rational(3, 5), rational(4, 5))
+
+        def scrambled(root, eps, seed):
+            bs = BlockSum(STAR_AC, [
+                CanonicalBlock(SIGNED_ROOT, 1, lam=root, eps=eps),
+                CanonicalBlock(SKEW_PAIR, 1, lam=gr(2))])
+            return random_congruence(block_sum_matrix(bs), seed)[0].cast(fm)
+
+        A = scrambled(lam, 1, 1)
+        assert are_equivalent(A, scrambled(lam, 1, 2), STAR_AC)
+        assert not are_equivalent(A, scrambled(lam, -1, 2), STAR_AC)
+        assert not are_equivalent(
+            A, scrambled(gr(rational(4, 5), rational(3, 5)), 1, 2), STAR_AC)
+
     def test_invalid_mode(self):
         A = Matrix([[gr(1)]], MODE_GAUSSIAN)
         with pytest.raises(ValueError):

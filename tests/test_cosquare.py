@@ -10,8 +10,7 @@ from congruence.blocks import frobenius_block, jordan_block
 from congruence.cosquare import (cosquare, poly_dual, recurrent_extend,
                                  root_exists, root_exists_jordan,
                                  toeplitz_root, star_root_jordan,
-                                 transport_root,
-                                 QForm, q_eval, type_iii_matrix, RootNotFound)
+                                 RootNotFound)
 
 
 def gr(a, b=0):
@@ -117,7 +116,7 @@ class TestToeplitzRoot:
         F = frobenius_block(poly([1, -3, 1]))
         A = toeplitz_root(F)
         S = Matrix([[1, 1], [0, 1]], MODE_RATIONAL)
-        B = transport_root(A, S)
+        B = S.conj_transpose() * A * S
         assert cosquare(B) == S.inverse() * F * S
 
 
@@ -150,18 +149,3 @@ class TestStarRootJordan:
             assert cosquare(R) == jordan_block(n, lam, MODE_GAUSSIAN)
         assert calls == []
 
-
-class TestQForm:
-    def test_constant_term_fixed(self):
-        with pytest.raises(ValueError):
-            QForm([gr(0, 1)], MODE_GAUSSIAN)
-
-    def test_eval_is_selfadjoint_on_cosquares(self):
-        F = frobenius_block(poly([-1, 3, -3, 1]))
-        q = QForm([rational(2), rational(1)], MODE_RATIONAL)
-        toeplitz_root(F)
-        V = q_eval(q, F)
-        # q(Phi) commutes with Phi and A* q(Phi) ... = A q(Phi) identity
-        assert V * F == F * V
-        T = type_iii_matrix(F, q)
-        assert T.conj_transpose() * F == T

@@ -51,7 +51,7 @@ class TestArithmetic:
         j = Quaternion(0, 0, 1)
         i = Quaternion(0, 1)
         A = Matrix([[i]], MODE_QUAT_CONJ)
-        assert A.scale_left(j) != A.scale_right(j)
+        assert A.scale_left(j) != A * Matrix([[j]], MODE_QUAT_CONJ)
 
 
 class TestSolveInvertRank:
@@ -85,6 +85,32 @@ class TestSolveInvertRank:
         B = mat([[1], [0]])
         X = A.solve(B)
         assert A * X == B
+
+    TALL = [(MODE_RATIONAL, [[1, 2], [0, 1], [3, -1], [2, 0]],
+             [[1, -2, 0], [rational(1, 2), 3, 1]]),
+            (MODE_GAUSSIAN, [[GaussianRational(1, 1), 2], [0, 1],
+                             [GaussianRational(0, 3), -1]],
+             [[GaussianRational(2, -1)], [rational(1, 3)]])]
+
+    @pytest.mark.parametrize("mode, rows, x", TALL, ids=["Q", "Q(i)"])
+    def test_solve_tall_recovers_the_exact_solution(self, mode, rows, x):
+        A, X = Matrix(rows, mode), Matrix(x, mode)
+        assert A.solve(A * X) == X
+
+    @pytest.mark.parametrize("mode, rows, x", TALL, ids=["Q", "Q(i)"])
+    def test_solve_tall_rejects_a_rhs_outside_the_span(self, mode, rows, x):
+        A = Matrix(rows, mode)
+        e = Matrix([[1]] + [[0]] * (A.rows - 1), mode)
+        assert A.hstack(e).rank() == A.cols + 1
+        with pytest.raises(ValueError, match="outside the column span"):
+            A.solve(e)
+
+    @pytest.mark.parametrize("mode, rows, x", TALL, ids=["Q", "Q(i)"])
+    def test_solve_tall_rejects_dependent_columns(self, mode, rows, x):
+        A = Matrix(rows, mode)
+        D = A.hstack(A.submatrix(range(A.rows), [0]).scale_left(2))
+        with pytest.raises(ValueError, match="dependent columns"):
+            D.solve(A * Matrix(x, mode))
 
     def test_gf2_rank(self):
         A = Matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]], MODE_GF2)

@@ -1,21 +1,20 @@
-"""Quaternion block constructors, the sign rule and witness verification."""
+"""The quaternionic sign rule, forced-sign witnesses and witness verification
+(no block constructors remain)."""
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from congruence.scalar import (GaussianRational, Quaternion, MODE_QUAT_CONJ,
                                MODE_GAUSSIAN, QUAT_CONJUGATION,
-                               QUAT_SEMICONJUGATION, rational, abs_squared)
+                               QUAT_SEMICONJUGATION, rational)
 from congruence.matrix import Matrix, realify
 from congruence.blocks import gamma, delta
 from congruence.canon import ClassificationError, CongruenceWitness
 from congruence.quat import (GAMMA_FORM, DELTA_FORM, EpsilonRule,
-                             epsilon_choices, quat_block, verify_witness,
-                             j_scaling, forced_epsilon_witness,
-                             conjugation_flip, unimodular_from_slope,
-                             slope_from_unimodular, quat_mode, J)
+                             epsilon_choices, verify_witness, j_scaling,
+                             forced_epsilon_witness, conjugation_flip,
+                             quat_mode, J)
 
 
 def gr(a, b=0):
@@ -45,52 +44,6 @@ class TestEpsilonRule:
     def test_rejects_parameters_outside_complex_subfield(self):
         with pytest.raises(ValueError):
             EpsilonRule(QUAT_CONJUGATION, Quaternion(0, 0, 1), 1)
-
-
-class TestQuatBlock:
-    def test_unit_scalar_is_plain_gamma(self):
-        B = quat_block(GAMMA_FORM, 1, 0, 3, QUAT_CONJUGATION)
-        assert B == gamma(3).cast(MODE_QUAT_CONJ)
-
-    def test_circle_point_scaling(self):
-        a, b = rational(3, 5), rational(4, 5)
-        B = quat_block(GAMMA_FORM, a, b, 2, QUAT_CONJUGATION)
-        assert B == gamma(2).cast(MODE_QUAT_CONJ).scale_left(Quaternion(a, b))
-
-    def test_delta_parity_branch(self):
-        B = quat_block(DELTA_FORM, 0, 1, 1, QUAT_SEMICONJUGATION)
-        assert B.a == [[Quaternion(0, 1)]]
-
-    def test_rejects_off_circle(self):
-        with pytest.raises(ValueError):
-            quat_block(GAMMA_FORM, rational(1, 2), rational(1, 2), 1,
-                       QUAT_CONJUGATION)
-
-    def test_rejects_irrational_point(self):
-        with pytest.raises(ValueError):
-            quat_block(GAMMA_FORM, 0.6, 0.8, 1, QUAT_CONJUGATION)
-
-    def test_sign_tables(self):
-        a, b = rational(3, 5), rational(4, 5)
-        with pytest.raises(ValueError):
-            quat_block(GAMMA_FORM, a, -b, 1, QUAT_CONJUGATION)
-        with pytest.raises(ValueError):
-            quat_block(GAMMA_FORM, -a, b, 1, QUAT_SEMICONJUGATION)
-        # delta: a-branch for conjugation with even n, b-branch otherwise
-        with pytest.raises(ValueError):
-            quat_block(DELTA_FORM, -a, b, 2, QUAT_CONJUGATION)
-        with pytest.raises(ValueError):
-            quat_block(DELTA_FORM, a, -b, 1, QUAT_CONJUGATION)
-
-    def test_excluded_orbit_mate_is_star_congruent(self):
-        # (-a-bi)Gamma_n is ruled out by the table but j-conjugation maps it
-        # onto the allowed (-a+bi)Gamma_n, so nothing is lost
-        a, b = rational(3, 5), rational(4, 5)
-        m = MODE_QUAT_CONJ
-        excluded = gamma(2).cast(m).scale_left(Quaternion(-a, -b))
-        allowed = gamma(2).cast(m).scale_left(Quaternion(-a, b))
-        S = Matrix.identity(2, m).scale_left(J)
-        assert verify_witness(excluded, allowed, S, m)
 
 
 class TestVerifyWitness:
@@ -134,6 +87,17 @@ class TestVerifyWitness:
         sign = (-1) ** n if inv == QUAT_SEMICONJUGATION else (-1) ** (n + 1)
         assert verify_witness(D, D.scale_left(rational(sign)), S, inv)
 
+    def test_excluded_orbit_mate_is_star_congruent(self):
+        # (-a-bi)Gamma_n falls outside the b >= 0 normalization of the Gamma
+        # form under conjugation, but j-conjugation maps it onto the allowed
+        # (-a+bi)Gamma_n, so nothing is lost
+        a, b = rational(3, 5), rational(4, 5)
+        m = MODE_QUAT_CONJ
+        excluded = gamma(2).cast(m).scale_left(Quaternion(-a, -b))
+        allowed = gamma(2).cast(m).scale_left(Quaternion(-a, b))
+        S = Matrix.identity(2, m).scale_left(J)
+        assert verify_witness(excluded, allowed, S, m)
+
 
 class TestForcedWitnesses:
     @pytest.mark.parametrize("inv", [QUAT_CONJUGATION, QUAT_SEMICONJUGATION])
@@ -167,18 +131,3 @@ class TestRealification:
         conj = Matrix([[x.conj() for x in row] for row in A.a], MODE_GAUSSIAN)
         assert S.transpose() * realify(A) * S == realify(conj)
 
-
-class TestSlopeBijection:
-    @given(st.integers(1, 50), st.integers(1, 50))
-    def test_round_trip(self, p, q):
-        e = rational(p, q)
-        lam = unimodular_from_slope(e)
-        assert abs_squared(lam) == 1
-        assert lam.im > 0
-        assert slope_from_unimodular(lam) == e
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            unimodular_from_slope(0)
-        with pytest.raises(ValueError):
-            slope_from_unimodular(gr(1))
