@@ -5,9 +5,10 @@ Pipeline: split off the singular summands first (a kernel-quotient
 recursion that builds an explicit congruence witness), then compute the
 core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
 kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
-is snapped onto the unit circle.  The eigenvalues are grouped into orbits
-under x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus conjugation
-over the reals.  A one-member orbit (two for a unimodular non-real lam over
+is snapped onto the unit circle; an exact simple eigenvalue builds it only
+if its basis is read.  The eigenvalues are grouped into orbits under
+x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus conjugation over
+the reals.  A one-member orbit (two for a unimodular non-real lam over
 the reals) gives root blocks at the sizes n where J_n(lam) has a cosquare
 root (cosquare.root_exists_jordan) and pairs the other sizes off into skew
 pairs; any larger orbit gives skew pairs at its representative.  The root
@@ -18,6 +19,8 @@ signed count d_n of the size-n root blocks.
 regularize proves T* A T = C0 + J_m1(0) + ... with T and the core C0
 nonsingular, which fixes the sizes m_i; their subspace-chain profile is
 read mod a prime and recomputed exactly only when that image disagrees.
+In exact modes that profile comes first: an empty one proves A
+nonsingular, and A is returned as its own core with no recursion.
 """
 
 import random
@@ -267,20 +270,31 @@ def regularize(A):
     """Split A into a nonsingular core plus nilpotent Jordan summands.
 
     The returned witness satisfies S* A S = core + J_m1(0) + ... exactly
-    in exact modes (to tolerance otherwise).  On the basis T of the
-    recursion, T* A T is formed once: its leading block is the core C0,
-    and the rest must equal the Jordan blocks and zeros.  T must be
-    nonsingular, proved by Matrix.is_nonsingular (mod a prime, with an
-    exact fallback; the float rank in float mode).  In exact modes C0 must
-    be nonsingular too; then, by the uniqueness of the regularization
-    (Horn & Sergeichuk 2006), the sizes are A's singular sizes.  As a
-    cross-check they must match the subspace-chain profile of A's image
-    mod the prime, or failing that (an unlucky prime) the exact one.
+    in exact modes (to tolerance otherwise).  In exact modes the
+    subspace-chain profile of A's image mod a prime (_profile_mod_p) comes
+    first.  The profile [] means that image has no kernel, so det A != 0
+    and A is its own core: the sizes are [], the core is A and the witness
+    is (I, A, A).  Every check below then holds by construction: T* A T = D
+    reads A = A, T = I is nonsingular, C0 = A is nonsingular by the same
+    certificate, and the sizes [] equal the profile.
+
+    Otherwise, on the basis T of the recursion, T* A T is formed once: its
+    leading block is the core C0, and the rest must equal the Jordan blocks
+    and zeros.  T must be nonsingular, proved by Matrix.is_nonsingular (mod
+    a prime, with an exact fallback; the float rank in float mode).  In
+    exact modes C0 must be nonsingular too; then, by the uniqueness of the
+    regularization (Horn & Sergeichuk 2006), the sizes are A's singular
+    sizes.  As a cross-check they must match that mod-prime profile, or
+    failing that (an unlucky prime, or no image) the exact one.
     """
     fm = A.mode
     if not A.is_square():
         raise ValueError("regularize needs a square matrix")
     n = A.rows
+    profile = _profile_mod_p(A) if fm.exact else None
+    if profile == []:
+        return RegularizationResult(
+            [], A, CongruenceWitness(Matrix.identity(n, fm), A, A))
     X, lengths = _reg_rec(A)
     if X.cols != n:
         raise ClassificationError("regularizing basis has wrong size")
@@ -303,8 +317,7 @@ def regularize(A):
         raise ClassificationError("singular regularizing basis")
     if fm.exact and not C0.is_nonsingular():
         raise ClassificationError("regularizing basis leaves a singular core")
-    if (fm.exact and sizes != _profile_mod_p(A)
-            and sizes != singular_profile(A)):
+    if fm.exact and sizes != profile and sizes != singular_profile(A):
         raise ClassificationError("block sizes disagree with the "
                                   "subspace-chain profile")
     witness = CongruenceWitness(T, A, D)

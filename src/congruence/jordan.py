@@ -5,14 +5,19 @@ the Gaussian rationals.  Write the characteristic polynomial as
 chi = (p + i q) / d with integer polynomials p, q.  Every root of chi is a
 root of p when q = 0, and otherwise of the norm p^2 + q^2 = d^2 chi conj(chi)
 (complex conjugation of the coefficients, whatever the mode's involution).
-sympy factors that integer polynomial over the integers.  A linear factor
-gives a rational candidate root; a quadratic A x^2 + B x + C whose
-4AC - B^2 is a positive square gives, over the Gaussian rationals only,
-the pair (-B +- i sqrt(4AC - B^2)) / 2A.
-Each candidate's multiplicity in chi is found by exact synthetic division
-over the base, so a root of conj(chi) alone divides nothing.  Any other
-factor raises UnsplittablePolynomial naming it, and so does any factor of
-chi left undivided.
+The roots of that integer polynomial's squarefree part are approximated in
+complex floats (the Aberth-Ehrlich iteration; a linear one's root is read
+off exactly), and each part of each approximation is rounded to the
+simplest rational near it; over the rationals only real guesses are kept.  A guess is accepted only by exact
+synthetic division over the base, which also counts its multiplicity, so
+a wrong guess, or a root of conj(chi) alone, divides nothing.  Whatever
+the guesses leave undivided goes through sympy's factoring over the
+integers: a linear factor of its norm gives a rational candidate; a
+quadratic A x^2 + B x + C whose 4AC - B^2 is a positive square gives,
+over the Gaussian rationals only, the pair (-B +- i sqrt(4AC - B^2)) / 2A.
+Any other factor raises UnsplittablePolynomial naming it, and so does any
+factor of chi left undivided.  The floats only choose what to try: the
+root multiset is exact whatever they do.
 
 Float modes cluster numerically computed eigenvalues at radius
 tolerance**(1/2).
@@ -21,14 +26,18 @@ preimage_chain builds every chain of subspaces, K_k = {x : B x in S K_(k-1)}.
 RootSpace holds the chain of A - lam (the kernels of (A - lam)^k) at an
 eigenvalue lam, stopped once the nullity reaches lam's algebraic multiplicity
 (a nullity that stalls below it or passes it raises ValueError); the Jordan
-partition (chain_counts) and the chain-ordered basis are read from it.
+partition (chain_counts) and the chain-ordered basis are read from it.  An
+exact simple eigenvalue has the partition (1,) without a chain, which is
+built, with its checks, only when its basis is read.
 """
 
+from cmath import rect
 from functools import reduce
-from math import isqrt
+from math import floor, isqrt, pi
 
 import sympy
 from sympy.polys.factortools import dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from .scalar import (GaussianRational, GAUSSIAN, REAL_FLOAT, complex_mode,
                      rational, scalar_key)
@@ -40,15 +49,17 @@ class UnsplittablePolynomial(ValueError):
     """The characteristic polynomial has roots outside the working field."""
 
 
-def _numerators(chi):
-    """Integer coefficient lists p, q, highest power first, with
-    chi = (p + i q) / d for one positive integer d."""
-    ring = _RINGS.get(chi.mode.base)
+def _norm(c, mode):
+    """The integer polynomial p, or p^2 + q^2 when q != 0, of
+    c = (p + i q) / d for one positive integer d (coefficients highest power
+    first): every root of c is one of its roots."""
+    ring = _RINGS.get(mode.base)
     if ring is None:
         raise ValueError("exact eigenvalues need a rational or Gaussian "
-                         "rational base, not %r" % chi.mode.base)
-    ints, _ = ring.vector(chi.c[::-1])
-    return ints if chi.mode.base == GAUSSIAN else (ints, [])
+                         "rational base, not %r" % mode.base)
+    ints, _ = ring.vector(c)
+    p, q = ints if mode.base == GAUSSIAN else (ints, [])
+    return [a + b for a, b in zip(_square(p), _square(q))] if any(q) else p
 
 
 def _square(f):
@@ -86,22 +97,91 @@ def _divide_out(c, r):
     return None if quot.pop() else quot
 
 
+def _approximate_roots(f):
+    """The roots of the squarefree integer polynomial f (highest power
+    first) in complex floats, by the Aberth-Ehrlich iteration from a circle
+    about the roots; [] when it has not settled after 60 sweeps."""
+    d = len(f) - 1
+    c = [a / f[0] for a in f]
+    r = max(abs(a) ** (1 / k) for k, a in enumerate(c) if k) or 1.0
+    z = [rect(r, 2 * pi * k / d + 0.5) for k in range(d)]
+    for _ in range(60):
+        settled = True
+        for i, x in enumerate(z):
+            v = dv = 0j
+            for a in c:
+                dv = dv * x + v
+                v = v * x + a
+            ratio = v / dv
+            w = ratio / (1 - ratio * sum(1 / (x - y) for j, y in enumerate(z)
+                                         if j != i))
+            z[i] = x - w
+            settled = settled and abs(w) <= 1e-12 * max(1.0, abs(x))
+        if settled:
+            return z
+    return []
+
+
+def _simplest(x, tol):
+    """The first continued-fraction convergent h/k of x within tol of x (the
+    40th at most, k > 10^8: only exact division trusts it)."""
+    h, h0, k, k0 = 1, 0, 0, 1
+    y = x
+    for _ in range(40):
+        a = floor(y)
+        h, h0, k, k0 = a * h + h0, h, a * k + k0, k
+        if abs(h / k - x) <= tol or y == a:
+            break
+        y = 1 / (y - a)
+    return rational(h, k)
+
+
+def _guesses(f, mode):
+    """Candidate roots in the base for the integer polynomial f: its
+    squarefree part's roots approximated in floats, each part rounded to
+    the simplest rational within a relative 1e-9; none when the floats
+    overflow or do not settle.  Only exact division accepts one.  A linear
+    f gives its root exactly."""
+    if len(f) == 2:
+        return _candidates(f, mode)
+    out = []
+    try:
+        for z in _approximate_roots(dup_sqf_part(f, sympy.ZZ)):
+            tol = 1e-9 * max(1.0, abs(z))
+            re, im = _simplest(z.real, tol), _simplest(z.imag, tol)
+            if mode.base == GAUSSIAN:
+                out.append(GaussianRational(re, im))
+            elif im == 0:
+                out.append(mode.promote(re))
+    except (OverflowError, ZeroDivisionError):
+        return []
+    return out
+
+
+def _factored(f, mode):
+    """The candidate roots in the base from sympy's factoring of the integer
+    polynomial f; UnsplittablePolynomial at a factor without them."""
+    for g, _ in dup_factor_list(f, sympy.ZZ)[1]:
+        yield from _candidates(g, mode)
+
+
 def _exact_roots(chi):
-    """The roots of chi in its base, with multiplicity."""
-    p, q = _numerators(chi)
-    norm = [a + b for a, b in zip(_square(p), _square(q))] if any(q) else p
+    """The roots of chi in its base, with multiplicity, ordered by
+    scalar_key: the guesses first, then the factoring of what they leave."""
+    mode = chi.mode
     rest = chi.c[::-1]
     roots = []
-    for f, _ in dup_factor_list(norm, sympy.ZZ)[1]:
-        for r in _candidates(f, chi.mode):
-            while (quot := _divide_out(rest, r)) is not None:
-                roots.append(r)
-                rest = quot
+    for candidates in (_guesses, _factored):
+        if len(rest) > 1:
+            for r in candidates(_norm(rest, mode), mode):
+                while (quot := _divide_out(rest, r)) is not None:
+                    roots.append(r)
+                    rest = quot
     if len(rest) > 1:
         raise UnsplittablePolynomial(
             "characteristic polynomial: the factor %s has no root among the "
-            "candidates" % Poly(rest[::-1], chi.mode, promote=False))
-    return roots
+            "candidates" % Poly(rest[::-1], mode, promote=False))
+    return sorted(roots, key=scalar_key)
 
 
 def _float_eigenvalues(A):
@@ -208,27 +288,42 @@ class RootSpace:
     exact modes neither can happen, in float modes either means the
     eigenvalue clusters are wrong.  The Jordan block sizes at lam (sizes)
     and the chain-ordered basis (basis()) both read this one kernel chain.
+    In exact modes a simple eigenvalue (mult = 1) has sizes (1,) without
+    it, since 1 <= nullity of A - lam <= mult; its chain, with the nullity
+    checks, is built at the first basis() call, so a lam that is not an
+    eigenvalue raises there.
     """
 
-    __slots__ = ("A", "lam", "sizes", "_N", "_kernels")
+    __slots__ = ("A", "lam", "mult", "sizes", "_N", "_kernels")
 
     def __init__(self, A, lam, mult):
-        self.A, self.lam = A, A.mode.promote(lam)
-        N = self._N = A.minus_scalar(self.lam)
-        kernels = [Matrix.zeros(A.rows, 0, A.mode)]
-        for K in preimage_chain(N):
-            kernels.append(K)
-            nul = [K.cols for K in kernels]
-            if nul[-1] == nul[-2] or nul[-1] > mult:
-                raise ValueError(
-                    "eigenvalue %s: the nullities %s of (A - lam)^k miss its "
-                    "algebraic multiplicity %d" % (lam, nul[1:], mult))
-            if nul[-1] == mult:
-                break
-        self._kernels = kernels
-        counts = chain_counts(nul)
+        self.A, self.lam, self.mult = A, A.mode.promote(lam), mult
+        self._N = A.minus_scalar(self.lam)
+        self._kernels = None
+        if A.mode.exact and mult == 1:
+            self.sizes = (1,)
+            return
+        counts = chain_counts([K.cols for K in self._chain()])
         self.sizes = tuple(k for k in range(len(counts), 0, -1)
                            for _ in range(counts[k - 1]))
+
+    def _chain(self):
+        """The kernels of (A - lam)^k, k = 0, 1, ..., built once."""
+        if self._kernels is None:
+            A, mult = self.A, self.mult
+            kernels = [Matrix.zeros(A.rows, 0, A.mode)]
+            for K in preimage_chain(self._N):
+                kernels.append(K)
+                nul = [K.cols for K in kernels]
+                if nul[-1] == nul[-2] or nul[-1] > mult:
+                    raise ValueError(
+                        "eigenvalue %s: the nullities %s of (A - lam)^k miss "
+                        "its algebraic multiplicity %d"
+                        % (self.lam, nul[1:], mult))
+                if nul[-1] == mult:
+                    break
+            self._kernels = kernels
+        return self._kernels
 
     def basis(self):
         """Chain-ordered basis, longest chains first.
@@ -237,7 +332,7 @@ class RootSpace:
         restriction of A is the direct sum of the upper Jordan blocks
         J_h(lam), h in sizes.
         """
-        N, kernels = self._N, self._kernels
+        N, kernels = self._N, self._chain()
         n = N.rows
         chains = []  # each from its top vector down to height h
         for h in range(len(kernels) - 1, 0, -1):

@@ -64,6 +64,47 @@ class TestRegularize:
         assert sorted(reg.singular_blocks) == [1, 1, 1]
         assert reg.core.rows == 0
 
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_nonsingular_form_takes_no_exact_elimination(self, cmode,
+                                                          monkeypatch):
+        # the mod-p profile [] proves det A != 0, so A is its own core
+        fm = field_mode_for(cmode)
+        A = scramble(direct_sum(plus_root(1, 1, fm), jordan_block(3, 1, fm),
+                                skew_sum(jordan_block(2, 2, fm),
+                                         jordan_block(2, 2, fm))), 17)
+        rref = Matrix.rref
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return rref(*args, **kwargs)
+
+        monkeypatch.setattr(Matrix, "rref", counting)
+        reg = regularize(A)
+        assert not calls
+        monkeypatch.undo()
+        assert reg.singular_blocks == [] and reg.core == A
+        assert reg.witness.verify() and reg.witness.rhs == A
+
+    def test_singular_form_reads_the_mod_p_profile_once(self, monkeypatch):
+        A = scramble(direct_sum(jordan_block(3, 0, MODE_GAUSSIAN),
+                                jordan_block(1, 0, MODE_GAUSSIAN),
+                                Matrix([[gr(2, 1)]], MODE_GAUSSIAN)), 23)
+        profile = canon._profile_mod_p
+        calls = []
+
+        def counting(M):
+            calls.append(1)
+            return profile(M)
+
+        def exact_profile(*args):
+            raise AssertionError("exact singular_profile computed")
+
+        monkeypatch.setattr(canon, "_profile_mod_p", counting)
+        monkeypatch.setattr(canon, "singular_profile", exact_profile)
+        assert regularize(A).singular_blocks == [3, 1]
+        assert len(calls) == 1
+
 
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
     def test_products_do_not_grow_with_the_chain_count(self, cmode,
@@ -598,7 +639,8 @@ class TestOneChainPerEigenvalue:
         monkeypatch.setattr(canon, "RootSpace", counted_space)
         assert canonicalize(A, STAR_AC) == bs
         assert counts["cosquare"] == 1
-        # 1, u and the skew pair's 2 and 1/2: one kernel chain each
+        # 1, u and the skew pair's 2 and 1/2: one RootSpace each, and at
+        # most one kernel chain (a simple eigenvalue's only once read)
         assert sorted(lams, key=lambda x: (x.re, x.im)) == [
             gr(rational(1, 2)), gr(rational(3, 5), rational(4, 5)), gr(1),
             gr(2)]

@@ -12,6 +12,7 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                rational)
 from congruence.matrix import Matrix, Poly, direct_sum
 from congruence.blocks import jordan_block, frobenius_block
+from congruence import jordan
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
                                eigenvalues, UnsplittablePolynomial, RootSpace,
                                chain_counts, preimage_chain)
@@ -83,6 +84,13 @@ SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 GAUSSIAN_MODES = [MODE_GAUSSIAN, MODE_GAUSSIAN_ID]
 
 
+HIGH = GaussianRational(rational(1009, 997), rational(355, 113))
+
+
+def refuse_factoring(*args):
+    raise AssertionError("factored %r" % (args[0],))
+
+
 class TestRootFinder:
     """The oracle is the multiset of roots the polynomial was built from."""
 
@@ -120,6 +128,51 @@ class TestRootFinder:
         roots = [GaussianRational(a, b) for a, b in parts]
         assert Counter(eigenvalues(with_roots(roots, mode))) == Counter(roots)
 
+    @pytest.mark.parametrize("mode, roots", [
+        (mode, [gr(1), gr(-1), gr(0, 1), gr(rational(3, 5), rational(4, 5)),
+                gr(2), gr(rational(1, 2))]) for mode in GAUSSIAN_MODES] + [
+        # high height: the guesses still round to 1009/997 and 355/113
+        (mode, [HIGH] * 3 + [gr(rational(-1009, 997))] * 2 + [HIGH.conj(),
+                                                               gr(2)])
+        for mode in GAUSSIAN_MODES] + [
+        (MODE_RATIONAL, [rational(1009, 997)] * 3 + [rational(-355, 113), 2]),
+    ], ids=["small-conj", "small-id", "high-conj", "high-id", "high-rational"])
+    def test_split_spectrum_takes_no_factoring(self, mode, roots,
+                                               monkeypatch):
+        monkeypatch.setattr(jordan, "dup_factor_list", refuse_factoring)
+        assert Counter(eigenvalues(with_roots(roots, mode))) == Counter(roots)
+
+    @pytest.mark.parametrize("guess", ["none", "wrong"])
+    @pytest.mark.parametrize("mode", GAUSSIAN_MODES + [MODE_RATIONAL])
+    def test_factoring_tail_without_good_guesses(self, mode, guess,
+                                                 monkeypatch):
+        # only exact division accepts a root, so missing or wrong guesses
+        # leave the roots to the factoring of what stays undivided
+        guesses = jordan._guesses
+
+        def patched(f, m):
+            if guess == "none":
+                return []
+            return [x + rational(1, 7) for x in guesses(f, m)]
+
+        monkeypatch.setattr(jordan, "_guesses", patched)
+        roots = [rational(1), rational(-1), rational(1, 2), rational(1, 2),
+                 rational(2, 3)]
+        if mode != MODE_RATIONAL:
+            roots = [gr(x) for x in roots] + [gr(rational(3, 5),
+                                                 rational(4, 5))]
+        assert Counter(eigenvalues(with_roots(roots, mode))) == Counter(roots)
+
+    def test_overflowing_guesses_leave_the_roots_to_the_tail(self):
+        # 10^400 is no float: the guesses for (x - 10^400)(3x - 1) overflow
+        # and yield nothing
+        big = rational(10) ** 400
+        f = [3, -3 * 10 ** 400 - 1, 10 ** 400]
+        assert jordan._guesses(f, MODE_RATIONAL) == []
+        roots = [big, rational(1, 3)]
+        got = eigenvalues(with_roots(roots, MODE_RATIONAL))
+        assert Counter(got) == Counter(roots)
+
 
 class TestRankChain:
     def test_multiplicity_past_the_rank_profile_raises(self):
@@ -134,7 +187,7 @@ class TestRankChain:
     # step k > 1 of the chain takes two kernels (the complement of K_(k-1)
     # and K_k) and one product
     @pytest.mark.parametrize("lam, mult, part, kernels, products", [
-        (2, 1, (1,), 1, 0),     # a simple eigenvalue: one kernel, no product
+        (2, 1, (1,), 0, 0),     # a simple eigenvalue: no chain until basis()
         (1, 3, (3,), 5, 2),     # stops at nullity 3, no kernel past it
     ])
     def test_chain_stops_at_the_multiplicity(self, monkeypatch, lam, mult,
@@ -149,6 +202,34 @@ class TestRankChain:
             monkeypatch.setattr(Matrix, name, counted)
         assert RootSpace(A, rational(lam), mult).sizes == part
         assert calls == Counter(right_kernel=kernels, __mul__=products)
+
+    def test_simple_eigenvalue_builds_its_chain_at_basis(self, monkeypatch):
+        A = scrambled([jordan_block(3, 1, MODE_RATIONAL),
+                       jordan_block(1, 2, MODE_RATIONAL)], MODE_RATIONAL, 5)
+        kernel = Matrix.right_kernel
+        calls = []
+
+        def counted(M):
+            calls.append(1)
+            return kernel(M)
+
+        monkeypatch.setattr(Matrix, "right_kernel", counted)
+        space = RootSpace(A, rational(2), 1)
+        assert space.sizes == (1,) and not calls
+        P = space.basis()
+        assert len(calls) == 1
+        assert A * P == P.scale_left(rational(2))
+        space.basis()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_simple_non_eigenvalue_raises_at_basis(self, mode):
+        A = scrambled([jordan_block(3, 1, mode), jordan_block(1, 2, mode)],
+                      mode, 5)
+        space = RootSpace(A, mode.promote(3), 1)
+        assert space.sizes == (1,)
+        with pytest.raises(ValueError, match="multiplicity 1"):
+            space.basis()
 
 
 class TestPreimageChain:
