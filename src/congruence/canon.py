@@ -48,13 +48,6 @@ class ClassificationError(ValueError):
     """An internal structural invariant failed during classification."""
 
 
-# -- column-space utilities -------------------------------------------------
-
-def _colspace(X):
-    """The reduced echelon basis of the column span of X (unique)."""
-    return X.transpose().rref().rows.transpose()
-
-
 # -- singular structure oracle ----------------------------------------------
 
 def singular_profile(A):
@@ -184,50 +177,66 @@ def _reg_rec(A):
     c_i^* A c_j = [j == i+1] within a chain and every cross pairing zero,
     so X^* A X is the core plus nilpotent Jordan blocks exactly.
 
-    Each level works on whole matrices.  The vectors carried up from the
-    quotient are mapped once, X = W Xs; all chain lifts Y solve
-    (A X)^* Y = R in one elimination, R marking each chain's head; the
-    kernel-lift pairing is G = (K^* A) Y; the dual kernel basis
-    K' = K (G^-1)^* then clears the lift-lift and carried-lift pairings
-    at once, [Y | X] -= K' (A Y)^* [Y | X].
+    Every level has one shape.  The quotient W, a complement of ker A in
+    ker K* A = (A* K)^perp for K = ker A, shortens every chain by two and
+    leaves the core untouched; the vectors carried up from it are mapped
+    once, X = W Xs.  The two-sided kernel V0 = ker A meet ker A* pairs to
+    zero with every vector (A v = 0 and A* v = 0), so each of its lines is
+    a J_1(0) summand as it stands, appended as a chain of length 1.  Its
+    rows of K* A are zero, so W is the same with or without it, and K then
+    shrinks to a complement of V0 in ker A, which meets ker A* trivially:
+    each of its lines heads a chain of length >= 2.
+
+    Chain j is lifted by y_j with y_j^* A x = 1 on its head x (the first
+    vector of a carried chain) and 0 on the other carried vectors: the
+    nlive live heads solve (A X)^* Y = R in one elimination.  A head h
+    pairs to zero with K and W, so A h lies in span A* K, and the head
+    rows of (A X)^* then pin the head columns of G = (K^* A) Y to full
+    rank; G is singular exactly when some kernel line carries no chain
+    (nlive < nch).  Those lines take their lifts from H = ker (A X)^*:
+    the columns of H at the pivots beyond the heads in one elimination of
+    [G | K^* A H].  The dual kernel basis K' = K (G^-1)^* then clears the
+    lift-lift and carried-lift pairings at once, [Y | X] -= K' (A Y)^* [Y | X].
     """
     mode = A.mode
     n = A.rows
     K = A.right_kernel()
     if K.cols == 0:
         return Matrix.identity(n, mode), []
-    As = A.conj_transpose()
-    V0 = _colspace(A.vstack(As).right_kernel())
-    if V0.cols:
-        # two-sided kernel: split exact 1x1 zero summands off first
-        W0 = column_complement(V0, Matrix.identity(n, mode))
-        X, lengths = _reg_rec(W0.conj_transpose() * A * W0)
-        return (W0 * X).hstack(V0), lengths + [1] * V0.cols
-    # ker A now meets ker A* trivially; each kernel line heads a chain of
-    # length >= 2.  The quotient W of (A* K)^perp = ker K* A by K = ker A
-    # shortens every chain by two and leaves the core untouched.
-    nch = K.cols
+    V0 = A.vstack(A.conj_transpose()).right_kernel()
+    ones = [1] * V0.cols
     KA = K.conj_transpose() * A
     W = column_complement(K, KA.right_kernel())
     Xs, lengths = _reg_rec(W.conj_transpose() * A * W)
     X = W * Xs
+    if V0.cols:
+        K = column_complement(V0, K)
+        KA = K.conj_transpose() * A
+    nch = K.cols
+    if nch == 0:
+        return X.hstack(V0), lengths + ones
     starts = list(accumulate(lengths, initial=X.cols - sum(lengths)))
     nlive = min(len(lengths), nch)
-    # lift chain j by y_j with y_j^* A x = 1 on its head x, 0 on the other
-    # carried vectors: rows (A X)^* against one column of R per lift
     Arows = (A * X).conj_transpose()
-    R = Matrix.zeros(X.cols, nch, mode)
+    R = Matrix.zeros(X.cols, nlive, mode)
     for j in range(nlive):
         R.a[starts[j]][j] = mode.one()
     red = Arows.hstack(R).rref()
     if red.pivots and red.pivots[-1] >= n:
         raise ClassificationError("no chain lift vector")
-    Y = Matrix.zeros(n, nch, mode)
+    Y = Matrix.zeros(n, nlive, mode)
     for pc, row in zip(red.pivots, red.rows.a):
         Y.a[pc] = row[n:]
     G = KA * Y
-    if not G.is_nonsingular():
-        G = _repair_lifts(G, Y, KA, Arows.right_kernel())
+    if nlive < nch:
+        H = Arows.right_kernel()
+        KH = KA * H
+        pivots = G.hstack(KH).rref().pivots
+        if pivots[:nlive] != list(range(nlive)) or len(pivots) < nch:
+            raise ClassificationError("cannot normalize chain pairings")
+        extra = [p - nlive for p in pivots[nlive:nch]]
+        Y = Y.hstack(H.submatrix(range(n), extra))
+        G = G.hstack(KH.submatrix(range(nch), extra))
     # dual kernel basis: k'_i pairs to 1 against y_i and 0 against the rest;
     # A K' = 0, so A Y stays put while Y and X move by multiples of K'
     Kp = K * G.inverse().conj_transpose()
@@ -239,31 +248,9 @@ def _reg_rec(A):
         order += [j, nch + j]
         if j < nlive:
             order += range(2 * nch + starts[j], 2 * nch + starts[j + 1])
-    return (Z.submatrix(range(n), order),
-            [2 + (lengths[j] if j < nlive else 0) for j in range(nch)])
-
-
-def _repair_lifts(G, Y, KA, H):
-    """Add columns of H (homogeneous lift solutions) to the lifts Y in place
-    so that G = KA Y gets full rank; returns the new G.
-
-    One elimination of [G | KA H]: each column of G outside G's pivots lies
-    in the span of the pivot ones, so adding to it the next pivot column of
-    KA H, independent modulo that span, raises the rank by one.
-    """
-    nch = G.cols
-    KH = KA * H
-    pivots = G.hstack(KH).rref().pivots
-    extra = [p - nch for p in pivots if p >= nch]
-    fill = [j for j in range(nch) if j not in pivots]
-    if len(extra) < len(fill):
-        raise ClassificationError("cannot normalize chain pairings")
-    for j, h in zip(fill, extra):
-        for row, kh in zip(G.a, KH.a):
-            row[j] = row[j] + kh[h]
-        for row, hrow in zip(Y.a, H.a):
-            row[j] = row[j] + hrow[h]
-    return G
+    return (Z.submatrix(range(n), order).hstack(V0),
+            [2 + (lengths[j] if j < nlive else 0) for j in range(nch)]
+            + ones)
 
 
 def regularize(A):

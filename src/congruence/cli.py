@@ -8,7 +8,6 @@ All output is deterministic for a fixed (input, seed) pair.
 import json
 import re
 import sys
-from fractions import Fraction
 
 import click
 
@@ -87,12 +86,10 @@ def _emit_matrix(M, fmt):
         click.echo("  ".join(str(scalar_to_json(x)) for x in row))
 
 
-def _emit_blocksum(bs, fmt, report=None):
+def _emit_blocksum(bs, fmt, report):
     if fmt == "json":
-        out = bs.to_json()
-        if report:
-            out["report"] = report
-        click.echo(json.dumps(out, sort_keys=True))
+        click.echo(json.dumps(dict(bs.to_json(), report=report),
+                              sort_keys=True))
         return
     click.echo("mode: %s" % bs.cmode)
     for b in bs.blocks:
@@ -102,9 +99,8 @@ def _emit_blocksum(bs, fmt, report=None):
         if b.eps is not None:
             bits.append("eps=%+d" % b.eps)
         click.echo("  " + "  ".join(bits))
-    if report:
-        for k in sorted(report):
-            click.echo("# %s: %s" % (k, report[k]))
+    for k in sorted(report):
+        click.echo("# %s: %s" % (k, report[k]))
 
 
 _TERM = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?(?:\*?x(?:\^(\d+))?)?$")
@@ -124,7 +120,7 @@ def parse_poly(text, mode=MODE_RATIONAL):
         if not m or (m.group(2) is None and "x" not in t):
             raise ValueError("cannot parse term %r" % t)
         sign = -1 if m.group(1) == "-" else 1
-        c = rational(Fraction(m.group(2))) if m.group(2) else rational(1)
+        c = rational(m.group(2)) if m.group(2) else rational(1)
         if "x" not in t:
             k = 0
         elif m.group(3) is None:
@@ -181,7 +177,7 @@ def canon(matrix, cmode, fmt, field, involution, tolerance):
                        floating=field in (REAL_FLOAT, COMPLEX_FLOAT))
     A = _load_matrix(matrix, mode)
     bs, report = _wrap(canonicalize_with_confidence, A, cmode)
-    _emit_blocksum(bs, fmt, report if not report.get("exact") else None)
+    _emit_blocksum(bs, fmt, report)
 
 
 @main.command()

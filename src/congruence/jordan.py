@@ -33,7 +33,7 @@ built, with its checks, only when its basis is read.
 
 from cmath import rect
 from functools import reduce
-from math import floor, isqrt, pi
+from math import floor, isqrt, pi, ulp
 
 import sympy
 from sympy.polys.factortools import dup_factor_list
@@ -99,12 +99,14 @@ def _divide_out(c, r):
 
 def _approximate_roots(f):
     """The roots of the squarefree integer polynomial f (highest power
-    first) in complex floats, by the Aberth-Ehrlich iteration from a circle
-    about the roots; [] when it has not settled after 60 sweeps."""
+    first) in complex floats, each with the size of its last correction, by
+    the Aberth-Ehrlich iteration from a circle about the roots; [] when it
+    has not settled after 60 sweeps."""
     d = len(f) - 1
     c = [a / f[0] for a in f]
     r = max(abs(a) ** (1 / k) for k, a in enumerate(c) if k) or 1.0
     z = [rect(r, 2 * pi * k / d + 0.5) for k in range(d)]
+    step = [0.0] * d
     for _ in range(60):
         settled = True
         for i, x in enumerate(z):
@@ -116,9 +118,10 @@ def _approximate_roots(f):
             w = ratio / (1 - ratio * sum(1 / (x - y) for j, y in enumerate(z)
                                          if j != i))
             z[i] = x - w
-            settled = settled and abs(w) <= 1e-12 * max(1.0, abs(x))
+            step[i] = abs(w)
+            settled = settled and step[i] <= 1e-12 * max(1.0, abs(x))
         if settled:
-            return z
+            return list(zip(z, step))
     return []
 
 
@@ -139,15 +142,18 @@ def _simplest(x, tol):
 def _guesses(f, mode):
     """Candidate roots in the base for the integer polynomial f: its
     squarefree part's roots approximated in floats, each part rounded to
-    the simplest rational within a relative 1e-9; none when the floats
-    overflow or do not settle.  Only exact division accepts one.  A linear
-    f gives its root exactly."""
+    the simplest rational within the root's last correction, or 64 ulps
+    of |z| at least: a settled root can be off by more than its last
+    correction, but by a few ulps only, while a tolerance relative to |z|
+    lets a simpler wrong convergent of a large root win.  None when the
+    floats overflow or do not settle.  Only exact division accepts one.  A
+    linear f gives its root exactly."""
     if len(f) == 2:
         return _candidates(f, mode)
     out = []
     try:
-        for z in _approximate_roots(dup_sqf_part(f, sympy.ZZ)):
-            tol = 1e-9 * max(1.0, abs(z))
+        for z, step in _approximate_roots(dup_sqf_part(f, sympy.ZZ)):
+            tol = max(step, 64 * ulp(abs(z)))
             re, im = _simplest(z.real, tol), _simplest(z.imag, tol)
             if mode.base == GAUSSIAN:
                 out.append(GaussianRational(re, im))

@@ -12,8 +12,7 @@ the base alone:
   Berkowitz's division-free recursion on the integer rows of d A.  Each is
   written once: only the integer arithmetic differs, ints over the
   rationals and (re, im) int pairs over the Gaussian rationals.  Each result
-  entry or coefficient becomes one rational(num, den) at the end, so
-  gmpy2's rationals serve when present;
+  entry or coefficient becomes one rational(num, den) at the end;
 - over the quaternions, GF(2) and the floats, one generic scalar
   elimination uses left-multiplication row operations (valid over the
   noncommutative quaternions) and, for floats, the largest pivot above a

@@ -10,14 +10,11 @@ needs.
 import numbers
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as rational
-except ImportError:  # pragma: no cover
-    rational = Fraction
+rational = Fraction
 
 
 def is_rational(x):
-    """Exact rational scalar (int, Fraction or the gmp-backed type)."""
+    """Exact rational scalar (int or Fraction)."""
     return isinstance(x, numbers.Rational)
 
 
@@ -535,7 +532,7 @@ def scalar_to_json(x):
 
 def scalar_from_json(data, mode):
     if isinstance(data, str):
-        return mode.promote(rational(Fraction(data)))
+        return mode.promote(rational(data))
     if isinstance(data, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(data, (int, float)):
@@ -543,7 +540,7 @@ def scalar_from_json(data, mode):
     if isinstance(data, dict):
         return mode.promote(complex(data["re"], data["im"]))
     if isinstance(data, list):
-        parts = [rational(Fraction(p)) for p in data]
+        parts = [rational(p) for p in data]
         if len(parts) == 2:
             return mode.promote(GaussianRational(*parts))
         if len(parts) == 4:

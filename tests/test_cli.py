@@ -49,6 +49,11 @@ class TestCanonCommand:
         assert out["blocks"] == [{"epsilon": 1, "kind": "signed-root",
                                   "lambda": ["1", "0"], "n": 1}]
 
+    def test_exact_answer_carries_its_report(self, runner):
+        r = run(runner, ["canon", "--mode", "star-ac"], stdin="[2]")
+        assert json.loads(r.output)["report"] == {"exact": True,
+                                                  "mode": "star-ac"}
+
     def test_emitted_blocksum_reparses_to_itself(self, runner):
         r = run(runner, ["canon", "--mode", "congruence-real"],
                 stdin="[[0,0,1],[0,1,0],[1,0,0]]")

@@ -136,7 +136,13 @@ class TestRootFinder:
                                                                gr(2)])
         for mode in GAUSSIAN_MODES] + [
         (MODE_RATIONAL, [rational(1009, 997)] * 3 + [rational(-355, 113), 2]),
-    ], ids=["small-conj", "small-id", "high-conj", "high-id", "high-rational"])
+        # large modulus: a tolerance relative to |z| would accept a simpler
+        # wrong convergent of 123456.789 first
+        (MODE_RATIONAL, [rational(123456789, 1000), rational(1, 3)])] + [
+        (mode, [gr(rational(123456789, 1000), 7), gr(rational(1, 3), -2)])
+        for mode in GAUSSIAN_MODES],
+        ids=["small-conj", "small-id", "high-conj", "high-id", "high-rational",
+             "large-rational", "large-conj", "large-id"])
     def test_split_spectrum_takes_no_factoring(self, mode, roots,
                                                monkeypatch):
         monkeypatch.setattr(jordan, "dup_factor_list", refuse_factoring)
