@@ -49,14 +49,9 @@ def field_mode_for(cmode, floating=False):
 
 def jordan_block(n, lam, mode):
     """J_n(lam): lam on the diagonal, ones on the superdiagonal."""
-    J = Matrix.zeros(n, n, mode)
-    lam = mode.promote(lam)
-    one = mode.one()
-    for i in range(n):
-        J.a[i][i] = lam
-        if i + 1 < n:
-            J.a[i][i + 1] = one
-    return J
+    lam, one, z = mode.promote(lam), mode.one(), mode.zero()
+    return Matrix([[lam if j == i else one if j == i + 1 else z
+                    for j in range(n)] for i in range(n)], mode, promote=False)
 
 
 def frobenius_block(chi):
@@ -64,60 +59,41 @@ def frobenius_block(chi):
     if chi.is_zero() or chi.degree < 1:
         raise ValueError("need a polynomial of degree at least 1")
     chi = chi.monic()
-    mode = chi.mode
-    n = chi.degree
-    F = Matrix.zeros(n, n, mode)
-    for i in range(1, n):
-        F.a[i][i - 1] = mode.one()
-    for i in range(n):
-        # row i gets -c_{n-i}, i.e. minus the coefficient of x^i
-        F.a[i][n - 1] = -chi.coeff(i)
-    return F
+    mode, n = chi.mode, chi.degree
+    one, z = mode.one(), mode.zero()
+    # row i ends in -c_{n-i}, i.e. minus the coefficient of x^i
+    return Matrix([[-chi.coeff(i) if j == n - 1 else one if j == i - 1 else z
+                    for j in range(n)] for i in range(n)], mode, promote=False)
 
 
 def m_pair(n, mode=MODE_RATIONAL):
     """The pair M_n = [I | 0], N_n = [0 | I], both (n-1) x n."""
-    M = Matrix.zeros(n - 1, n, mode)
-    N = Matrix.zeros(n - 1, n, mode)
-    for i in range(n - 1):
-        M.a[i][i] = mode.one()
-        N.a[i][i + 1] = mode.one()
-    return M, N
+    I, z = Matrix.identity(n - 1, mode), Matrix.zeros(n - 1, 1, mode)
+    return I.hstack(z), z.hstack(I)
 
 
 def gamma(n, mode=MODE_RATIONAL):
     """Anti-triangular block with paired +-1 entries along the anti-diagonal."""
     if n < 1:
         raise ValueError("size must be positive")
-    G = Matrix.zeros(n, n, mode)
-    one = mode.one()
-    for i in range(1, n + 1):  # 1-based
-        v = one if (n - i) % 2 == 0 else -one
-        G.a[i - 1][n - i] = v
-        if i >= 2:
-            G.a[i - 1][n + 1 - i] = v
-    return G
+    # row r: (-1)^(n-1-r) on the anti-diagonal and just right of it
+    return Matrix([[(-1) ** (n - 1 - r) if c in (n - 1 - r, n - r) else 0
+                    for c in range(n)] for r in range(n)], mode)
 
 
 def gamma_prime(n, mode=MODE_RATIONAL):
     """The primed variant: sign pattern grouped around the center."""
     if n < 1:
         raise ValueError("size must be positive")
-    G = Matrix.zeros(n, n, mode)
-    one = mode.one()
-    if n % 2 == 1:
-        half = (n + 1) // 2
-        for i in range(1, n + 1):
-            G.a[i - 1][n - i] = one
-            if i > half:
-                G.a[i - 1][n + 1 - i] = one
-    else:
-        half = n // 2
-        for i in range(1, n + 1):
-            G.a[i - 1][n - i] = one if i > half else -one
-            if i >= 2:
-                G.a[i - 1][n + 1 - i] = one
-    return G
+    half, odd = (n + 1) // 2, n % 2
+    G = [[0] * n for _ in range(n)]
+    for r in range(n):
+        # the anti-diagonal holds -1 above the center when n is even; the
+        # entry right of it is 1 below the center (n odd) or past row 0
+        G[r][n - 1 - r] = 1 if odd or r >= half else -1
+        if r >= (half if odd else 1):
+            G[r][n - r] = 1
+    return Matrix(G, mode)
 
 
 def delta(n, mu, mode=MODE_GAUSSIAN):
@@ -129,12 +105,9 @@ def delta(n, mu, mode=MODE_GAUSSIAN):
     mu = mode.promote(mu)
     if mode.is_zero(mu):
         raise ValueError("parameter must be nonzero")
-    D = Matrix.zeros(n, n, mode)
-    for i in range(1, n + 1):
-        D.a[i - 1][n - i] = mu
-        if i >= 2:
-            D.a[i - 1][n + 1 - i] = iunit
-    return D
+    z = mode.zero()
+    return Matrix([[mu if c == n - 1 - r else iunit if c == n - r else z
+                    for c in range(n)] for r in range(n)], mode, promote=False)
 
 
 # -- canonical blocks -------------------------------------------------------

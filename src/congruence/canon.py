@@ -189,14 +189,17 @@ def _reg_rec(A):
 
     Chain j is lifted by y_j with y_j^* A x = 1 on its head x (the first
     vector of a carried chain) and 0 on the other carried vectors: the
-    nlive live heads solve (A X)^* Y = R in one elimination.  A head h
-    pairs to zero with K and W, so A h lies in span A* K, and the head
-    rows of (A X)^* then pin the head columns of G = (K^* A) Y to full
-    rank; G is singular exactly when some kernel line carries no chain
-    (nlive < nch).  Those lines take their lifts from H = ker (A X)^*:
-    the columns of H at the pivots beyond the heads in one elimination of
-    [G | K^* A H].  The dual kernel basis K' = K (G^-1)^* then clears the
-    lift-lift and carried-lift pairings at once, [Y | X] -= K' (A Y)^* [Y | X].
+    nlive live heads solve (A X)^* Y = R.  One elimination of
+    [(A X)^* | -R], with no pivot beyond (A X)^*, gives both Y and
+    H = ker (A X)^*: its kernel basis holds (y_j, e_j) at the columns of
+    -R and (h, 0) at the free columns of (A X)^*.  A head h pairs to zero
+    with K and W, so A h lies in span A* K, and the head rows of (A X)^*
+    then pin the head columns of G = (K^* A) Y to full rank; G is
+    singular exactly when some kernel line carries no chain
+    (nlive < nch).  Those lines take their lifts from H: the columns of H
+    at the pivots beyond the heads in one elimination of [G | K^* A H].
+    The dual kernel basis K' = K (G^-1)^* then clears the lift-lift and
+    carried-lift pairings at once, [Y | X] -= K' (A Y)^* [Y | X].
     """
     mode = A.mode
     n = A.rows
@@ -217,19 +220,16 @@ def _reg_rec(A):
         return X.hstack(V0), lengths + ones
     starts = list(accumulate(lengths, initial=X.cols - sum(lengths)))
     nlive = min(len(lengths), nch)
-    Arows = (A * X).conj_transpose()
-    R = Matrix.zeros(X.cols, nlive, mode)
-    for j in range(nlive):
-        R.a[starts[j]][j] = mode.one()
-    red = Arows.hstack(R).rref()
+    R = -Matrix.identity(X.cols, mode).submatrix(range(X.cols), starts[:nlive])
+    red = (A * X).conj_transpose().hstack(R).rref()
     if red.pivots and red.pivots[-1] >= n:
         raise ClassificationError("no chain lift vector")
-    Y = Matrix.zeros(n, nlive, mode)
-    for pc, row in zip(red.pivots, red.rows.a):
-        Y.a[pc] = row[n:]
+    L = red.kernel()
+    h = L.cols - nlive
+    Y = L.submatrix(range(n), range(h, L.cols))
     G = KA * Y
     if nlive < nch:
-        H = Arows.right_kernel()
+        H = L.submatrix(range(n), range(h))
         KH = KA * H
         pivots = G.hstack(KH).rref().pivots
         if pivots[:nlive] != list(range(nlive)) or len(pivots) < nch:

@@ -5,6 +5,8 @@ characteristic polynomial chi equals its own dual, build a Toeplitz
 matrix A with A = A* F, so that the cosquare A^{-*} A is exactly F.
 """
 
+from functools import reduce
+
 import sympy
 from sympy.polys.factortools import dup_factor_list
 
@@ -136,16 +138,12 @@ def chi_of_frobenius(F):
 
 
 def _is_frobenius(F):
-    if not F.is_square() or F.rows < 1:
+    """Whether F is square with the columns e_2, ..., e_n before its last."""
+    n, mode = F.rows, F.mode
+    if not F.is_square() or n < 1:
         return False
-    mode = F.mode
-    n = F.rows
-    for i in range(n):
-        for j in range(n - 1):
-            want = mode.one() if i == j + 1 else mode.zero()
-            if not mode.eq(F.a[i][j], want):
-                return False
-    return True
+    shift = Matrix.zeros(1, n - 1, mode).vstack(Matrix.identity(n - 1, mode))
+    return F.submatrix(range(n), range(n - 1)) == shift
 
 
 def _root_seed_value(chi, mode):
@@ -210,15 +208,10 @@ def star_root_jordan(n, lam, mode):
     R = _toeplitz(F, mode)  # root_exists_jordan has decided existence
     # Jordan chain of the companion matrix: columns (F - lam)^{n-k} e0
     N = F.minus_scalar(lam)
-    v = Matrix([[mode.one() if i == 0 else mode.zero()] for i in range(n)],
-               mode, promote=False)
-    cols = [v]
+    cols = [Matrix.identity(n, mode).submatrix(range(n), [0])]
     for _ in range(n - 1):
         cols.append(N * cols[-1])
-    cols.reverse()
-    S = cols[0]
-    for c in cols[1:]:
-        S = S.hstack(c)
+    S = reduce(Matrix.hstack, reversed(cols))
     RJ = S.conj_transpose() * R * S  # a root of S^-1 F S = J_n(lam)
     if not mode.exact:
         return RJ

@@ -1,23 +1,25 @@
 """Dense matrices and univariate polynomials over a FieldMode.
 
 Everything here is pure: operations return new objects.  Matrix entries are
-the scalars of scalar.py; this module owns how products, elimination and
-the characteristic polynomial treat them, through two back ends chosen by
-the base alone:
+the scalars of scalar.py; this module owns how they are stored and how
+products, elimination and the characteristic polynomial treat them, through
+two back ends chosen by the base alone:
 
-- over the rationals and the Gaussian rationals, each row (or column) is
-  written as integer numerators over one common denominator.  Products are
-  integer dot products; elimination is fraction-free (Bareiss), dividing
-  exactly by the previous pivot; char_poly, the third primitive here, runs
-  Berkowitz's division-free recursion on the integer rows of d A.  Each is
-  written once: only the integer arithmetic differs, ints over the
-  rationals and (re, im) int pairs over the Gaussian rationals.  Each result
-  entry or coefficient becomes one rational(num, den) at the end;
-- over the quaternions, GF(2) and the floats, one generic scalar
-  elimination uses left-multiplication row operations (valid over the
-  noncommutative quaternions) and, for floats, the largest pivot above a
-  tolerance relative to the matrix scale; char_poly runs Berkowitz on the
-  scalars of GF(2) and the floats.
+- over the rationals and the Gaussian rationals a matrix is stored as
+  integer rows: each row its numerators (ints, or a pair (re, im) of int
+  lists) over its least positive denominator, its scalars built only when
+  Matrix.a is read.  Every operation takes and returns these rows; a result
+  row over a common denominator D is reduced by one gcd(D, n_1, ..., n_k),
+  so equal matrices have equal rows.  Products are integer dot products;
+  elimination is fraction-free (Bareiss), dividing exactly by the previous
+  pivot; char_poly, the third primitive here, runs Berkowitz's division-free
+  recursion on the integer rows of d A.  Each is written once: only the
+  integer arithmetic differs between the two bases;
+- over the quaternions, GF(2) and the floats the rows of scalars are the
+  storage.  One generic scalar elimination uses left-multiplication row
+  operations (valid over the noncommutative quaternions) and, for floats,
+  the largest pivot above a tolerance relative to the matrix scale;
+  char_poly runs Berkowitz on the scalars of GF(2) and the floats.
 
 Matrix.rref is the one elimination primitive of both back ends; rank, det,
 inverse, solve and right_kernel read its result.  One elimination mod a
@@ -26,54 +28,115 @@ and the canon module its mod-p singular profile.
 """
 
 from collections import namedtuple
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 
 from .scalar import (FieldMode, GaussianRational, rational, IDENTITY,
                      RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
                      COMPLEX_FLOAT, MODE_RATIONAL, MODE_REAL_FLOAT,
-                     complex_mode, scalar_to_json, scalar_from_json)
+                     complex_mode, scalar_key, scalar_to_json,
+                     scalar_from_json)
 
-Reduction = namedtuple("Reduction", "pivots rows det")
+
+class Reduction(namedtuple("Reduction", "pivots rows det")):
+    """Matrix.rref's result (see there)."""
+    __slots__ = ()
+
+    def kernel(self):
+        """Columns spanning the right kernel of the reduced matrix: one per
+        free column f, with x_f = 1 and the other free coordinates 0."""
+        mode, n = self.rows.mode, self.rows.cols
+        pivset = set(self.pivots)
+        free = [c for c in range(n) if c not in pivset]
+        out = [None] * n
+        for f, row in zip(free, Matrix.identity(len(free), mode)._stored()):
+            out[f] = row
+        ring = _RINGS.get(mode.base)
+        for pc, row in zip(self.pivots, self.rows._stored()):
+            # over the integer rows, v / -d is the negated row
+            out[pc] = ([-row[f] for f in free] if ring is None
+                       else _picked(ring, (row[0], -row[1]), free))
+        return Matrix._of(out, mode, (n, len(free)))
 
 
 class Matrix:
-    __slots__ = ("a", "mode", "_shape")
+    """A dense matrix over a FieldMode.
+
+    Over the rationals and Gaussian rationals the integer rows are stored;
+    reading `a` builds the rows of scalars and stores them instead, so a
+    write through `M.a[i][j] = x` or `M.a[i] = row` is seen by every later
+    operation: the next one that needs integer rows rebuilds them and drops
+    the scalars.  A list taken from `a` is thus the storage only until that
+    next operation; read `a` again to write after it.  Over the other bases
+    `a` is always the storage.
+    """
+    __slots__ = ("_a", "_r", "mode", "_shape")
 
     def __init__(self, rows, mode, promote=True, shape=None):
         if promote:
             rows = [[mode.promote(e) for e in row] for row in rows]
-        ncols = {len(row) for row in rows}
-        if len(ncols) > 1:
+        if len({len(row) for row in rows}) > 1:
             raise ValueError("ragged rows")
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
-        self.a = rows
-        self.mode = mode
-        self._shape = shape
+        self._a, self._r, self.mode, self._shape = rows, None, mode, shape
+
+    @staticmethod
+    def _of(rows, mode, shape):
+        """The matrix whose storage is rows, as _stored returns it."""
+        M = object.__new__(Matrix)
+        M._a, M._r = (None, rows) if mode.base in _RINGS else (rows, None)
+        M.mode, M._shape = mode, shape
+        return M
+
+    @property
+    def a(self):
+        """The rows of scalars (see the class docstring)."""
+        if self._a is None:
+            scalars = _RINGS[self.mode.base].scalars
+            self._a = [scalars(v, d) for v, d in self._r]
+            self._r = None
+        return self._a
+
+    def _ints(self):
+        """The integer rows (v, d) of a rational or Gaussian matrix."""
+        if self._r is None:
+            vector = _RINGS[self.mode.base].vector
+            self._r = [vector(row) for row in self._a]
+            self._a = None
+        return self._r
+
+    def _stored(self):
+        """The integer rows where there are any, else the scalar rows.  No
+        operation changes an integer row in place: matrices share them."""
+        return self._ints() if self.mode.base in _RINGS else self._a
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def zeros(m, n, mode):
+        ring = _RINGS.get(mode.base)
+        if ring is not None:
+            return Matrix._of([(ring.lift([0] * n), 1)] * m, mode, (m, n))
         z = mode.zero()
         return Matrix([[z] * n for _ in range(m)], mode, promote=False,
                       shape=(m, n))
 
     @staticmethod
     def identity(n, mode):
+        ring = _RINGS.get(mode.base)
+        if ring is not None:
+            return Matrix._of([(ring.lift([int(i == j) for j in range(n)]), 1)
+                               for i in range(n)], mode, (n, n))
         z, o = mode.zero(), mode.one()
         return Matrix([[o if i == j else z for j in range(n)]
                        for i in range(n)], mode, promote=False)
 
     @staticmethod
     def diagonal(entries, mode):
-        n = len(entries)
-        z = mode.zero()
-        rows = [[z] * n for _ in range(n)]
-        for i, e in enumerate(entries):
-            rows[i][i] = mode.promote(e)
-        return Matrix(rows, mode, promote=False)
+        z, n = mode.zero(), len(entries)
+        return Matrix([[mode.promote(e) if i == j else z for j in range(n)]
+                       for i, e in enumerate(entries)], mode, promote=False)
 
     # -- shape --------------------------------------------------------------
 
@@ -91,16 +154,23 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix([[x + y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.a, other.a)], self.mode,
-                      promote=False, shape=self._shape)
+        return self._combine(other, add)
 
     def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        """self op other entrywise, op being add or sub."""
         self._check_same_shape(other)
-        return Matrix([[x - y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(self.a, other.a)], self.mode,
-                      promote=False, shape=self._shape)
+        ring = _RINGS.get(self.mode.base)
+        if ring is None or other.mode.base != self.mode.base:
+            return Matrix([list(map(op, r1, r2))
+                           for r1, r2 in zip(self.a, other.a)], self.mode,
+                          promote=False, shape=self._shape)
+        entrywise = lambda x, y: list(map(op, x, y))
+        pairs = zip(self._ints(), other._ints())
+        return Matrix._of([_least(ring, *_aligned(ring, x, y, entrywise))
+                           for x, y in pairs], self.mode, self._shape)
 
     def __neg__(self):
         return Matrix([[-x for x in row] for row in self.a], self.mode,
@@ -126,17 +196,16 @@ class Matrix:
 
     def minus_scalar(self, c):
         """self - c I, for a square matrix."""
-        c = self.mode.promote(c)
-        rows = [row[:] for row in self.a]
-        for i, row in enumerate(rows):
-            row[i] = row[i] - c
-        return Matrix(rows, self.mode, promote=False, shape=self._shape)
+        return self - Matrix.diagonal([c] * self.rows, self.mode)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             return False
+        if self.mode.base in _RINGS and other.mode.base == self.mode.base:
+            # least denominators make the integer rows unique
+            return self._ints() == other._ints()
         eq = self.mode.eq
         return all(eq(x, y) for r1, r2 in zip(self.a, other.a)
                    for x, y in zip(r1, r2))
@@ -157,20 +226,24 @@ class Matrix:
     # -- transposes ---------------------------------------------------------
 
     def transpose(self):
-        return Matrix([[self.a[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], self.mode, promote=False,
-                      shape=(self.cols, self.rows))
+        return self._flip(False)
 
     def conj_transpose(self):
-        inv = self.mode.involve
-        return Matrix([[inv(self.a[i][j]) for i in range(self.rows)]
-                       for j in range(self.cols)], self.mode, promote=False,
-                      shape=(self.cols, self.rows))
+        return self._flip(True)
 
-    def conj(self):
-        inv = self.mode.involve
-        return Matrix([[inv(e) for e in row] for row in self.a], self.mode,
-                      promote=False, shape=self._shape)
+    def _flip(self, conj):
+        mode = self.mode
+        shape = (self.cols, self.rows)
+        ring = _RINGS.get(mode.base)
+        if ring is None:
+            a, inv = self.a, mode.involve
+            return Matrix._of([[inv(r[j]) if conj else r[j] for r in a]
+                               for j in range(self.cols)], mode, shape)
+        vs, L = _common(ring, self._ints())
+        cols = ring.columns(vs, self.cols)
+        if conj and mode.involution != IDENTITY:
+            cols = [ring.conj(c) for c in cols]
+        return Matrix._of([_least(ring, c, L) for c in cols], mode, shape)
 
     # -- elimination --------------------------------------------------------
 
@@ -206,20 +279,20 @@ class Matrix:
     def is_nonsingular(self):
         """Whether this square matrix is nonsingular, proved exactly.
 
-        Over the rationals and Gaussian rationals each row is scaled to
-        integer numerators, which keeps det = 0 or det != 0 as it was, and
-        mapped into GF(_P) by the ring homomorphism Z[i] -> GF(_P),
-        i -> _I_MOD_P.  The determinant maps to the determinant of the
-        image, so a nonzero image proves det != 0 with no tolerance and no
-        chance involved.  A zero image proves nothing: that case, and every
-        other base, is decided by rank (exact elimination, or the float
-        tolerance).
+        Over the rationals and Gaussian rationals the integer rows, each
+        its row times a nonzero integer, keep det = 0 or det != 0 as it
+        was, and are mapped into GF(_P) by the ring homomorphism
+        Z[i] -> GF(_P), i -> _I_MOD_P.  The determinant maps to the
+        determinant of the image, so a nonzero image proves det != 0 with
+        no tolerance and no chance involved.  A zero image proves nothing:
+        that case, and every other base, is decided by rank (exact
+        elimination, or the float tolerance).
         """
         if not self.is_square():
             raise ValueError("nonsingularity of a nonsquare matrix")
         ring = _RINGS.get(self.mode.base)
         if ring is not None and len(_rref_mod_p(
-                [ring.mod_p(ring.vector(row)[0]) for row in self.a],
+                [ring.mod_p(v) for v, _ in self._ints()],
                 self.cols)[0]) == self.rows:
             return True
         return self.rank() == self.rows
@@ -232,18 +305,7 @@ class Matrix:
     def right_kernel(self):
         """Columns spanning {x : A x = 0}: one per free column f, with
         x_f = 1 and the other free coordinates 0."""
-        mode = self.mode
-        n = self.cols
-        red = self.rref()
-        pivset = set(red.pivots)
-        free = [c for c in range(n) if c not in pivset]
-        zero, one = mode.zero(), mode.one()
-        out = [[zero] * len(free) for _ in range(n)]
-        for j, fc in enumerate(free):
-            out[fc][j] = one
-            for pc, row in zip(red.pivots, red.rows.a):
-                out[pc][j] = -row[fc]
-        return Matrix(out, mode, promote=False, shape=(n, len(free)))
+        return self.rref().kernel()
 
     def solve(self, B):
         """X with self * X = B, for self of full column rank whose column
@@ -261,26 +323,37 @@ class Matrix:
     # -- block structure ----------------------------------------------------
 
     def submatrix(self, rows, cols):
-        return Matrix([[self.a[i][j] for j in cols] for i in rows],
-                      self.mode, promote=False,
-                      shape=(len(rows), len(cols)))
+        cols = list(cols)
+        stored = self._stored()
+        ring = _RINGS.get(self.mode.base)
+        return Matrix._of([[stored[i][j] for j in cols] if ring is None
+                           else _picked(ring, stored[i], cols) for i in rows],
+                          self.mode, (len(rows), len(cols)))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix([r1 + r2 for r1, r2 in zip(self.a, other.a)],
-                      self.mode, promote=False,
-                      shape=(self.rows, self.cols + other.cols))
+        ring = _RINGS.get(self.mode.base)
+        # the lcm of two least denominators is least for the joined row
+        out = [x + y if ring is None else _aligned(ring, x, y, add)
+               for x, y in zip(self._stored(), other._stored())]
+        return Matrix._of(out, self.mode, (self.rows, self.cols + other.cols))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix(self.a + other.a, self.mode, promote=False,
-                      shape=(self.rows + other.rows, self.cols))
+        return Matrix._of(self._stored() + other._stored(), self.mode,
+                          (self.rows + other.rows, self.cols))
 
     # -- scalar-type changes -------------------------------------------------
 
     def cast(self, mode):
+        base = self.mode.base
+        if base in _RINGS and mode.base == base:
+            return Matrix._of(self._ints(), mode, self._shape)
+        if (base, mode.base) == (RATIONAL, GAUSSIAN):
+            return Matrix._of([(_GaussRows.lift(v), d)
+                               for v, d in self._ints()], mode, self._shape)
         return Matrix(self.a, mode)
 
     def to_json(self):
@@ -380,10 +453,11 @@ def _rref_generic(M, limit):
 
 # -- integer-numerator back end (rational and Gaussian-rational bases) ------
 #
-# A vector is held as integer numerators over one common denominator.  The
-# product and the elimination below, and char_poly's Berkowitz after Poly,
-# are written once; only the arithmetic on the integer rows depends on the
-# base, and _RINGS holds it.
+# A vector is held as integer numerators over one common denominator, and a
+# stored row as (vector, its least positive denominator).  The product and
+# the elimination below, and char_poly's Berkowitz after Poly, are written
+# once; only the arithmetic on the integer vectors depends on the base, and
+# _RINGS holds it.
 
 _Q0 = rational(0)
 
@@ -406,36 +480,29 @@ def _scaled(ratios):
 
 
 class _IntRows:
-    """Rationals: a row is one int list, an entry one int."""
-    one = 1
+    """Rationals: a vector is one int list, an entry one int.  Where a
+    Gaussian vector has two parts, a rational one is its own single part."""
+    zero, one = 0, 1
+    each = staticmethod(lambda f, *vs: f(*vs))  # f of the parts, as a vector
+    lift = pack = staticmethod(lambda ints: ints)  # the vector of entries
+    at = staticmethod(lambda row, c: row[c])
+    over = staticmethod(lambda v, d: (v, d))  # v / d over an int denominator
+    scalar = staticmethod(_q)
+    nonzero = staticmethod(any)
+    scalars = staticmethod(lambda v, d: [_q(a, d) for a in v])
+    content = staticmethod(lambda v, d: gcd(d, *v))  # gcd(d, numerators)
+    dot = staticmethod(lambda x, y: sum(map(mul, x, y)))
+    mod_p = staticmethod(lambda row, i=_I_MOD_P: [a % _P for a in row])
 
     @staticmethod
     def vector(vec):
+        """Scalars as (numerators, least positive common denominator)."""
         return _scaled([x.as_integer_ratio() for x in vec])
 
     @staticmethod
-    def nonzero(row):
-        return any(row)
-
-    @staticmethod
-    def dot(x, y):
-        return sum(map(mul, x, y))
-
-    @staticmethod
-    def part(vec, s):
-        return vec[s]
-
-    @staticmethod
-    def pack(entries):
-        return entries
-
-    @staticmethod
-    def scalar(num, den):
-        return _q(num, den)
-
-    @staticmethod
-    def at(row, c):
-        return row[c]
+    def columns(vs, n):
+        """The n columns of the vectors vs, as vectors."""
+        return [list(c) for c in zip(*vs)] if vs else [[] for _ in range(n)]
 
     @staticmethod
     def update(x, y, c, p, q):
@@ -447,19 +514,16 @@ class _IntRows:
             return [p * a // q for a in x]
         return x
 
-    @staticmethod
-    def divide(row, d):
-        return [_q(a, d) for a in row]
-
-    @staticmethod
-    def mod_p(row, i=_I_MOD_P):
-        return [a % _P for a in row]
-
 
 class _GaussRows:
-    """Gaussian rationals: a row is a pair (re, im) of int lists, an entry a
-    (re, im) pair of ints."""
-    one = (1, 0)
+    """Gaussian rationals: a vector is a pair (re, im) of int lists, an entry
+    a (re, im) pair of ints."""
+    zero, one = (0, 0), (1, 0)
+    each = staticmethod(lambda f, *vs: tuple(map(f, *vs)))
+    lift = staticmethod(lambda ints: (ints, [0] * len(ints)))
+    content = staticmethod(lambda v, d: gcd(d, *v[0], *v[1]))
+    conj = staticmethod(lambda v: (v[0], [-b for b in v[1]]))
+    nonzero = staticmethod(lambda row: any(row[0]) or any(row[1]))
 
     @staticmethod
     def vector(vec):
@@ -469,8 +533,13 @@ class _GaussRows:
         return (ints[:n], ints[n:]), den
 
     @staticmethod
-    def nonzero(row):
-        return any(row[0]) or any(row[1])
+    def scalars(v, d):
+        return [GaussianRational(_q(a, d), _q(b, d)) for a, b in zip(*v)]
+
+    @staticmethod
+    def columns(vs, n):
+        return list(zip(_IntRows.columns([v[0] for v in vs], n),
+                        _IntRows.columns([v[1] for v in vs], n)))
 
     @staticmethod
     def dot(x, y):
@@ -479,13 +548,8 @@ class _GaussRows:
                 sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
 
     @staticmethod
-    def part(vec, s):
-        """The entries that the slice s picks."""
-        return vec[0][s], vec[1][s]
-
-    @staticmethod
     def pack(entries):
-        """The row of a list of (re, im) entries."""
+        """The vector of a list of (re, im) entries."""
         return [a for a, _ in entries], [b for _, b in entries]
 
     @staticmethod
@@ -519,13 +583,14 @@ class _GaussRows:
                 [(sr * b + si * a) // nq for a, b in zip(xr, xi)])
 
     @staticmethod
-    def divide(row, d):
-        # x / (dr + i di) = x (dr - i di) / |d|^2
+    def over(v, d):
+        # v / (dr + i di) = v (dr - i di) / |d|^2
         dr, di = d
-        nd = dr * dr + di * di
-        return [GaussianRational(_q(a * dr + b * di, nd),
-                                 _q(b * dr - a * di, nd))
-                for a, b in zip(*row)]
+        if not di:
+            return v, dr
+        re, im = v
+        return ([a * dr + b * di for a, b in zip(re, im)],
+                [b * dr - a * di for a, b in zip(re, im)]), dr * dr + di * di
 
     @staticmethod
     def mod_p(row, i=_I_MOD_P):
@@ -535,29 +600,55 @@ class _GaussRows:
 _RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
 
 
+def _least(ring, v, den):
+    """The stored row of v / den: over den's least positive divisor that
+    keeps the numerators integral, den / gcd(den, v's numerators)."""
+    g = ring.content(v, den)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return v, den
+    return ring.each(lambda p: [a // g for a in p], v), den // g
+
+
+def _times(ring, v, k):
+    return ring.each(lambda p: [k * a for a in p], v)
+
+
+def _common(ring, rows):
+    """Stored rows over one common denominator L: (their vectors, L)."""
+    L = lcm(*[d for _, d in rows])
+    return [v if d == L else _times(ring, v, L // d) for v, d in rows], L
+
+
+def _picked(ring, row, cols):
+    """The stored row of the entries of row in the columns cols."""
+    v, d = row
+    return _least(ring, ring.each(lambda p: [p[j] for j in cols], v), d)
+
+
+def _aligned(ring, x, y, op):
+    """op of the vectors of stored rows x and y over the lcm of their
+    denominators, and that lcm."""
+    (v, d), (w, e) = x, y
+    L = lcm(d, e)
+    return ring.each(op, v if d == L else _times(ring, v, L // d),
+                     w if e == L else _times(ring, w, L // e)), L
+
+
 def _mul_int(A, B):
-    """A B by one integer dot product per entry, skipping zero rows and
-    columns; one rational(num, den) per nonzero part of an entry."""
-    mode = A.mode
-    m, n = A.rows, B.cols
-    if A.cols == 0:
-        return Matrix.zeros(m, n, mode)
-    ring = _RINGS[mode.base]
-    vector, dot, scalar = ring.vector, ring.dot, ring.scalar
-    cols = [vector(c) for c in zip(*B.a)]
-    live = [j for j, (v, _) in enumerate(cols) if ring.nonzero(v)]
-    zero = mode.zero()
-    out = []
-    for row in A.a:
-        a, ad = vector(row)
-        new = [zero] * n
-        out.append(new)
-        if not ring.nonzero(a):
-            continue
-        for j in live:
-            b, bd = cols[j]
-            new[j] = scalar(dot(a, b), ad * bd)
-    return Matrix(out, mode, promote=False, shape=(m, n))
+    """A B: row i of A over d_i times B's rows over one common denominator
+    L is one integer dot product per entry, over d_i L; zero rows and
+    columns are skipped."""
+    ring = _RINGS[A.mode.base]
+    n = B.cols
+    vs, L = _common(ring, B._ints())
+    cols = [c if ring.nonzero(c) else None for c in ring.columns(vs, n)]
+    dot, zero, zrow = ring.dot, ring.zero, (ring.lift([0] * n), 1)
+    out = [_least(ring, ring.pack([zero if c is None else dot(a, c)
+                                   for c in cols]), d * L)
+           if ring.nonzero(a) else zrow for a, d in A._ints()]
+    return Matrix._of(out, A.mode, (A.rows, n))
 
 
 def _bareiss(rows, limit, ring):
@@ -596,26 +687,22 @@ def _bareiss(rows, limit, ring):
 
 
 def _rref_int(M, limit):
-    """Matrix.rref over the rationals and Gaussian rationals: rows scaled to
-    integers, reduced fraction-free, divided back once per entry."""
+    """Matrix.rref over the rationals and Gaussian rationals: the integer
+    rows reduced fraction-free, each pivot row divided once by the last
+    pivot."""
     mode = M.mode
     m, n = M.rows, M.cols
     ring = _RINGS[mode.base]
-    vecs = [ring.vector(row) for row in M.a]
-    rows = [v for v, _ in vecs]
+    ints = M._ints()
+    rows = [v for v, _ in ints]
     pivots, d, sign = _bareiss(rows, limit, ring)
     k = len(pivots)
     det = None
     if m == n == limit:
-        if k < n:
-            det = mode.zero()
-        else:
-            det = ring.scalar(d, prod(den for _, den in vecs))
-            if sign < 0:
-                det = -det
-    out = [ring.divide(rows[r], d) for r in range(k)]
-    return Reduction(pivots, Matrix(out, mode, promote=False, shape=(k, n)),
-                     det)
+        det = (mode.zero() if k < n
+               else ring.scalar(d, sign * prod(den for _, den in ints)))
+    out = [_least(ring, *ring.over(rows[r], d)) for r in range(k)]
+    return Reduction(pivots, Matrix._of(out, mode, (k, n)), det)
 
 
 def _rref_mod_p(rows, ncols):
@@ -656,15 +743,13 @@ def _images_mod_p(M):
     ring = _RINGS.get(M.mode.base)
     if ring is None:
         return None
-    ints, d = ring.vector([x for row in M.a for x in row])
+    vs, d = _common(ring, M._ints())
     if d % _P == 0:
         return None
-    B = ring.mod_p(ints)
-    Bc = (ring.mod_p(ints, _P - _I_MOD_P)
+    B = [ring.mod_p(v) for v in vs]
+    Bc = ([ring.mod_p(v, _P - _I_MOD_P) for v in vs]
           if M.mode.involution != IDENTITY else B)
-    n = M.cols
-    return ([B[k * n:(k + 1) * n] for k in range(M.rows)],
-            [Bc[j::n] for j in range(n)])
+    return B, _IntRows.columns(Bc, M.cols)
 
 
 def column_complement(S, T):
@@ -680,54 +765,33 @@ def direct_sum(*mats):
     if not mats:
         raise ValueError("empty direct sum")
     mode = mats[0].mode
-    m = sum(x.rows for x in mats)
     n = sum(x.cols for x in mats)
-    out = Matrix.zeros(m, n, mode)
-    i0 = j0 = 0
+    out, j = Matrix.zeros(0, n, mode), 0
     for x in mats:
-        for i in range(x.rows):
-            for j in range(x.cols):
-                out.a[i0 + i][j0 + j] = x.a[i][j]
-        i0 += x.rows
-        j0 += x.cols
+        out = out.vstack(Matrix.zeros(x.rows, j, mode).hstack(x).hstack(
+            Matrix.zeros(x.rows, n - j - x.cols, mode)))
+        j += x.cols
     return out
 
 
 def skew_sum(A, B):
     """[A \\ B] = [[0, B], [A, 0]] (B upper right, A lower left)."""
     mode = A.mode
-    m = B.rows + A.rows
-    n = A.cols + B.cols
-    out = Matrix.zeros(m, n, mode)
-    for i in range(B.rows):
-        for j in range(B.cols):
-            out.a[i][A.cols + j] = B.a[i][j]
-    for i in range(A.rows):
-        for j in range(A.cols):
-            out.a[B.rows + i][j] = A.a[i][j]
-    return out
+    return Matrix.zeros(B.rows, A.cols, mode).hstack(B).vstack(
+        A.hstack(Matrix.zeros(A.rows, B.cols, mode)))
 
 
 def realify(M):
     """Replace each entry a+bi by the 2x2 block [[a, -b], [b, a]]."""
-    mode = M.mode
-    if mode.base == GAUSSIAN:
-        new_mode = MODE_RATIONAL
-        parts = lambda e: (e.re, e.im)
-    elif mode.base == COMPLEX_FLOAT:
-        new_mode = MODE_REAL_FLOAT
-        parts = lambda e: (e.real, e.imag)
-    else:
+    if M.mode.base not in (GAUSSIAN, COMPLEX_FLOAT):
         raise ValueError("realification needs a complex-type base")
-    out = Matrix.zeros(2 * M.rows, 2 * M.cols, new_mode)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            a, b = parts(M.a[i][j])
-            out.a[2 * i][2 * j] = a
-            out.a[2 * i][2 * j + 1] = -b
-            out.a[2 * i + 1][2 * j] = b
-            out.a[2 * i + 1][2 * j + 1] = a
-    return out
+    out = []
+    for row in M.a:
+        parts = [scalar_key(e) for e in row]
+        out += [[x for a, b in parts for x in (a, -b)],
+                [x for a, b in parts for x in (b, a)]]
+    return Matrix(out, MODE_RATIONAL if M.mode.exact else MODE_REAL_FLOAT,
+                  promote=False, shape=(2 * M.rows, 2 * M.cols))
 
 
 def complexify(M):
@@ -769,21 +833,6 @@ class Poly:
             raise ValueError("zero polynomial")
         return self.c[-1]
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.c), len(other.c))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)],
-                    self.mode, promote=False)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.c), len(other.c))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)],
-                    self.mode, promote=False)
-
-    def __neg__(self):
-        return Poly([-x for x in self.c], self.mode, promote=False)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
@@ -795,7 +844,6 @@ class Poly:
         return Poly(out, self.mode, promote=False)
 
     __rmul__ = __mul__
-    __radd__ = __add__
 
     def __pow__(self, k):
         out = Poly([1], self.mode)
@@ -901,23 +949,20 @@ def _char_poly_int(A, ring):
     """char_poly's coefficients, highest power first, over the rationals and
     Gaussian rationals: Berkowitz on the integer rows of N = d A, then
     coefficient k divided by d^k."""
-    n = A.rows
-    dot, part, pack = ring.dot, ring.part, ring.pack
-    flat, d = ring.vector([x for row in A.a for x in row])
-    rows = [part(flat, slice(i * n, (i + 1) * n)) for i in range(n)]
-    zero, one = A.mode.zero(), A.mode.one()
+    dot, pack = ring.dot, ring.pack
+    rows, d = _common(ring, A._ints())
     p = [ring.one]
     for r, row in enumerate(rows):
         # the column is (1, row . u) for u = -e_r, -C, -N_r C, ...: dot cuts
         # the longer rows of N to u's length, so that x . u over the first r
         # rows x is N_r u, and row . u is -a, then -R N_r^k C
         head = rows[:r]
-        u = ring.vector([zero] * r + [-one])[0]
+        u = ring.lift([0] * r + [-1])
         col = [ring.one, dot(row, u)]
         for _ in range(r):
             u = pack([dot(x, u) for x in head])
             col.append(dot(row, u))
         # p <- T p: entry i is col[i], ..., col[0] against p
         col, pv = pack(col), pack(p)
-        p = [dot(part(col, slice(i, None, -1)), pv) for i in range(r + 2)]
+        p = [dot(ring.each(lambda c: c[i::-1], col), pv) for i in range(r + 2)]
     return [ring.scalar(c, d ** k) for k, c in enumerate(p)]

@@ -92,11 +92,8 @@ def verify_witness(A, B, S, involution=None):
 
 def j_scaling(n, involution):
     """diag(j, -j, j, -j, ...) over the requested quaternion mode."""
-    mode = quat_mode(involution)
-    S = Matrix.zeros(n, n, mode)
-    for k in range(n):
-        S.a[k][k] = J if k % 2 == 0 else -J
-    return S
+    return Matrix.diagonal([J if k % 2 == 0 else -J for k in range(n)],
+                           quat_mode(involution))
 
 
 def forced_epsilon_witness(n, involution, form=DELTA_FORM, prime=False):
@@ -133,8 +130,5 @@ def forced_epsilon_witness(n, involution, form=DELTA_FORM, prime=False):
 
 def conjugation_flip(n, mode=MODE_RATIONAL):
     """diag(1, -1, 1, -1, ...) of size n."""
-    S = Matrix.zeros(n, n, mode)
-    for k in range(n):
-        S.a[k][k] = mode.promote(1 if k % 2 == 0 else -1)
-    return S
+    return Matrix.diagonal([(-1) ** k for k in range(n)], mode)
 

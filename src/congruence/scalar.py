@@ -434,18 +434,9 @@ class FieldMode:
         return self.abs_key(x - y) <= self.tolerance * scale
 
     def abs_key(self, x):
-        """Nonnegative size of a scalar (used for float pivoting)."""
-        if isinstance(x, float) or is_rational(x):
-            return abs(x)
-        if isinstance(x, complex):
-            return abs(x)
-        if isinstance(x, GaussianRational):
-            return abs(x.re) + abs(x.im)
-        if isinstance(x, Quaternion):
-            return abs(x.a) + abs(x.b) + abs(x.c) + abs(x.d)
-        if isinstance(x, GF2):
-            return x.v
-        raise TypeError("not a scalar: %r" % x)
+        """Nonnegative size of a float or complex scalar (the float pivoting
+        and tolerances; exact bases compare exactly)."""
+        return abs(x)
 
 
 # ready-made modes

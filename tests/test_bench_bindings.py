@@ -12,11 +12,25 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_tracer_binds_every_traced_name():
+def load_spans():
     importlib.import_module("congruence.canon")  # loads every traced module
     # run the source without importing it, so no bytecode cache is written
     spans = types.ModuleType("spans")
     exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans.__dict__)
+    return spans
+
+
+def test_tracer_binds_every_traced_name():
+    spans = load_spans()
     tracer = spans.Tracer()  # looks every traced name up, rebinds nothing
     bound = {(owner.__name__, attr) for owner, attr, _, _ in tracer._binds}
     assert {(module, attr) for _, module, attr in spans.FUNCTIONS} <= bound
+
+
+def test_traced_matrix_methods_are_plain_functions():
+    # the tracer wraps Matrix.__dict__[name] and sets the wrapper back on
+    # the class: a property or staticmethod there would be wrapped with no
+    # error, and then break or go untraced
+    from congruence.matrix import Matrix
+    for name in ("__mul__",) + tuple(load_spans().ELIMINATION):
+        assert isinstance(Matrix.__dict__[name], types.FunctionType), name

@@ -156,6 +156,31 @@ class TestRegularize:
         assert counts[0] == counts[1] == counts[2]
 
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
+    def test_kernel_line_without_a_chain_reduces_the_lifts_once(self, cmode,
+                                                                monkeypatch):
+        # J_2 + [1]: the kernel line carries no chain (nlive = 0 < nch = 1),
+        # so its lift comes from H = ker (A X)*, read off the elimination of
+        # [(A X)* | -R].  Eight eliminations: ker A, ker [A; A*], the
+        # quotient's complement and ker K* A, the core's kernel, the lifts,
+        # [G | K* A H] and G^-1 (a ninth reduced (A X)* again for H)
+        fm = field_mode_for(cmode)
+        A = scramble(direct_sum(jordan_block(2, 0, fm),
+                                Matrix.identity(1, fm)), 3)
+        rref = Matrix.rref
+        calls = []
+
+        def counting(a, limit=None):
+            calls.append(1)
+            return rref(a, limit)
+
+        monkeypatch.setattr(Matrix, "rref", counting)
+        X, lengths = canon._reg_rec(A)
+        monkeypatch.setattr(Matrix, "rref", rref)
+        assert lengths == [2] and len(calls) == 8
+        D = X.conj_transpose() * A * X
+        assert D == direct_sum(D.submatrix([0], [0]), jordan_block(2, 0, fm))
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])
     def test_all_nilpotent_sizes_twice_plus_a_root(self, cmode):
         fm = field_mode_for(cmode)
         sizes = [4, 4, 3, 3, 2, 2, 1, 1]

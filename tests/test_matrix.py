@@ -1,5 +1,6 @@
 """Exact and float matrix arithmetic, factorizations, polynomial helpers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -472,6 +473,143 @@ class TestIsNonsingular:
         assert A.det() != 0
         monkeypatch.setattr(Matrix, "rref", refuse)
         assert A.is_nonsingular()
+
+
+def check_stored(M):
+    """M's integer rows: one per row, each over its least positive
+    denominator, and each the integer row of its own scalars."""
+    ring = matrix._RINGS[M.mode.base]
+    rows = M._ints()
+    assert len(rows) == M.rows
+    for v, d in rows:
+        ints = v if ring is matrix._IntRows else v[0] + v[1]
+        assert d > 0 and math.gcd(d, *ints) == 1
+        assert len(ints) == M.cols * (1 if ring is matrix._IntRows else 2)
+        assert ring.vector(ring.scalars(v, d)) == (v, d)
+    return M
+
+
+def entries(M):
+    return [list(row) for row in M.a]
+
+
+class TestStoredRows:
+    """Rational and Gaussian-rational matrices are stored as integer rows;
+    every operation keeps them least, and reads back the scalars that the
+    entrywise definition gives."""
+
+    @given(exact_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_products_and_stacks(self, pair):
+        A, B = pair
+        a, b = entries(A), entries(B)
+        assert entries(check_stored(A * B)) == entries(_mul_generic(A, B))
+        assert entries(check_stored(A.hstack(A))) == [r + r for r in a]
+        assert entries(check_stored(B.vstack(B))) == b + b
+        assert entries(check_stored(A + A)) == [[x + x for x in r] for r in a]
+        assert entries(check_stored(A - A)) == [[0] * A.cols] * A.rows
+        rows = list(range(A.rows))[::-2]
+        cols = list(range(A.cols))[1::2]
+        assert (entries(check_stored(A.submatrix(rows, cols)))
+                == [[a[i][j] for j in cols] for i in rows])
+        at = [[a[i][j] for i in range(A.rows)] for j in range(A.cols)]
+        assert entries(check_stored(A.transpose())) == at
+        assert entries(check_stored(A.conj_transpose())) == [
+            [x.conj() if A.mode == MODE_GAUSSIAN else x for x in c]
+            for c in at]
+        if A.mode == MODE_RATIONAL:
+            C = check_stored(A.cast(MODE_GAUSSIAN))
+            assert entries(C) == [[GaussianRational(x) for x in r] for r in a]
+
+    @given(exact_matrix())
+    @settings(max_examples=150, deadline=None)
+    def test_eliminations(self, A):
+        red = A.rref()
+        check_stored(red.rows)
+        K = check_stored(A.right_kernel())
+        assert (K.rows, K.cols) == (A.cols, A.cols - len(red.pivots))
+        assert A * K == Matrix.zeros(A.rows, K.cols, A.mode)
+        if A.is_square():
+            assert A.is_nonsingular() == (A.det() != 0)
+            assert char_poly(A).c == _char_poly_generic(A)[::-1]
+        if A.is_square() and A.det() != 0:
+            X = check_stored(A.inverse())
+            assert A * X == Matrix.identity(A.rows, A.mode)
+            B = A.submatrix(range(A.rows), range(A.cols)[::-1])
+            assert entries(check_stored(A.solve(B))) == entries(
+                Matrix.identity(A.rows, A.mode).submatrix(
+                    range(A.rows), range(A.cols)[::-1]))
+
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_images_mod_p_read_one_common_denominator(self, n, gauss, data):
+        A = data.draw(exact_matrix(rows=(n, gauss), cols=n))
+        d = math.lcm(*[x.as_integer_ratio()[1] for row in A.a for z in row
+                       for x in ((z.re, z.im) if gauss else (z,))])
+        B, Bc = matrix._images_mod_p(A)
+        s = matrix._I_MOD_P
+        image = lambda z, t: (z.re * d + t * z.im * d if gauss else z * d)
+        assert B == [[int(image(z, s)) % matrix._P for z in row]
+                     for row in A.a]
+        t = -s if gauss and A.mode.involution != IDENTITY else s
+        assert Bc == [[int(image(A.a[i][j], t)) % matrix._P
+                       for i in range(n)] for j in range(n)]
+
+    @given(exact_matrix(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equality_is_entrywise(self, A, data):
+        B = Matrix(entries(A), A.mode, shape=(A.rows, A.cols))
+        assert A == B
+        if A.rows and A.cols:
+            i = data.draw(st.integers(0, A.rows - 1))
+            j = data.draw(st.integers(0, A.cols - 1))
+            x = data.draw(st.sampled_from([0, 1, Fraction(-1, 3)]))
+            B.a[i][j] = A.mode.promote(x)
+            same = all(x == y for r, s in zip(A.a, B.a)
+                       for x, y in zip(r, s))
+            assert (A == B) == same == (B == A)
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_empty_shapes(self, mode):
+        E, F = Matrix.zeros(0, 3, mode), Matrix.zeros(3, 0, mode)
+        full = Matrix([[1, 2, 0], [0, 1, 5], [3, 0, 1]], mode)
+        for M in (E, F, E * F, F * E, E.transpose(), F.conj_transpose(),
+                  F.hstack(F), E.vstack(E), F.submatrix([2, 0], []),
+                  full.right_kernel(), F.rref().rows, E.rref().rows):
+            check_stored(M)
+        assert (full.right_kernel().rows, full.right_kernel().cols) == (3, 0)
+        assert F * E == Matrix.zeros(3, 3, mode)
+        assert (E * F).rows == (E * F).cols == 0
+
+
+class TestWritesThroughA:
+    """Reading a makes the scalar rows the storage, so a write through it is
+    seen by every later operation, never hidden by stale integer rows."""
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_write_into_zeros_then_multiply(self, mode):
+        Z = Matrix.zeros(2, 2, mode)
+        assert Z * Z == Matrix.zeros(2, 2, mode)  # builds the integer rows
+        Z.a[0][1] = mode.promote(Fraction(3, 2))
+        assert Z * Matrix.identity(2, mode) == Matrix([[0, Fraction(3, 2)],
+                                                       [0, 0]], mode)
+        Z.a[1][0] = mode.promote(2)
+        assert Z * Z == Matrix([[3, 0], [0, 3]], mode)
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_write_into_a_product_then_multiply_again(self, mode):
+        A = Matrix([[1, 2], [3, 4]], mode)
+        P = A * A
+        assert P.a[0][0] == 7
+        P.a[0][0] = mode.promote(Fraction(1, 5))
+        P.a[1] = [mode.promote(0), mode.promote(1)]
+        want = Matrix([[Fraction(1, 5), 10], [0, 1]], mode)
+        assert P == want
+        assert P * A == Matrix([[Fraction(151, 5), Fraction(202, 5)],
+                                [3, 4]], mode)
+        P.a[1][1] = mode.promote(-1)  # after an operation, through a again
+        assert P.conj_transpose() == Matrix([[Fraction(1, 5), 0],
+                                             [10, -1]], mode)
 
 
 class TestStructure:
