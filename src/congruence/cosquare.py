@@ -133,7 +133,7 @@ def chi_of_frobenius(F):
     """Read the characteristic polynomial off a companion matrix."""
     mode = F.mode
     n = F.rows
-    c = [-F.a[i][n - 1] for i in range(n)] + [mode.one()]
+    c = [-row[n - 1] for row in F.a] + [mode.one()]
     return Poly(c, mode)
 
 

@@ -1,21 +1,22 @@
 """Dense matrices and univariate polynomials over a FieldMode.
 
-Everything here is pure: operations return new objects.  Matrix entries are
-the scalars of scalar.py; this module owns how they are stored and how
-products, elimination and the characteristic polynomial treat them, through
-two back ends chosen by the base alone:
+Everything here is pure: a Matrix never changes after its construction,
+and operations return new objects.  Matrix entries are the scalars of
+scalar.py; this module owns how they are stored and how products,
+elimination and the characteristic polynomial treat them, through two back
+ends chosen by the base alone:
 
 - over the rationals and the Gaussian rationals a matrix is stored as
   integer rows: each row its numerators (ints, or a pair (re, im) of int
-  lists) over its least positive denominator, its scalars built only when
-  Matrix.a is read.  Every operation takes and returns these rows; a result
-  row over a common denominator D is reduced by one gcd(D, n_1, ..., n_k),
-  so equal matrices have equal rows.  Products are integer dot products;
+  lists) over its least positive denominator, its scalars built anew on
+  each read of Matrix.a.  Every operation takes and returns these rows; a
+  result row over a common denominator D is reduced by one gcd(D, n_1, ...,
+  n_k), so equal matrices have equal rows.  Products are integer dot products;
   elimination is fraction-free (Bareiss), dividing exactly by the previous
   pivot; char_poly, the third primitive here, runs Berkowitz's division-free
   recursion on the integer rows of d A.  Each is written once: only the
   integer arithmetic differs between the two bases;
-- over the quaternions, GF(2) and the floats the rows of scalars are the
+- over the quaternions, GF(2) and the floats tuples of scalars are the
   storage.  One generic scalar elimination uses left-multiplication row
   operations (valid over the noncommutative quaternions) and, for floats,
   the largest pivot above a tolerance relative to the matrix scale;
@@ -49,28 +50,25 @@ class Reduction(namedtuple("Reduction", "pivots rows det")):
         pivset = set(self.pivots)
         free = [c for c in range(n) if c not in pivset]
         out = [None] * n
-        for f, row in zip(free, Matrix.identity(len(free), mode)._stored()):
+        for f, row in zip(free, Matrix.identity(len(free), mode)._rows):
             out[f] = row
         ring = _RINGS.get(mode.base)
-        for pc, row in zip(self.pivots, self.rows._stored()):
+        for pc, row in zip(self.pivots, self.rows._rows):
             # over the integer rows, v / -d is the negated row
-            out[pc] = ([-row[f] for f in free] if ring is None
+            out[pc] = (tuple(-row[f] for f in free) if ring is None
                        else _picked(ring, (row[0], -row[1]), free))
         return Matrix._of(out, mode, (n, len(free)))
 
 
 class Matrix:
-    """A dense matrix over a FieldMode.
+    """A dense matrix over a FieldMode: an immutable value.
 
-    Over the rationals and Gaussian rationals the integer rows are stored;
-    reading `a` builds the rows of scalars and stores them instead, so a
-    write through `M.a[i][j] = x` or `M.a[i] = row` is seen by every later
-    operation: the next one that needs integer rows rebuilds them and drops
-    the scalars.  A list taken from `a` is thus the storage only until that
-    next operation; read `a` again to write after it.  Over the other bases
-    `a` is always the storage.
+    Its one storage is set at construction: integer rows over the rationals
+    and Gaussian rationals, tuples of scalars over the other bases.  `a`
+    returns the rows of scalars as tuples (built anew over the first two),
+    so a write into them raises instead of changing a matrix.
     """
-    __slots__ = ("_a", "_r", "mode", "_shape")
+    __slots__ = ("_rows", "mode", "_shape")
 
     def __init__(self, rows, mode, promote=True, shape=None):
         if promote:
@@ -79,37 +77,27 @@ class Matrix:
             raise ValueError("ragged rows")
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
-        self._a, self._r, self.mode, self._shape = rows, None, mode, shape
+        ring = _RINGS.get(mode.base)
+        self._rows = ([ring.vector(row) for row in rows] if ring
+                      else [tuple(row) for row in rows])
+        self.mode, self._shape = mode, shape
 
     @staticmethod
     def _of(rows, mode, shape):
-        """The matrix whose storage is rows, as _stored returns it."""
+        """The matrix whose storage is rows.  No operation changes a stored
+        row in place: matrices share them."""
         M = object.__new__(Matrix)
-        M._a, M._r = (None, rows) if mode.base in _RINGS else (rows, None)
-        M.mode, M._shape = mode, shape
+        M._rows, M.mode, M._shape = rows, mode, shape
         return M
 
     @property
     def a(self):
-        """The rows of scalars (see the class docstring)."""
-        if self._a is None:
-            scalars = _RINGS[self.mode.base].scalars
-            self._a = [scalars(v, d) for v, d in self._r]
-            self._r = None
-        return self._a
-
-    def _ints(self):
-        """The integer rows (v, d) of a rational or Gaussian matrix."""
-        if self._r is None:
-            vector = _RINGS[self.mode.base].vector
-            self._r = [vector(row) for row in self._a]
-            self._a = None
-        return self._r
-
-    def _stored(self):
-        """The integer rows where there are any, else the scalar rows.  No
-        operation changes an integer row in place: matrices share them."""
-        return self._ints() if self.mode.base in _RINGS else self._a
+        """The rows of scalars, as a tuple of tuples."""
+        ring = _RINGS.get(self.mode.base)
+        if ring is None:
+            return tuple(self._rows)
+        scalars = ring.scalars
+        return tuple(tuple(scalars(v, d)) for v, d in self._rows)
 
     # -- construction -------------------------------------------------------
 
@@ -161,14 +149,15 @@ class Matrix:
 
     def _combine(self, other, op):
         """self op other entrywise, op being add or sub."""
-        self._check_same_shape(other)
+        self._check_same_base(other)
+        if self._shape != other._shape:
+            raise ValueError("shape mismatch")
         ring = _RINGS.get(self.mode.base)
-        if ring is None or other.mode.base != self.mode.base:
-            return Matrix([list(map(op, r1, r2))
-                           for r1, r2 in zip(self.a, other.a)], self.mode,
-                          promote=False, shape=self._shape)
+        pairs = zip(self._rows, other._rows)
+        if ring is None:
+            return Matrix._of([tuple(map(op, x, y)) for x, y in pairs],
+                              self.mode, self._shape)
         entrywise = lambda x, y: list(map(op, x, y))
-        pairs = zip(self._ints(), other._ints())
         return Matrix._of([_least(ring, *_aligned(ring, x, y, entrywise))
                            for x, y in pairs], self.mode, self._shape)
 
@@ -178,10 +167,11 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
+            self._check_same_base(other)
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch %dx%d * %dx%d"
                                  % (self.rows, self.cols, other.rows, other.cols))
-            if self.mode.base in _RINGS and other.mode.base == self.mode.base:
+            if self.mode.base in _RINGS:
                 return _mul_int(self, other)
             return _mul_generic(self, other)
         return self.scale_left(other)
@@ -201,13 +191,13 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
+        if self.mode.base != other.mode.base or self._shape != other._shape:
             return False
-        if self.mode.base in _RINGS and other.mode.base == self.mode.base:
+        if self.mode.base in _RINGS:
             # least denominators make the integer rows unique
-            return self._ints() == other._ints()
+            return self._rows == other._rows
         eq = self.mode.eq
-        return all(eq(x, y) for r1, r2 in zip(self.a, other.a)
+        return all(eq(x, y) for r1, r2 in zip(self._rows, other._rows)
                    for x, y in zip(r1, r2))
 
     def __hash__(self):
@@ -219,9 +209,10 @@ class Matrix:
     def __str__(self):
         return "\n".join(" ".join(repr(e) for e in row) for row in self.a)
 
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+    def _check_same_base(self, other):
+        if self.mode.base != other.mode.base:
+            raise ValueError("base mismatch: %s and %s"
+                             % (self.mode.base, other.mode.base))
 
     # -- transposes ---------------------------------------------------------
 
@@ -236,10 +227,10 @@ class Matrix:
         shape = (self.cols, self.rows)
         ring = _RINGS.get(mode.base)
         if ring is None:
-            a, inv = self.a, mode.involve
-            return Matrix._of([[inv(r[j]) if conj else r[j] for r in a]
+            a, inv = self._rows, mode.involve
+            return Matrix._of([tuple(inv(r[j]) if conj else r[j] for r in a)
                                for j in range(self.cols)], mode, shape)
-        vs, L = _common(ring, self._ints())
+        vs, L = _common(ring, self._rows)
         cols = ring.columns(vs, self.cols)
         if conj and mode.involution != IDENTITY:
             cols = [ring.conj(c) for c in cols]
@@ -292,7 +283,7 @@ class Matrix:
             raise ValueError("nonsingularity of a nonsquare matrix")
         ring = _RINGS.get(self.mode.base)
         if ring is not None and len(_rref_mod_p(
-                [ring.mod_p(v) for v, _ in self._ints()],
+                [ring.mod_p(v) for v, _ in self._rows],
                 self.cols)[0]) == self.rows:
             return True
         return self.rank() == self.rows
@@ -324,36 +315,38 @@ class Matrix:
 
     def submatrix(self, rows, cols):
         cols = list(cols)
-        stored = self._stored()
+        stored = self._rows
         ring = _RINGS.get(self.mode.base)
-        return Matrix._of([[stored[i][j] for j in cols] if ring is None
+        return Matrix._of([tuple(stored[i][j] for j in cols) if ring is None
                            else _picked(ring, stored[i], cols) for i in rows],
                           self.mode, (len(rows), len(cols)))
 
     def hstack(self, other):
+        self._check_same_base(other)
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
         ring = _RINGS.get(self.mode.base)
         # the lcm of two least denominators is least for the joined row
         out = [x + y if ring is None else _aligned(ring, x, y, add)
-               for x, y in zip(self._stored(), other._stored())]
+               for x, y in zip(self._rows, other._rows)]
         return Matrix._of(out, self.mode, (self.rows, self.cols + other.cols))
 
     def vstack(self, other):
+        self._check_same_base(other)
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix._of(self._stored() + other._stored(), self.mode,
+        return Matrix._of(self._rows + other._rows, self.mode,
                           (self.rows + other.rows, self.cols))
 
     # -- scalar-type changes -------------------------------------------------
 
     def cast(self, mode):
         base = self.mode.base
-        if base in _RINGS and mode.base == base:
-            return Matrix._of(self._ints(), mode, self._shape)
+        if mode.base == base:
+            return Matrix._of(self._rows, mode, self._shape)
         if (base, mode.base) == (RATIONAL, GAUSSIAN):
             return Matrix._of([(_GaussRows.lift(v), d)
-                               for v, d in self._ints()], mode, self._shape)
+                               for v, d in self._rows], mode, self._shape)
         return Matrix(self.a, mode)
 
     def to_json(self):
@@ -402,14 +395,13 @@ def _rref_generic(M, limit):
     largest entry above the tolerance times the largest entry overall."""
     mode = M.mode
     m, n = M.rows, M.cols
-    R = [row[:] for row in M.a]
+    R = [list(row) for row in M.a]
     zero, one = mode.zero(), mode.one()
     if mode.exact:
         negligible = mode.is_zero
     else:
-        scale = max([mode.abs_key(x) for row in R for x in row] + [1.0])
-        thr = mode.tolerance * scale
-        negligible = lambda v: mode.abs_key(v) <= thr
+        thr = mode.tolerance * max([abs(x) for row in R for x in row] + [1.0])
+        negligible = lambda v: abs(v) <= thr
     pivots = []
     det = one
     r = 0
@@ -422,7 +414,7 @@ def _rref_generic(M, limit):
                 if mode.exact:
                     best = i
                     break
-                k = mode.abs_key(R[i][c])
+                k = abs(R[i][c])
                 if best is None or k > key:
                     best, key = i, k
         if best is None:
@@ -642,12 +634,12 @@ def _mul_int(A, B):
     columns are skipped."""
     ring = _RINGS[A.mode.base]
     n = B.cols
-    vs, L = _common(ring, B._ints())
+    vs, L = _common(ring, B._rows)
     cols = [c if ring.nonzero(c) else None for c in ring.columns(vs, n)]
     dot, zero, zrow = ring.dot, ring.zero, (ring.lift([0] * n), 1)
     out = [_least(ring, ring.pack([zero if c is None else dot(a, c)
                                    for c in cols]), d * L)
-           if ring.nonzero(a) else zrow for a, d in A._ints()]
+           if ring.nonzero(a) else zrow for a, d in A._rows]
     return Matrix._of(out, A.mode, (A.rows, n))
 
 
@@ -693,7 +685,7 @@ def _rref_int(M, limit):
     mode = M.mode
     m, n = M.rows, M.cols
     ring = _RINGS[mode.base]
-    ints = M._ints()
+    ints = M._rows
     rows = [v for v, _ in ints]
     pivots, d, sign = _bareiss(rows, limit, ring)
     k = len(pivots)
@@ -743,7 +735,7 @@ def _images_mod_p(M):
     ring = _RINGS.get(M.mode.base)
     if ring is None:
         return None
-    vs, d = _common(ring, M._ints())
+    vs, d = _common(ring, M._rows)
     if d % _P == 0:
         return None
     B = [ring.mod_p(v) for v in vs]
@@ -950,7 +942,7 @@ def _char_poly_int(A, ring):
     Gaussian rationals: Berkowitz on the integer rows of N = d A, then
     coefficient k divided by d^k."""
     dot, pack = ring.dot, ring.pack
-    rows, d = _common(ring, A._ints())
+    rows, d = _common(ring, A._rows)
     p = [ring.one]
     for r, row in enumerate(rows):
         # the column is (1, row . u) for u = -e_r, -C, -N_r C, ...: dot cuts

@@ -418,25 +418,17 @@ class FieldMode:
         return Quaternion(q.a, -q.b, q.c, q.d)
 
     def inv(self, x):
-        if isinstance(x, Quaternion):
-            return x.inverse()
         return self.one() / x
 
     def is_zero(self, x):
         if self.exact:
             return not bool(x)
-        return self.abs_key(x) <= self.tolerance
+        return abs(x) <= self.tolerance
 
     def eq(self, x, y):
         if self.exact:
             return x == y
-        scale = max(1.0, self.abs_key(x), self.abs_key(y))
-        return self.abs_key(x - y) <= self.tolerance * scale
-
-    def abs_key(self, x):
-        """Nonnegative size of a float or complex scalar (the float pivoting
-        and tolerances; exact bases compare exactly)."""
-        return abs(x)
+        return abs(x - y) <= self.tolerance * max(1.0, abs(x), abs(y))
 
 
 # ready-made modes

@@ -210,6 +210,14 @@ class TestRealization:
         js = jordan_structure(cosquare(A))
         assert js.entries == [(lam, (2,))]
 
+    def test_a_write_into_a_block_leaves_the_next_one_unchanged(self):
+        b = CanonicalBlock(SIGNED_ROOT, 2, lam=1, eps=1)
+        first = block_matrix(b, STAR_AC)
+        copy = Matrix(first.a, first.mode)
+        with pytest.raises(TypeError):
+            first.a[0][0] = first.mode.promote(7)
+        assert block_matrix(b, STAR_AC) == copy
+
     def test_negated_sign_is_negated_matrix(self):
         lam = gr(0, 1)
         p = block_matrix(CanonicalBlock(SIGNED_ROOT, 1, lam=lam, eps=1),

@@ -95,9 +95,9 @@ class TestToeplitzRoot:
         assert A.transpose().inverse() * A == F
 
     def test_linear_pins(self):
-        assert toeplitz_root(frobenius_block(poly([-1, 1]))).a == [[-2]]
+        assert toeplitz_root(frobenius_block(poly([-1, 1]))).a == ((-2,),)
         A = toeplitz_root(frobenius_block(poly([gr(1), gr(1)], MODE_GAUSSIAN)))
-        assert A.a == [[gr(0, 2)]]
+        assert A.a == ((gr(0, 2),),)
 
     @pytest.mark.parametrize("cs", [[-1, 1], [1, -3, 1], [1, -6, 11, -6, 1],
                                     [-1, 3, -3, 1]])
