@@ -10,6 +10,7 @@ from .scalar import (FieldMode, MODE_RATIONAL, MODE_GAUSSIAN,
                      COMPLEX_FLOAT, IDENTITY, complex_mode, scalar_key,
                      scalar_to_json, scalar_from_json)
 from .matrix import Matrix, direct_sum, skew_sum, realify
+from .cosquare import root_exists_jordan
 
 # classification modes
 CONGRUENCE_AC = "congruence-ac"
@@ -232,9 +233,6 @@ def check_block(b, cmode, field_mode):
     lam over the complex extension.  A root block carries a sign in every
     mode except congruence-ac.
     """
-    # imported here, as block_matrix imports canon: blocks itself loads
-    # without sympy, which cosquare imports
-    from .cosquare import root_exists_jordan
     if b.kind == SINGULAR_JORDAN:
         return
     fm = field_mode

@@ -7,9 +7,6 @@ matrix A with A = A* F, so that the cosquare A^{-*} A is exactly F.
 
 from functools import reduce
 
-import sympy
-from sympy.polys.factortools import dup_factor_list
-
 from .scalar import (GaussianRational, GAUSSIAN, IDENTITY, rational,
                      is_unimodular)
 from .matrix import Matrix, Poly
@@ -83,8 +80,10 @@ def _from_qq(c):
 def _prime_power(chi):
     """Return (p, s) with chi = p^s, p irreducible, or raise ValueError.
 
-    chi's dense coefficient list is factored over QQ, or over QQ_I for a
-    Gaussian base."""
+    chi's dense coefficient list is factored by sympy, imported here, over
+    QQ, or over QQ_I for a Gaussian base."""
+    import sympy
+    from sympy.polys.factortools import dup_factor_list
     gauss = chi.mode.base == GAUSSIAN
     dom = sympy.QQ_I if gauss else sympy.QQ
     cs = [dom(c.re, c.im) if gauss else dom(c) for c in chi.c[::-1]]

@@ -5,19 +5,23 @@ the Gaussian rationals.  Write the characteristic polynomial as
 chi = (p + i q) / d with integer polynomials p, q.  Every root of chi is a
 root of p when q = 0, and otherwise of the norm p^2 + q^2 = d^2 chi conj(chi)
 (complex conjugation of the coefficients, whatever the mode's involution).
-The roots of that integer polynomial's squarefree part are approximated in
-complex floats (the Aberth-Ehrlich iteration; a linear one's root is read
-off exactly), and each part of each approximation is rounded to the
-simplest rational near it; over the rationals only real guesses are kept.  A guess is accepted only by exact
-synthetic division over the base, which also counts its multiplicity, so
-a wrong guess, or a root of conj(chi) alone, divides nothing.  Whatever
-the guesses leave undivided goes through sympy's factoring over the
-integers: a linear factor of its norm gives a rational candidate; a
-quadratic A x^2 + B x + C whose 4AC - B^2 is a positive square gives,
-over the Gaussian rationals only, the pair (-B +- i sqrt(4AC - B^2)) / 2A.
-Any other factor raises UnsplittablePolynomial naming it, and so does any
-factor of chi left undivided.  The floats only choose what to try: the
-root multiset is exact whatever they do.
+The squarefree part of that integer polynomial is computed here, from a
+heuristic gcd of it and its derivative, accepted only when it divides both
+exactly.  Its roots are approximated in complex floats (the Aberth-Ehrlich
+iteration; a linear one's root is read off exactly), and each part of each
+approximation is rounded to the simplest rational within the root's last
+correction, or 64 ulps at least; over the rationals only real guesses are
+kept.  A guess is accepted only by exact synthetic division of d chi on
+its integer coefficients, which also counts its multiplicity, so a wrong
+guess, or a root of conj(chi) alone, divides nothing.  Whatever the
+guesses leave undivided goes through sympy's factoring over the integers,
+and only then is sympy imported: a linear factor of its norm gives a
+rational candidate; a quadratic A x^2 + B x + C whose 4AC - B^2 is a
+positive square gives, over the Gaussian rationals only, the pair
+(-B +- i sqrt(4AC - B^2)) / 2A.  Any other factor raises
+UnsplittablePolynomial naming it, and so does any factor of chi left
+undivided.  The floats only choose what to try: the root multiset is exact
+whatever they do.
 
 Float modes cluster numerically computed eigenvalues at radius
 tolerance**(1/2).
@@ -33,11 +37,7 @@ built, with its checks, only when its basis is read.
 
 from cmath import rect
 from functools import reduce
-from math import floor, isqrt, pi, ulp
-
-import sympy
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_part
+from math import floor, gcd, isqrt, lcm, pi, ulp
 
 from .scalar import (GaussianRational, GAUSSIAN, REAL_FLOAT, complex_mode,
                      rational, scalar_key)
@@ -49,16 +49,9 @@ class UnsplittablePolynomial(ValueError):
     """The characteristic polynomial has roots outside the working field."""
 
 
-def _norm(c, mode):
-    """The integer polynomial p, or p^2 + q^2 when q != 0, of
-    c = (p + i q) / d for one positive integer d (coefficients highest power
-    first): every root of c is one of its roots."""
-    ring = _RINGS.get(mode.base)
-    if ring is None:
-        raise ValueError("exact eigenvalues need a rational or Gaussian "
-                         "rational base, not %r" % mode.base)
-    ints, _ = ring.vector(c)
-    p, q = ints if mode.base == GAUSSIAN else (ints, [])
+def _norm(p, q):
+    """The integer polynomial p, or p^2 + q^2 when q != 0 (coefficients
+    highest power first): every root of p + i q is one of its roots."""
     return [a + b for a, b in zip(_square(p), _square(q))] if any(q) else p
 
 
@@ -82,19 +75,99 @@ def _candidates(f, mode):
         if d > 0 and s * s == d:
             re, im = rational(-b, 2 * a), rational(s, 2 * a)
             return [GaussianRational(re, im), GaussianRational(re, -im)]
+    import sympy
     field = "Gaussian rationals" if mode.base == GAUSSIAN else "rationals"
     raise UnsplittablePolynomial(
         "characteristic polynomial: irreducible factor %s has no root in "
         "the %s" % (sympy.Poly(f, sympy.Symbol("x")).as_expr(), field))
 
 
-def _divide_out(c, r):
-    """c / (x - r) by synthetic division (coefficients highest power
-    first), or None when r is not a root of c."""
-    quot = [c[0]]
-    for a in c[1:]:
-        quot.append(a + r * quot[-1])
-    return None if quot.pop() else quot
+def _divide_out(p, q, r):
+    """(p + i q) / (x - r) by synthetic division on integer coefficients
+    (highest power first), or None when r is not a root of p + i q.
+
+    With r = (a + i c) / b over one positive integer b, the quotient at a
+    root is integral (Gauss's lemma on b x - (a + i c), whose content in
+    Z[i] divides b), so each step divides (a + i c) times the last
+    coefficient by b exactly, and one that leaves a remainder rejects r."""
+    re, im = (r.re, r.im) if isinstance(r, GaussianRational) else (r, 0)
+    b = lcm(re.denominator, im.denominator)
+    a = re.numerator * (b // re.denominator)
+    c = im.numerator * (b // im.denominator)
+    qp, qq = [p[0]], [q[0]]
+    for x, y in zip(p[1:], q[1:]):
+        u, s = divmod(a * qp[-1] - c * qq[-1], b)
+        v, t = divmod(a * qq[-1] + c * qp[-1], b)
+        if s or t:
+            return None
+        qp.append(x + u)
+        qq.append(y + v)
+    return None if qp.pop() or qq.pop() else (qp, qq)
+
+
+def _primitive(f):
+    """f over its content, with a positive leading coefficient."""
+    g = gcd(*f)
+    return [a // g for a in f] if f[0] > 0 else [-a // g for a in f]
+
+
+def _quotient(f, h):
+    """f / h over the integers (highest power first), or None when h does
+    not divide f."""
+    rem = list(f)
+    quot = []
+    for k in range(len(f) - len(h) + 1):
+        c, r = divmod(rem[k], h[0])
+        if r:
+            return None
+        quot.append(c)
+        if c:
+            for j in range(1, len(h)):
+                rem[k + j] -= c * h[j]
+    return None if any(rem[len(quot):]) else quot
+
+
+def _interpolate(h, x):
+    """The integer polynomial whose coefficients are the symmetric base-x
+    digits of the integer h."""
+    out = []
+    while h:
+        g = h % x
+        if g > x // 2:
+            g -= x
+        out.append(g)
+        h = (h - g) // x
+    return out[::-1]
+
+
+def _squarefree_part(f):
+    """The squarefree part f / gcd(f, f') of the integer polynomial f
+    (highest power first), primitive with a positive leading coefficient;
+    None when the heuristic gcd fails at all six evaluation points.
+
+    The gcd is GCDHEU's (Char, Geddes & Gonnet, 1989; sympy's on the
+    integers, with its evaluation points): the integer gcd of f and f' at a
+    large x, read back as the polynomial of its symmetric base-x digits and
+    made primitive, is the gcd when it divides both f and f' exactly, as x
+    exceeds twice a root bound of either."""
+    f = _primitive(f)
+    if len(f) < 3:
+        return f
+    df = [a * k for a, k in zip(f, range(len(f) - 1, 0, -1))]
+    fn, gn = max(map(abs, f)), max(map(abs, df))
+    bound = 2 * min(fn, gn) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(fn // f[0], gn // df[0]) + 4)
+    for _ in range(6):
+        fx = reduce(lambda v, a: v * x + a, f)
+        gx = reduce(lambda v, a: v * x + a, df)
+        if fx and gx:
+            h = _primitive(_interpolate(gcd(fx, gx), x))
+            quot = _quotient(f, h)
+            if quot is not None and _quotient(df, h) is not None:
+                return quot
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
 
 
 def _approximate_roots(f):
@@ -146,13 +219,16 @@ def _guesses(f, mode):
     of |z| at least: a settled root can be off by more than its last
     correction, but by a few ulps only, while a tolerance relative to |z|
     lets a simpler wrong convergent of a large root win.  None when the
-    floats overflow or do not settle.  Only exact division accepts one.  A
-    linear f gives its root exactly."""
+    floats overflow or do not settle, or when the squarefree part fails.
+    Only exact division accepts one.  A linear f gives its root exactly."""
     if len(f) == 2:
         return _candidates(f, mode)
+    sqf = _squarefree_part(f)
+    if sqf is None:
+        return []
     out = []
     try:
-        for z, step in _approximate_roots(dup_sqf_part(f, sympy.ZZ)):
+        for z, step in _approximate_roots(sqf):
             tol = max(step, 64 * ulp(abs(z)))
             re, im = _simplest(z.real, tol), _simplest(z.imag, tol)
             if mode.base == GAUSSIAN:
@@ -164,26 +240,42 @@ def _guesses(f, mode):
     return out
 
 
+def dup_factor_list(f):
+    """sympy's factoring of the integer polynomial f (highest power first)
+    over the integers, sympy imported at the first call: the factoring tail
+    is the one place the eigenvalues need it."""
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list as factor_list
+    return factor_list(f, ZZ)
+
+
 def _factored(f, mode):
     """The candidate roots in the base from sympy's factoring of the integer
     polynomial f; UnsplittablePolynomial at a factor without them."""
-    for g, _ in dup_factor_list(f, sympy.ZZ)[1]:
+    for g, _ in dup_factor_list(f)[1]:
         yield from _candidates(g, mode)
 
 
 def _exact_roots(chi):
     """The roots of chi in its base, with multiplicity, ordered by
-    scalar_key: the guesses first, then the factoring of what they leave."""
+    scalar_key: the guesses first, then the factoring of what they leave.
+    chi is deflated on the integer numerators p + i q of d chi."""
     mode = chi.mode
-    rest = chi.c[::-1]
+    ring = _RINGS.get(mode.base)
+    if ring is None:
+        raise ValueError("exact eigenvalues need a rational or Gaussian "
+                         "rational base, not %r" % mode.base)
+    ints, d = ring.vector(chi.c[::-1])
+    p, q = ints if mode.base == GAUSSIAN else (ints, [0] * len(ints))
     roots = []
     for candidates in (_guesses, _factored):
-        if len(rest) > 1:
-            for r in candidates(_norm(rest, mode), mode):
-                while (quot := _divide_out(rest, r)) is not None:
+        if len(p) > 1:
+            for r in candidates(_norm(p, q), mode):
+                while (quot := _divide_out(p, q, r)) is not None:
                     roots.append(r)
-                    rest = quot
-    if len(rest) > 1:
+                    p, q = quot
+    if len(p) > 1:
+        rest = ring.scalars((p, q) if mode.base == GAUSSIAN else p, d)
         raise UnsplittablePolynomial(
             "characteristic polynomial: the factor %s has no root among the "
             "candidates" % Poly(rest[::-1], mode, promote=False))

@@ -1,11 +1,18 @@
 """Jordan structure recovery: exact eigenvalues, partitions, chain bases."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.sqfreetools import dup_sqf_part
+
+import congruence
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
@@ -178,6 +185,127 @@ class TestRootFinder:
         roots = [big, rational(1, 3)]
         got = eigenvalues(with_roots(roots, MODE_RATIONAL))
         assert Counter(got) == Counter(roots)
+
+
+def times(f, g):
+    """The product of integer polynomials (highest power first)."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def repeated_products(draw):
+    """c x^z times a product of integer factors of degree 1 to 3 with
+    coefficients up to 200 bits, each repeated 1 to 3 times."""
+    big = 2 ** 200
+    f = [draw(st.integers(1, 10 ** 6)) * draw(st.sampled_from([1, -1]))]
+    f += [0] * draw(st.integers(0, 3))
+    factors = st.lists(st.integers(-big, big), min_size=2, max_size=4)
+    for g in draw(st.lists(factors.filter(lambda g: g[0]), min_size=1,
+                           max_size=4)):
+        for _ in range(draw(st.integers(1, 3))):
+            f = times(f, g)
+    return f
+
+
+class TestSquarefreePart:
+    @settings(max_examples=60, deadline=None)
+    @given(f=repeated_products())
+    @example(f=[-6, 0, 0])                                 # -6 x^2
+    # the first point's candidate x - 1 divides f but not f'
+    @example(f=[9, 12, -13, 17, -20, -5])
+    @example(f=times([12], times([1, 0, -2], [1, 0, -2])))  # 12 (x^2 - 2)^2
+    @example(f=times([-3 ** 120, 5, 2 ** 199, 7], [-3 ** 120, 5, 2 ** 199, 7]))
+    def test_matches_sympy(self, f):
+        assert jordan._squarefree_part(f) == dup_sqf_part(f, ZZ)
+
+    @pytest.mark.parametrize("mode", GAUSSIAN_MODES + [MODE_RATIONAL])
+    def test_failed_gcd_leaves_the_roots_to_the_tail(self, mode,
+                                                     monkeypatch):
+        # x + xi divides neither f nor f': xi exceeds twice a root bound
+        points = []
+
+        def never_divides(h, x):
+            points.append(x)
+            return [1, x]
+
+        monkeypatch.setattr(jordan, "_interpolate", never_divides)
+        roots = [rational(1, 2)] * 2 + [rational(-3)] * 3 + [rational(2, 3)]
+        f = [1]
+        for r in roots:
+            f = times(f, [r.denominator, -r.numerator])
+        assert jordan._squarefree_part(f) is None
+        assert len(set(points)) == 6
+        assert jordan._guesses(f, mode) == []
+        if mode != MODE_RATIONAL:
+            roots = [gr(x) for x in roots] + [gr(rational(3, 5),
+                                                 rational(4, 5))] * 2
+        assert Counter(eigenvalues(with_roots(roots, mode))) == Counter(roots)
+
+
+def run_fresh(script):
+    """Run script in a new interpreter that imports this congruence."""
+    src = os.path.dirname(os.path.dirname(congruence.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+class TestSympyOnDemand:
+    def test_canonical_forms_leave_sympy_unloaded(self):
+        # each form's cosquare has a repeated eigenvalue, so the squarefree
+        # part runs; the star-ac one's chi has non-real coefficients, whose
+        # roots come from its Gaussian norm
+        run_fresh("""
+import sys
+from fractions import Fraction
+from congruence import canon, cli, jordan
+from congruence.blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
+                               SIGNED_ROOT, SKEW_PAIR, BlockSum,
+                               CanonicalBlock, block_sum_matrix)
+from congruence.scalar import GaussianRational
+
+calls = []
+squarefree_part = jordan._squarefree_part
+jordan._squarefree_part = lambda f: calls.append(f) or squarefree_part(f)
+lam = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+forms = [
+    BlockSum(STAR_AC, [CanonicalBlock(SIGNED_ROOT, 2, lam=lam, eps=-1),
+                       CanonicalBlock(SIGNED_ROOT, 1, lam=lam, eps=1)]),
+    BlockSum(CONGRUENCE_AC, [CanonicalBlock(SIGNED_ROOT, 3, lam=1),
+                             CanonicalBlock(SIGNED_ROOT, 1, lam=1),
+                             CanonicalBlock(SKEW_PAIR, 1, lam=2)]),
+    BlockSum(CONGRUENCE_REAL, [CanonicalBlock(SIGNED_ROOT, 1, lam=1, eps=1),
+                               CanonicalBlock(SIGNED_ROOT, 1, lam=1, eps=-1),
+                               CanonicalBlock(SKEW_PAIR, 2, lam=2)]),
+]
+for bs in forms:
+    A, _ = canon.random_congruence(block_sum_matrix(bs), 5)
+    before = len(calls)
+    assert canon.canonicalize(A, bs.cmode) == bs, bs.cmode
+    assert len(calls) > before, bs.cmode
+assert 'sympy' not in sys.modules
+""")
+
+    def test_factoring_tail_loads_sympy_and_names_the_factor(self):
+        run_fresh("""
+import sys
+from congruence.blocks import frobenius_block
+from congruence.jordan import UnsplittablePolynomial, eigenvalues
+from congruence.matrix import Poly
+from congruence.scalar import MODE_RATIONAL
+
+try:
+    eigenvalues(frobenius_block(Poly([-2, 0, 1], MODE_RATIONAL)))
+    sys.exit("x^2 - 2 split over the rationals")
+except UnsplittablePolynomial as e:
+    assert "x**2 - 2" in str(e), e
+assert 'sympy' in sys.modules
+""")
 
 
 class TestRankChain:
