@@ -175,7 +175,10 @@ def _reg_rec(A):
     X's columns are a core basis, on which A restricts nonsingularly,
     followed by one chain c_1..c_m per entry of lengths, with
     c_i^* A c_j = [j == i+1] within a chain and every cross pairing zero,
-    so X^* A X is the core plus nilpotent Jordan blocks exactly.
+    so X^* A X is the core plus nilpotent Jordan blocks exactly.  The
+    chains come longest first: the lifted ones, of lengths 2 + the
+    sub-call's, keep its order, then come the chains of length 2, then the
+    1s of the two-sided kernel.
 
     Every level has one shape.  The quotient W, a complement of ker A in
     ker K* A = (A* K)^perp for K = ker A, shortens every chain by two and
@@ -282,22 +285,13 @@ def regularize(A):
     if profile == []:
         return RegularizationResult(
             [], A, CongruenceWitness(Matrix.identity(n, fm), A, A))
-    X, lengths = _reg_rec(A)
-    if X.cols != n:
+    T, sizes = _reg_rec(A)
+    if T.cols != n:
         raise ClassificationError("regularizing basis has wrong size")
-    starts = list(accumulate(lengths, initial=n - sum(lengths)))
-    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    cols = list(range(starts[0]))
-    for j in order:
-        cols += range(starts[j], starts[j + 1])
-    T = X.submatrix(range(n), cols)
-    sizes = [lengths[j] for j in order]
     TAT = T.conj_transpose() * A * T
-    C0 = TAT.submatrix(range(starts[0]), range(starts[0]))
-    if sizes:
-        D = direct_sum(C0, *[jordan_block(m, 0, fm) for m in sizes])
-    else:
-        D = C0
+    k = n - sum(sizes)
+    C0 = TAT.submatrix(range(k), range(k))
+    D = direct_sum(C0, *[jordan_block(m, 0, fm) for m in sizes])
     if TAT != D:
         raise ClassificationError("regularizing basis fails the block form")
     if not T.is_nonsingular():

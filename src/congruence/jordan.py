@@ -8,20 +8,20 @@ root of p when q = 0, and otherwise of the norm p^2 + q^2 = d^2 chi conj(chi)
 The squarefree part of that integer polynomial is computed here, from a
 heuristic gcd of it and its derivative, accepted only when it divides both
 exactly.  Its roots are approximated in complex floats (the Aberth-Ehrlich
-iteration; a linear one's root is read off exactly), and each part of each
-approximation is rounded to the simplest rational within the root's last
-correction, or 64 ulps at least; over the rationals only real guesses are
-kept.  A guess is accepted only by exact synthetic division of d chi on
-its integer coefficients, which also counts its multiplicity, so a wrong
-guess, or a root of conj(chi) alone, divides nothing.  Whatever the
-guesses leave undivided goes through sympy's factoring over the integers,
-and only then is sympy imported: a linear factor of its norm gives a
-rational candidate; a quadratic A x^2 + B x + C whose 4AC - B^2 is a
-positive square gives, over the Gaussian rationals only, the pair
-(-B +- i sqrt(4AC - B^2)) / 2A.  Any other factor raises
-UnsplittablePolynomial naming it, and so does any factor of chi left
-undivided.  The floats only choose what to try: the root multiset is exact
-whatever they do.
+iteration, settled or not after 60 sweeps; a linear one's root is read off
+exactly), and each part of each finite approximation is rounded to the
+simplest rational within the root's last correction, or 64 ulps at least;
+over the rationals only real guesses are kept.  A guess is accepted only
+by exact synthetic division of d chi on its integer coefficients, which
+also counts its multiplicity, so a wrong guess, or a root of conj(chi)
+alone, divides nothing.  Whatever the guesses leave undivided goes
+through sympy's factoring over the integers, and only then is sympy
+imported: a linear factor of its norm gives a rational candidate; a
+quadratic A x^2 + B x + C whose 4AC - B^2 is a positive square gives, over
+the Gaussian rationals only, the pair (-B +- i sqrt(4AC - B^2)) / 2A.
+Any other factor raises UnsplittablePolynomial naming it, and so does any
+factor of chi left undivided.  The floats only choose what to try: the
+root multiset is exact whatever they do.
 
 Float modes cluster numerically computed eigenvalues at radius
 tolerance**(1/2).
@@ -35,7 +35,7 @@ exact simple eigenvalue has the partition (1,) without a chain, which is
 built, with its checks, only when its basis is read.
 """
 
-from cmath import rect
+from cmath import isfinite, rect
 from functools import reduce
 from math import floor, gcd, isqrt, lcm, pi, ulp
 
@@ -173,8 +173,8 @@ def _squarefree_part(f):
 def _approximate_roots(f):
     """The roots of the squarefree integer polynomial f (highest power
     first) in complex floats, each with the size of its last correction, by
-    the Aberth-Ehrlich iteration from a circle about the roots; [] when it
-    has not settled after 60 sweeps."""
+    the Aberth-Ehrlich iteration from a circle about the roots, stopped once
+    settled or after 60 sweeps."""
     d = len(f) - 1
     c = [a / f[0] for a in f]
     r = max(abs(a) ** (1 / k) for k, a in enumerate(c) if k) or 1.0
@@ -194,8 +194,8 @@ def _approximate_roots(f):
             step[i] = abs(w)
             settled = settled and step[i] <= 1e-12 * max(1.0, abs(x))
         if settled:
-            return list(zip(z, step))
-    return []
+            break
+    return list(zip(z, step))
 
 
 def _simplest(x, tol):
@@ -218,9 +218,11 @@ def _guesses(f, mode):
     the simplest rational within the root's last correction, or 64 ulps
     of |z| at least: a settled root can be off by more than its last
     correction, but by a few ulps only, while a tolerance relative to |z|
-    lets a simpler wrong convergent of a large root win.  None when the
-    floats overflow or do not settle, or when the squarefree part fails.
-    Only exact division accepts one.  A linear f gives its root exactly."""
+    lets a simpler wrong convergent of a large root win.  Unsettled roots
+    count too (on a badly conditioned f the corrections stop at the noise
+    of evaluating it in doubles): only exact division accepts a guess.  No
+    guess from a non-finite root, none at all when the floats overflow or
+    the squarefree part fails.  A linear f gives its root exactly."""
     if len(f) == 2:
         return _candidates(f, mode)
     sqf = _squarefree_part(f)
@@ -229,6 +231,8 @@ def _guesses(f, mode):
     out = []
     try:
         for z, step in _approximate_roots(sqf):
+            if not isfinite(z):
+                continue
             tol = max(step, 64 * ulp(abs(z)))
             re, im = _simplest(z.real, tol), _simplest(z.imag, tol)
             if mode.base == GAUSSIAN:

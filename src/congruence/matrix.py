@@ -3,32 +3,33 @@
 Everything here is pure: a Matrix never changes after its construction,
 and operations return new objects.  Matrix entries are the scalars of
 scalar.py; this module owns how they are stored and how products,
-elimination and the characteristic polynomial treat them, through two back
-ends chosen by the base alone:
+elimination and the characteristic polynomial treat them.
 
-- over the rationals and the Gaussian rationals a matrix is stored as
-  integer rows: each row its numerators (ints, or a pair (re, im) of int
-  lists) over its least positive denominator, its scalars built anew on
-  each read of Matrix.a.  Every operation takes and returns these rows; a
-  result row over a common denominator D is reduced by one gcd(D, n_1, ...,
-  n_k), so equal matrices have equal rows.  Products are integer dot products;
-  elimination is fraction-free (Bareiss), dividing exactly by the previous
-  pivot; char_poly, the third primitive here, runs Berkowitz's division-free
-  recursion on the integer rows of d A.  Each is written once: only the
-  integer arithmetic differs between the two bases;
-- over the quaternions, GF(2) and the floats tuples of scalars are the
-  storage.  One generic scalar elimination uses left-multiplication row
-  operations (valid over the noncommutative quaternions) and, for floats,
-  the largest pivot above a tolerance relative to the matrix scale;
-  char_poly runs Berkowitz on the scalars of GF(2) and the floats.
+A matrix is stored as rows, each a vector over a positive denominator,
+and one row arithmetic per base holds the vector operations (_ring).  Over
+the rationals and Gaussian rationals a vector is its integer numerators
+(ints, or a pair (re, im) of int lists) over the least denominator, so
+equal matrices have equal rows; over the quaternions, GF(2) and the floats
+it is its scalars over 1.  Products, stacks, transposes, scaling, negation
+and char_poly (Berkowitz's division-free recursion on the rows of d A) have
+one body for every base, with each left factor kept on the left.  Only
+these depend on the base:
 
-Matrix.rref is the one elimination primitive of both back ends; rank, det,
-inverse, solve and right_kernel read its result.  One elimination mod a
-prime, _rref_mod_p, gives Matrix.is_nonsingular a cheaper exact certificate
-and the canon module its mod-p singular profile.
+- Matrix.rref, the one elimination primitive (rank, det, inverse, solve
+  and right_kernel read it): fraction-free (Bareiss) on integer rows,
+  dividing exactly by the previous pivot, else one generic scalar
+  elimination by left-multiplication row operations, which for floats
+  takes the largest pivot above a tolerance relative to the matrix scale;
+- the mod-p certificate of Matrix.is_nonsingular and the canon module's
+  mod-p singular profile (_rref_mod_p), on integer rows only;
+- the float tolerance of ==, and cast.
+
+_mul_generic and _char_poly_generic, the entrywise definitions, are kept
+as the tests' oracles.
 """
 
 from collections import namedtuple
+from functools import reduce
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -52,21 +53,18 @@ class Reduction(namedtuple("Reduction", "pivots rows det")):
         out = [None] * n
         for f, row in zip(free, Matrix.identity(len(free), mode)._rows):
             out[f] = row
-        ring = _RINGS.get(mode.base)
-        for pc, row in zip(self.pivots, self.rows._rows):
-            # over the integer rows, v / -d is the negated row
-            out[pc] = (tuple(-row[f] for f in free) if ring is None
-                       else _picked(ring, (row[0], -row[1]), free))
+        ring = _ring(mode)
+        for pc, (v, d) in zip(self.pivots, self.rows._rows):
+            out[pc] = _picked(ring, (_negated(ring, v), d), free)
         return Matrix._of(out, mode, (n, len(free)))
 
 
 class Matrix:
     """A dense matrix over a FieldMode: an immutable value.
 
-    Its one storage is set at construction: integer rows over the rationals
-    and Gaussian rationals, tuples of scalars over the other bases.  `a`
-    returns the rows of scalars as tuples (built anew over the first two),
-    so a write into them raises instead of changing a matrix.
+    Its one storage, set at construction, is its rows as (vector,
+    denominator) pairs.  `a` returns the rows of scalars as tuples built
+    anew, so a write into them raises instead of changing a matrix.
     """
     __slots__ = ("_rows", "mode", "_shape")
 
@@ -77,9 +75,7 @@ class Matrix:
             raise ValueError("ragged rows")
         if shape is None:
             shape = (len(rows), len(rows[0]) if rows else 0)
-        ring = _RINGS.get(mode.base)
-        self._rows = ([ring.vector(row) for row in rows] if ring
-                      else [tuple(row) for row in rows])
+        self._rows = list(map(_ring(mode).vector, rows))
         self.mode, self._shape = mode, shape
 
     @staticmethod
@@ -93,38 +89,31 @@ class Matrix:
     @property
     def a(self):
         """The rows of scalars, as a tuple of tuples."""
-        ring = _RINGS.get(self.mode.base)
-        if ring is None:
-            return tuple(self._rows)
-        scalars = ring.scalars
+        scalars = _ring(self.mode).scalars
         return tuple(tuple(scalars(v, d)) for v, d in self._rows)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def zeros(m, n, mode):
-        ring = _RINGS.get(mode.base)
-        if ring is not None:
-            return Matrix._of([(ring.lift([0] * n), 1)] * m, mode, (m, n))
-        z = mode.zero()
-        return Matrix([[z] * n for _ in range(m)], mode, promote=False,
-                      shape=(m, n))
+        return Matrix._of([(_ring(mode).lift([0] * n), 1)] * m, mode, (m, n))
 
     @staticmethod
     def identity(n, mode):
-        ring = _RINGS.get(mode.base)
-        if ring is not None:
-            return Matrix._of([(ring.lift([int(i == j) for j in range(n)]), 1)
-                               for i in range(n)], mode, (n, n))
-        z, o = mode.zero(), mode.one()
-        return Matrix([[o if i == j else z for j in range(n)]
-                       for i in range(n)], mode, promote=False)
+        lift = _ring(mode).lift
+        return Matrix._of([(lift([int(i == j) for j in range(n)]), 1)
+                           for i in range(n)], mode, (n, n))
 
     @staticmethod
     def diagonal(entries, mode):
-        z, n = mode.zero(), len(entries)
-        return Matrix([[mode.promote(e) if i == j else z for j in range(n)]
-                       for i, e in enumerate(entries)], mode, promote=False)
+        """The diagonal matrix of entries: each row is its entry's one-entry
+        stored row placed among lifted zeros."""
+        ring, n = _ring(mode), len(entries)
+        zero = ring.lift([0] * n)
+        rows = [ring.vector([mode.promote(e)]) for e in entries]
+        return Matrix._of([(ring.each(lambda z, e: z[:i] + e + z[i + 1:],
+                                      zero, v), d)
+                           for i, (v, d) in enumerate(rows)], mode, (n, n))
 
     # -- shape --------------------------------------------------------------
 
@@ -152,37 +141,32 @@ class Matrix:
         self._check_same_base(other)
         if self._shape != other._shape:
             raise ValueError("shape mismatch")
-        ring = _RINGS.get(self.mode.base)
-        pairs = zip(self._rows, other._rows)
-        if ring is None:
-            return Matrix._of([tuple(map(op, x, y)) for x, y in pairs],
-                              self.mode, self._shape)
+        ring = _ring(self.mode)
         entrywise = lambda x, y: list(map(op, x, y))
         return Matrix._of([_least(ring, *_aligned(ring, x, y, entrywise))
-                           for x, y in pairs], self.mode, self._shape)
+                           for x, y in zip(self._rows, other._rows)],
+                          self.mode, self._shape)
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.a], self.mode,
-                      promote=False, shape=self._shape)
+        ring = _ring(self.mode)
+        return Matrix._of([(_negated(ring, v), d) for v, d in self._rows],
+                          self.mode, self._shape)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._check_same_base(other)
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch %dx%d * %dx%d"
-                                 % (self.rows, self.cols, other.rows, other.cols))
-            if self.mode.base in _RINGS:
-                return _mul_int(self, other)
-            return _mul_generic(self, other)
-        return self.scale_left(other)
-
-    def __rmul__(self, other):
-        return self.scale_left(other)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        self._check_same_base(other)
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch %dx%d * %dx%d"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        return _mul_int(self, other)
 
     def scale_left(self, c):
-        c = self.mode.promote(c)
-        return Matrix([[c * x for x in row] for row in self.a], self.mode,
-                      promote=False, shape=self._shape)
+        """c self, c on the left: each stored row times c's stored row."""
+        ring = _ring(self.mode)
+        cv, q = ring.vector([self.mode.promote(c)])
+        return Matrix._of([_least(ring, ring.scale(cv, v), q * d)
+                           for v, d in self._rows], self.mode, self._shape)
 
     def minus_scalar(self, c):
         """self - c I, for a square matrix."""
@@ -193,12 +177,12 @@ class Matrix:
             return NotImplemented
         if self.mode.base != other.mode.base or self._shape != other._shape:
             return False
-        if self.mode.base in _RINGS:
-            # least denominators make the integer rows unique
+        if self.mode.exact:
+            # least denominators make the exact rows unique
             return self._rows == other._rows
         eq = self.mode.eq
-        return all(eq(x, y) for r1, r2 in zip(self._rows, other._rows)
-                   for x, y in zip(r1, r2))
+        return all(eq(x, y) for (v, _), (w, _) in zip(self._rows, other._rows)
+                   for x, y in zip(v, w))
 
     def __hash__(self):
         return hash((self.rows, self.cols))
@@ -223,18 +207,13 @@ class Matrix:
         return self._flip(True)
 
     def _flip(self, conj):
-        mode = self.mode
-        shape = (self.cols, self.rows)
-        ring = _RINGS.get(mode.base)
-        if ring is None:
-            a, inv = self._rows, mode.involve
-            return Matrix._of([tuple(inv(r[j]) if conj else r[j] for r in a)
-                               for j in range(self.cols)], mode, shape)
+        mode, ring = self.mode, _ring(self.mode)
         vs, L = _common(ring, self._rows)
         cols = ring.columns(vs, self.cols)
         if conj and mode.involution != IDENTITY:
             cols = [ring.conj(c) for c in cols]
-        return Matrix._of([_least(ring, c, L) for c in cols], mode, shape)
+        return Matrix._of([_least(ring, c, L) for c in cols], mode,
+                          (self.cols, self.rows))
 
     # -- elimination --------------------------------------------------------
 
@@ -315,19 +294,17 @@ class Matrix:
 
     def submatrix(self, rows, cols):
         cols = list(cols)
-        stored = self._rows
-        ring = _RINGS.get(self.mode.base)
-        return Matrix._of([tuple(stored[i][j] for j in cols) if ring is None
-                           else _picked(ring, stored[i], cols) for i in rows],
+        stored, ring = self._rows, _ring(self.mode)
+        return Matrix._of([_picked(ring, stored[i], cols) for i in rows],
                           self.mode, (len(rows), len(cols)))
 
     def hstack(self, other):
         self._check_same_base(other)
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        ring = _RINGS.get(self.mode.base)
+        ring = _ring(self.mode)
         # the lcm of two least denominators is least for the joined row
-        out = [x + y if ring is None else _aligned(ring, x, y, add)
+        out = [_aligned(ring, x, y, add)
                for x, y in zip(self._rows, other._rows)]
         return Matrix._of(out, self.mode, (self.rows, self.cols + other.cols))
 
@@ -372,20 +349,16 @@ class Matrix:
         return Matrix(rows, mode, promote=False, shape=shape)
 
 
-# -- generic scalar back end ------------------------------------------------
+# -- entrywise scalar definitions -------------------------------------------
+#
+# _mul_generic and _char_poly_generic are the tests' oracles; _rref_generic
+# is the elimination of every base without integer rows.
 
 def _mul_generic(A, B):
-    z = A.mode.zero()
-    b = B.a
-    out = []
-    for row in A.a:
-        new = []
-        for j in range(B.cols):
-            s = z
-            for k, x in enumerate(row):
-                s = s + x * b[k][j]
-            new.append(s)
-        out.append(new)
+    """A B entrywise: sum over k of A[i][k] B[k][j], from zero, in order."""
+    b, z = B.a, A.mode.zero()
+    out = [[reduce(lambda s, k: s + row[k] * b[k][j], range(A.cols), z)
+            for j in range(B.cols)] for row in A.a]
     return Matrix(out, A.mode, promote=False, shape=(A.rows, B.cols))
 
 
@@ -443,13 +416,11 @@ def _rref_generic(M, limit):
                      det)
 
 
-# -- integer-numerator back end (rational and Gaussian-rational bases) ------
+# -- row arithmetic --------------------------------------------------------
 #
-# A vector is held as integer numerators over one common denominator, and a
-# stored row as (vector, its least positive denominator).  The product and
-# the elimination below, and char_poly's Berkowitz after Poly, are written
-# once; only the arithmetic on the integer vectors depends on the base, and
-# _RINGS holds it.
+# A stored row is (vector, its least positive denominator), and _ring(mode)
+# holds the arithmetic on the vectors: an entry of _RINGS, the integer rows
+# of the rationals and Gaussian rationals, or _Scalars for the rest.
 
 _Q0 = rational(0)
 
@@ -485,6 +456,7 @@ class _IntRows:
     content = staticmethod(lambda v, d: gcd(d, *v))  # gcd(d, numerators)
     dot = staticmethod(lambda x, y: sum(map(mul, x, y)))
     mod_p = staticmethod(lambda row, i=_I_MOD_P: [a % _P for a in row])
+    scale = staticmethod(lambda c, v: [c[0] * a for a in v])  # c[0] v
 
     @staticmethod
     def vector(vec):
@@ -549,6 +521,12 @@ class _GaussRows:
         return GaussianRational(_q(num[0], den), _q(num[1], den))
 
     @staticmethod
+    def scale(c, v):
+        (cr,), (ci,) = c
+        return ([cr * a - ci * b for a, b in zip(*v)],
+                [cr * b + ci * a for a, b in zip(*v)])
+
+    @staticmethod
     def at(row, c):
         """The entry in column c, or 0 when it is zero."""
         re, im = row[0][c], row[1][c]
@@ -592,6 +570,29 @@ class _GaussRows:
 _RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
 
 
+class _Scalars(_IntRows):
+    """The quaternions, GF(2) and the floats: a vector is a list of scalars
+    over 1, with _IntRows' list operations but the mode's scalars (their
+    elimination is _rref_generic's, not _IntRows.update's)."""
+    content = staticmethod(lambda v, d: 1)
+    vector = staticmethod(lambda vec: (list(vec), 1))
+    scalar = staticmethod(lambda x, d: x)
+    scalars = staticmethod(lambda v, d: v)
+
+    def __init__(self, mode):
+        self.zero, self.one = mode.zero(), mode.one()
+        self.lift = lambda ints: [mode.promote(a) for a in ints]
+        self.conj = lambda v: [mode.involve(x) for x in v]
+
+    def dot(self, x, y):
+        return reduce(add, map(mul, x, y), self.zero)
+
+
+def _ring(mode):
+    """The row arithmetic of mode's base."""
+    return _RINGS.get(mode.base) or _Scalars(mode)
+
+
 def _least(ring, v, den):
     """The stored row of v / den: over den's least positive divisor that
     keeps the numerators integral, den / gcd(den, v's numerators)."""
@@ -605,6 +606,10 @@ def _least(ring, v, den):
 
 def _times(ring, v, k):
     return ring.each(lambda p: [k * a for a in p], v)
+
+
+def _negated(ring, v):
+    return ring.each(lambda p: [-a for a in p], v)
 
 
 def _common(ring, rows):
@@ -630,9 +635,9 @@ def _aligned(ring, x, y, op):
 
 def _mul_int(A, B):
     """A B: row i of A over d_i times B's rows over one common denominator
-    L is one integer dot product per entry, over d_i L; zero rows and
-    columns are skipped."""
-    ring = _RINGS[A.mode.base]
+    L is one dot product per entry, over d_i L; zero rows and columns are
+    skipped."""
+    ring = _ring(A.mode)
     n = B.cols
     vs, L = _common(ring, B._rows)
     cols = [c if ring.nonzero(c) else None for c in ring.columns(vs, n)]
@@ -902,20 +907,16 @@ def char_poly(A):
     p_(r+1) = T p_r: T is lower-triangular Toeplitz on the column
     (1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C).
 
-    Over the rationals and Gaussian rationals it is the third primitive on
-    the integer back end: A is scaled once to the integer (Z[i]) matrix
-    N = d A, Berkowitz runs on N's integer rows, and coefficient k of
-    det(xI - N), d^k times A's, becomes one rational.  Over GF(2) and the
-    floats the same recursion runs on the scalars.
+    It runs on the stored rows of N = d A, d their common denominator (1
+    over GF(2) and the floats), and coefficient k of det(xI - N), d^k
+    times A's, is divided back once.
     """
     if not A.is_square():
         raise ValueError("characteristic polynomial of a nonsquare matrix")
     mode = A.mode
     if mode.base == QUATERNION:
         raise ValueError("no characteristic polynomial over the quaternions")
-    ring = _RINGS.get(mode.base)
-    p = _char_poly_generic(A) if ring is None else _char_poly_int(A, ring)
-    return Poly(p[::-1], mode, promote=False)
+    return Poly(_char_poly_int(A, _ring(mode))[::-1], mode, promote=False)
 
 
 def _char_poly_generic(A):
@@ -938,9 +939,8 @@ def _char_poly_generic(A):
 
 
 def _char_poly_int(A, ring):
-    """char_poly's coefficients, highest power first, over the rationals and
-    Gaussian rationals: Berkowitz on the integer rows of N = d A, then
-    coefficient k divided by d^k."""
+    """char_poly's coefficients, highest power first: Berkowitz on the rows
+    of N = d A, then coefficient k divided by d^k."""
     dot, pack = ring.dot, ring.pack
     rows, d = _common(ring, A._rows)
     p = [ring.one]

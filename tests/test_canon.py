@@ -341,6 +341,35 @@ def _length_multisets(largest, total):
     yield []
 
 
+class TestChainOrder:
+    """_reg_rec returns its chains longest first, so regularize reads the
+    sizes and the basis as they come."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC,
+                                       CONGRUENCE_REAL])
+    def test_scrambled_nilpotent_sums(self, cmode, k):
+        bs = BlockSum(cmode, [CanonicalBlock(SINGULAR_JORDAN, m)
+                              for m in (1, 2, 3, 4) for _ in range(k)])
+        A = scramble(block_sum_matrix(bs), 31 + k)
+        assert canon._reg_rec(A)[1] == [m for m in (4, 3, 2, 1)
+                                        for _ in range(k)]
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC,
+                                       CONGRUENCE_REAL])
+    def test_random_singular_sums(self, cmode):
+        checked = 0
+        for t in range(60):
+            bs = sample_blocks(cmode, random.Random(4100 + t), maxtotal=10)
+            sizes = sorted((b.n for b in bs.blocks
+                            if b.kind == SINGULAR_JORDAN), reverse=True)
+            if sizes:
+                A = scramble(block_sum_matrix(bs), 4200 + t)
+                assert canon._reg_rec(A)[1] == sizes, (cmode, t)
+                checked += 1
+        assert checked >= 15
+
+
 class TestSingularProfile:
     def test_solve_matches_the_enumeration(self):
         seen = 0
@@ -814,6 +843,22 @@ class TestCanonicalize:
         A = Matrix([[gr(1)]], MODE_GAUSSIAN)
         with pytest.raises(ValueError):
             canonicalize(A, "general-field")
+
+
+class TestRationalInput:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cast_into_the_mode_field(self, seed):
+        # canonicalize casts a rational matrix into the Gaussian field of
+        # star-ac and congruence-ac; the answer is the cast matrix's
+        t = 4300 + 10 * seed
+        while not (bs := sample_blocks(CONGRUENCE_REAL, random.Random(t),
+                                       8)).blocks:
+            t += 1
+        A = scramble(block_sum_matrix(bs), 4400 + seed)
+        assert A.mode == MODE_RATIONAL
+        for cmode in (STAR_AC, CONGRUENCE_AC):
+            assert (canonicalize(A, cmode)
+                    == canonicalize(A.cast(field_mode_for(cmode)), cmode))
 
 
 class TestSignConservation:

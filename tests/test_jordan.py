@@ -18,7 +18,10 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
                                rational)
 from congruence.matrix import Matrix, Poly, direct_sum
-from congruence.blocks import jordan_block, frobenius_block
+from congruence.blocks import (STAR_AC, SIGNED_ROOT, SKEW_PAIR, BlockSum,
+                               CanonicalBlock, block_sum_matrix, jordan_block,
+                               frobenius_block)
+from congruence.canon import canonicalize, random_congruence
 from congruence import jordan
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
                                eigenvalues, UnsplittablePolynomial, RootSpace,
@@ -186,6 +189,34 @@ class TestRootFinder:
         got = eigenvalues(with_roots(roots, MODE_RATIONAL))
         assert Counter(got) == Counter(roots)
 
+    def test_unsettled_approximations_still_give_guesses(self, monkeypatch):
+        # chi's norm has degree 24 here, and Aberth's corrections stay at
+        # the noise of evaluating it in doubles: the last approximations
+        # still divide out 7 of the 12 roots, so less is left to factor
+        units = [gr(rational(a, c), rational(b, c)) for a, b, c in
+                 ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))]
+        bs = BlockSum(STAR_AC, [
+            CanonicalBlock(SIGNED_ROOT, 1, lam=u, eps=1) for u in units] + [
+            CanonicalBlock(SKEW_PAIR, 1,
+                           lam=gr(rational(j + 2, j + 1), rational(1, j + 3)))
+            for j in range(4)])
+        A, _ = random_congruence(block_sum_matrix(bs), 1)
+        degrees = []
+        factor_list = jordan.dup_factor_list
+        monkeypatch.setattr(jordan, "dup_factor_list",
+                            lambda f: degrees.append(len(f) - 1)
+                            or factor_list(f))
+        assert canonicalize(A, STAR_AC) == bs
+        assert all(d < 24 for d in degrees)
+
+    def test_non_finite_approximations_give_no_guess(self, monkeypatch):
+        # a NaN would make the rounding's floor raise ValueError
+        nan, inf = float("nan"), float("inf")
+        monkeypatch.setattr(jordan, "_approximate_roots", lambda f: [
+            (complex(nan, 0), nan), (complex(inf, 1), inf), (0.5 + 0j, 0.0)])
+        f = [2, -3, 1]  # (2x - 1)(x - 1)
+        assert jordan._guesses(f, MODE_RATIONAL) == [rational(1, 2)]
+
 
 def times(f, g):
     """The product of integer polynomials (highest power first)."""
@@ -289,6 +320,8 @@ for bs in forms:
     assert canon.canonicalize(A, bs.cmode) == bs, bs.cmode
     assert len(calls) > before, bs.cmode
 assert 'sympy' not in sys.modules
+# numpy, which the float modes use, stays off the exact path too
+assert 'numpy' not in sys.modules
 """)
 
     def test_factoring_tail_loads_sympy_and_names_the_factor(self):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GF2, MODE_QUAT_CONJ, GF2,
-                               Quaternion, REAL_FLOAT, IDENTITY, rational)
+                               MODE_COMPLEX_FLOAT, MODE_REAL_FLOAT, Quaternion,
+                               REAL_FLOAT, IDENTITY, rational)
 from congruence import matrix
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
                                realify, complexify, _mul_generic,
@@ -54,6 +55,16 @@ class TestArithmetic:
         i = Quaternion(0, 1)
         A = Matrix([[i]], MODE_QUAT_CONJ)
         assert A.scale_left(j) != A * Matrix([[j]], MODE_QUAT_CONJ)
+
+    @pytest.mark.parametrize("scalar", [2, rational(1, 2),
+                                        GaussianRational(0, 1)])
+    def test_scalar_factors_raise(self, scalar):
+        # a scalar factor goes through scale_left
+        A = mat([[1, 2], [3, 4]])
+        with pytest.raises(TypeError):
+            A * scalar
+        with pytest.raises(TypeError):
+            scalar * A
 
     @pytest.mark.parametrize("other", [
         Matrix([[GaussianRational(1, 1), 0], [0, 1]], MODE_GAUSSIAN),
@@ -598,6 +609,44 @@ class TestStoredRows:
         assert (full.right_kernel().rows, full.right_kernel().cols) == (3, 0)
         assert F * E == Matrix.zeros(3, 3, mode)
         assert (E * F).rows == (E * F).cols == 0
+
+
+_Q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+_FLOAT = st.floats(-8, 8)
+SCALARS = {
+    MODE_RATIONAL: _Q,
+    MODE_GAUSSIAN: st.builds(GaussianRational, _Q, _Q),
+    MODE_QUAT_CONJ: st.builds(Quaternion, _Q, _Q, _Q, _Q),
+    MODE_GF2: st.builds(GF2, st.integers(0, 1)),
+    MODE_REAL_FLOAT: _FLOAT,
+    MODE_COMPLEX_FLOAT: st.builds(complex, _FLOAT, _FLOAT),
+}
+
+
+class TestRowOperations:
+    """scale_left, unary minus and diagonal work on the stored rows of every
+    base, and read back the entrywise results."""
+
+    @given(st.sampled_from(list(SCALARS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_scale_negate_diagonal(self, mode, data):
+        scalar = SCALARS[mode]
+        m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        A = Matrix([[data.draw(scalar) for _ in range(n)] for _ in range(m)],
+                   mode, shape=(m, n))
+        c = data.draw(scalar)
+        d = data.draw(st.lists(scalar, max_size=5))
+        z = mode.zero()
+        for M, want in [
+                (A.scale_left(c), [[c * x for x in r] for r in A.a]),
+                (-A, [[-x for x in r] for r in A.a]),
+                (Matrix.diagonal(d, mode),
+                 [[x if i == j else z for j in range(len(d))]
+                  for i, x in enumerate(d)])]:
+            assert entries(M) == want
+            assert all(type(x) is type(z) for r in M.a for x in r)
+            if mode.base in matrix._RINGS:
+                check_stored(M)
 
 
 class TestImmutable:
