@@ -6,15 +6,15 @@ recursion that builds an explicit congruence witness), then compute the
 core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
 kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
 is snapped onto the unit circle; an exact simple eigenvalue builds it only
-if its basis is read.  The eigenvalues are grouped into orbits under
+if its signs are read.  The eigenvalues are grouped into orbits under
 x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus conjugation over
 the reals.  A one-member orbit (two for a unimodular non-real lam over
 the reals) gives root blocks at the sizes n where J_n(lam) has a cosquare
 root (cosquare.root_exists_jordan) and pairs the other sizes off into skew
 pairs; any larger orbit gives skew pairs at its representative.  The root
-blocks get their signs from the chain basis: the signature of the scaled
-form that pairs the tops of the size-n chains with their bottoms is the
-signed count d_n of the size-n root blocks.
+blocks get their signs from the kernel chain: on K_n = ker (Phi - lam)^n
+the scaled form x* C (Phi - lam)^(n-1) y has rank the number of size-n
+chains and signature d_n, the signed count of the size-n root blocks.
 
 regularize proves T* A T = C0 + J_m1(0) + ... with T and the core C0
 nonsingular, which fixes the sizes m_i; their subspace-chain profile is
@@ -374,18 +374,19 @@ def _representative(orbit, fm):
 
 # -- sign extraction --------------------------------------------------------
 
-def _signature(G):
-    """Signature of a Hermitian/symmetric matrix (exactly, where exact)."""
+def _inertia(G):
+    """(pos, neg), the numbers of positive and negative eigenvalues of a
+    Hermitian/symmetric matrix (exactly, where exact)."""
     fm = G.mode
     if not fm.exact:
         import numpy as np
         if G.rows == 0:
-            return 0
+            return 0, 0
         arr = np.array([[complex(x) for x in row] for row in G.a])
         vals = np.linalg.eigvalsh(arr)
         scale = max(1.0, float(np.max(np.abs(vals))))
         thr = max(fm.tolerance, 1e-300) ** 0.5 * scale
-        return int((vals > thr).sum()) - int((vals < -thr).sum())
+        return int((vals > thr).sum()), int((vals < -thr).sum())
     p = char_poly(G)
     cs = []
     for k in range(p.degree + 1):
@@ -395,44 +396,39 @@ def _signature(G):
                 raise ClassificationError("non-real characteristic "
                                           "polynomial of a pairing form")
             c = c.re
-        cs.append(rational(c))
-    while cs and cs[0] == 0:
-        cs.pop(0)  # zero eigenvalues contribute nothing
-    # all roots are real, so sign variation counts are exact
-    def variations(seq):
-        signs = [1 if c > 0 else -1 for c in seq if c != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        cs.append(c)
 
-    pos = variations(cs)
-    neg = variations([c if k % 2 == 0 else -c for k, c in enumerate(cs)])
-    return pos - neg
+    def variations(seq):  # Descartes' rule, exact as all roots are real
+        signs = [c > 0 for c in seq if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(cs), variations([(-1) ** k * c
+                                       for k, c in enumerate(cs)])
 
 
 def _top_form_signs(C, space, sizes):
     """d_m, the signed count of the root blocks of size m at space.lam, for
-    each m in sizes.
+    each m in sizes: the signature of G_m = sigma_m K_m* C N^(m-1) K_m on
+    K_m = ker N^m, N = Phi - lam, both read off space's kernel chain.  The
+    scale sigma_m is lam^(m-1) under the identity (lam = +-1) and
+    c (i conj(lam))^(m-1), c = 1 + conj(lam) (c = i at lam = -1), under a
+    conjugation.
 
-    On the chain basis P of space (chains longest first, each from its
-    bottom to its top) the form H = P* C P satisfies H = H* J, J the
-    cosquare's restriction, since C = C* Phi.  The top form G_m pairs the
-    tops of the size-m chains (rows) with their bottoms (columns); scaled
-    by sigma_m = lam^(m-1) under the identity (lam = +-1), by
-    c (i conj(lam))^(m-1) with c = 1 + conj(lam) (c = i at lam = -1) under
-    a conjugation, it is Hermitian (symmetric), and its signature is the
-    classical sign characteristic: a + block of size m adds 1, a - block
-    -1.  It is the form x* C (Phi - lam)^(m-1) y on the size-m tops, so up
-    to congruence it does not depend on the chains chosen.
+    In a canonical basis N^(m-1) maps K_m onto the bottoms of the chains
+    of length >= m, and C pairs a bottom only with the top of a chain of
+    the same length, which lies in K_m only at length m.  So G_m vanishes
+    off the size-m tops, where it is the classical sign characteristic:
+    Hermitian (symmetric), of rank c_m, the number of size-m chains, and of
+    signature d_m (a + block adds 1, a - block -1), in any basis of K_m.
+    Checked: C = C* Phi on the root subspace (so H = H* J for the chain
+    form H = P* C P), G_m Hermitian and of rank c_m.
     """
     fm = C.mode
     lam = space.lam
     at = "signs at eigenvalue %s, " % (lam,)
-    P = space.basis()
-    J = P.solve(space.A * P)
-    if J != direct_sum(*[jordan_block(m, lam, fm) for m in space.sizes]):
-        raise ClassificationError(at + "sizes %s: restriction is not a "
-                                  "Jordan matrix" % (list(space.sizes),))
-    H = P.conj_transpose() * C * P
-    if H != H.conj_transpose() * J:
+    N, kernels = space.chain()
+    R = kernels[-1]
+    if C * R != C.conj_transpose() * (space.A * R):
         raise ClassificationError(at + "sizes %s: the chain form H is not "
                                   "H* J" % (list(space.sizes),))
     if fm.involution == IDENTITY:
@@ -440,16 +436,21 @@ def _top_form_signs(C, space, sizes):
     else:
         z, kind = fm.i() * fm.involve(lam), "hermitian"
         c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
-    starts = list(accumulate(space.sizes, initial=0))
     out = {}
     for m in sizes:
-        bottoms = [s for s, h in zip(starts, space.sizes) if h == m]
-        G = H.submatrix([s + m - 1 for s in bottoms], bottoms)
-        G = G.scale_left(c * z ** (m - 1))
+        K = V = kernels[m]
+        for _ in range(m - 1):
+            V = N * V
+        G = (K.conj_transpose() * C * V).scale_left(c * z ** (m - 1))
         if G != G.conj_transpose():
             raise ClassificationError(at + "size %d: the top form is not %s"
                                       % (m, kind))
-        out[m] = _signature(G)
+        pos, neg = _inertia(G)
+        chains = space.sizes.count(m)
+        if pos + neg != chains:
+            raise ClassificationError(at + "size %d: the top form has rank "
+                                      "%d, not %d" % (m, pos + neg, chains))
+        out[m] = pos - neg
     return out
 
 
@@ -541,12 +542,7 @@ def extract_signs(core, space, sizes, cmode):
     d = _top_form_signs(core, space, counts)
     out = []
     for n in sorted(counts, reverse=True):
-        at = "signs at eigenvalue %s, size %d: " % (lam, n)
-        if (counts[n] + d[n]) % 2:
-            raise ClassificationError(at + "odd sign defect")
         p = (counts[n] + d[n]) // 2
-        if not 0 <= p <= counts[n]:
-            raise ClassificationError(at + "sign count out of range")
         out += [(n, 1)] * p + [(n, -1)] * (counts[n] - p)
     return out
 

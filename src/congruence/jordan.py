@@ -30,9 +30,10 @@ preimage_chain builds every chain of subspaces, K_k = {x : B x in S K_(k-1)}.
 RootSpace holds the chain of A - lam (the kernels of (A - lam)^k) at an
 eigenvalue lam, stopped once the nullity reaches lam's algebraic multiplicity
 (a nullity that stalls below it or passes it raises ValueError); the Jordan
-partition (chain_counts) and the chain-ordered basis are read from it.  An
-exact simple eigenvalue has the partition (1,) without a chain, which is
-built, with its checks, only when its basis is read.
+partition (chain_counts) and the root-block signs read it.  An exact simple
+eigenvalue has the partition (1,) without a chain, which is built, with its
+checks, only when it is read.  The chain-ordered basis serves
+generalized_eigenbasis only.
 """
 
 from cmath import isfinite, rect
@@ -389,11 +390,11 @@ class RootSpace:
     A nullity that stalls below mult or passes it raises ValueError: in
     exact modes neither can happen, in float modes either means the
     eigenvalue clusters are wrong.  The Jordan block sizes at lam (sizes)
-    and the chain-ordered basis (basis()) both read this one kernel chain.
-    In exact modes a simple eigenvalue (mult = 1) has sizes (1,) without
-    it, since 1 <= nullity of A - lam <= mult; its chain, with the nullity
-    checks, is built at the first basis() call, so a lam that is not an
-    eigenvalue raises there.
+    and the root-block signs (through chain()) read this one kernel chain;
+    basis() serves generalized_eigenbasis only.  In exact modes a simple
+    eigenvalue (mult = 1) has sizes (1,) without it, since
+    1 <= nullity of A - lam <= mult; its chain, with the nullity checks, is
+    built at the first read, so a lam that is not an eigenvalue raises there.
     """
 
     __slots__ = ("A", "lam", "mult", "sizes", "_N", "_kernels")
@@ -404,13 +405,13 @@ class RootSpace:
         if A.mode.exact and mult == 1:
             self.sizes = (1,)
             return
-        counts = chain_counts([K.cols for K in self._chain()])
+        counts = chain_counts([K.cols for K in self.chain()[1]])
         self.sizes = tuple(k for k in range(len(counts), 0, -1)
                            for _ in range(counts[k - 1]))
 
-    def _chain(self):
-        """The kernels of (A - lam)^k, k = 0, 1, ..., built once with
-        _N = A - lam."""
+    def chain(self):
+        """(N, kernels): N = A - lam and the kernels of N^k, k = 0, 1, ...,
+        up to the root subspace, built once."""
         if self._kernels is None:
             A, mult = self.A, self.mult
             self._N = A.minus_scalar(self.lam)
@@ -426,7 +427,7 @@ class RootSpace:
                 if nul[-1] == mult:
                     break
             self._kernels = kernels
-        return self._kernels
+        return self._N, self._kernels
 
     def basis(self):
         """Chain-ordered basis, longest chains first.
@@ -435,8 +436,7 @@ class RootSpace:
         restriction of A is the direct sum of the upper Jordan blocks
         J_h(lam), h in sizes.
         """
-        kernels = self._chain()
-        N = self._N
+        N, kernels = self.chain()
         n = N.rows
         chains = []  # each from its top vector down to height h
         for h in range(len(kernels) - 1, 0, -1):

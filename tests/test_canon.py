@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from congruence import canon, matrix
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_GF2,
-                               MODE_QUAT_CONJ, QUATERNION, complex_mode,
-                               rational, scalar_key)
+                               MODE_QUAT_CONJ, QUATERNION, IDENTITY,
+                               complex_mode, rational, scalar_key)
 from congruence.matrix import Matrix, direct_sum, skew_sum
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
@@ -686,18 +686,18 @@ class TestExtractSigns:
         assert str(err.value) == ("signs at eigenvalue %s, sizes [2]: the "
                                   "chain form H is not H* J" % (lam,))
 
-    @pytest.mark.parametrize("d, what", [(0, "odd sign defect"),
-                                         (3, "sign count out of range")])
-    def test_sign_errors_name_the_eigenvalue_and_size(self, d, what,
+    @pytest.mark.parametrize("pos, neg", [(0, 0), (1, 1)])
+    def test_sign_errors_name_the_eigenvalue_and_size(self, pos, neg,
                                                       monkeypatch):
+        # one chain of size 1, so the top form must have rank 1
         lam = gr(rational(3, 5), rational(4, 5))
         R = plus_root(1, lam, MODE_GAUSSIAN)
         space = RootSpace(cosquare(R), lam, 1)
-        monkeypatch.setattr(canon, "_signature", lambda G: d)
+        monkeypatch.setattr(canon, "_inertia", lambda G: (pos, neg))
         with pytest.raises(ClassificationError) as err:
             extract_signs(R, space, [1], STAR_AC)
-        assert str(err.value) == ("signs at eigenvalue %s, size 1: %s"
-                                  % (lam, what))
+        assert str(err.value) == ("signs at eigenvalue %s, size 1: the top "
+                                  "form has rank %d, not 1" % (lam, pos + neg))
 
     def test_size_mismatch_raises(self):
         R = plus_root(1, gr(1), MODE_GAUSSIAN)
@@ -803,6 +803,135 @@ class TestOneChainPerEigenvalue:
         assert sorted(lams, key=lambda x: (x.re, x.im)) == [
             gr(rational(1, 2)), gr(rational(3, 5), rational(4, 5)), gr(1),
             gr(2)]
+
+
+class TestSignsFromTheKernelChain:
+    def test_no_chain_basis_and_one_solve(self, monkeypatch):
+        # the signs read the kernel chain: the only solve is the cosquare's
+        u = gr(rational(3, 5), rational(4, 5))
+        forms = [
+            BlockSum(STAR_AC, [
+                CanonicalBlock(SIGNED_ROOT, 3, lam=gr(1), eps=-1),
+                CanonicalBlock(SIGNED_ROOT, 2, lam=u, eps=1),
+                CanonicalBlock(SIGNED_ROOT, 1, lam=gr(0, -1), eps=-1),
+                CanonicalBlock(SKEW_PAIR, 1, lam=gr(2))]),
+            BlockSum(CONGRUENCE_AC, [
+                CanonicalBlock(SIGNED_ROOT, 3, lam=gr(1)),
+                CanonicalBlock(SIGNED_ROOT, 2, lam=gr(-1)),
+                CanonicalBlock(SIGNED_ROOT, 1, lam=gr(1))]),
+            BlockSum(CONGRUENCE_REAL, [
+                CanonicalBlock(SIGNED_ROOT, 3, lam=rational(1), eps=1),
+                CanonicalBlock(SIGNED_ROOT, 2, lam=rational(-1), eps=-1),
+                CanonicalBlock(SIGNED_ROOT, 1, lam=rational(1), eps=-1),
+                CanonicalBlock(REAL_SIGNED_ROOT, 2, lam=u, eps=-1)])]
+        mats = [scramble(block_sum_matrix(bs), 11) for bs in forms]
+        solve, where, inside = Matrix.solve, [None], []
+
+        def refused(space):
+            raise AssertionError("chain basis built")
+
+        def counted_solve(M, B):
+            inside.append(where[0])
+            return solve(M, B)
+
+        def marked_cosquare(M):
+            where[0] = "cosquare"
+            try:
+                return cosquare(M)
+            finally:
+                where[0] = None
+
+        monkeypatch.setattr(RootSpace, "basis", refused)
+        monkeypatch.setattr(Matrix, "solve", counted_solve)
+        monkeypatch.setattr(canon, "cosquare", marked_cosquare)
+        for bs, A in zip(forms, mats):
+            inside.clear()
+            assert canonicalize(A, bs.cmode) == bs
+            assert inside == ["cosquare"], bs.cmode
+
+
+def _chain_basis_top_form_signs(C, space, sizes):
+    """d_m from the chain basis P of space, as the signs were read before
+    the kernel form: H = P* C P must be H* J with J the Jordan matrix
+    P^-1 Phi P, and the top form is H on the rows at the tops of the size-m
+    chains and the columns at their bottoms, scaled by sigma_m."""
+    fm, lam = C.mode, space.lam
+    P = space.basis()
+    J = P.solve(space.A * P)
+    if J != direct_sum(*[jordan_block(m, lam, fm) for m in space.sizes]):
+        raise ClassificationError("restriction is not a Jordan matrix")
+    H = P.conj_transpose() * C * P
+    if H != H.conj_transpose() * J:
+        raise ClassificationError("the chain form H is not H* J")
+    if fm.involution == IDENTITY:
+        c, z = fm.one(), lam
+    else:
+        z = fm.i() * fm.involve(lam)
+        c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
+    starts = list(itertools.accumulate(space.sizes, initial=0))
+    out = {}
+    for m in sizes:
+        bottoms = [s for s, h in zip(starts, space.sizes) if h == m]
+        G = H.submatrix([s + m - 1 for s in bottoms], bottoms)
+        G = G.scale_left(c * z ** (m - 1))
+        if G != G.conj_transpose():
+            raise ClassificationError("the top form is not Hermitian")
+        pos, neg = canon._inertia(G)
+        if (len(bottoms) + pos - neg) % 2 or abs(pos - neg) > len(bottoms):
+            raise ClassificationError("sign count out of range")
+        out[m] = pos - neg
+    return out
+
+
+class TestKernelTopFormOracle:
+    @pytest.mark.parametrize("tol", [None, 1e-8])
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_REAL])
+    def test_matches_the_chain_basis_top_form(self, cmode, tol,
+                                              monkeypatch):
+        # 30 seeded acceptance-gate forms: wherever the chain-basis oracle
+        # reads signs, the kernel form reads the same d_m at rank c_m
+        top_form_signs, inertia = canon._top_form_signs, canon._inertia
+        ranks, compared = [], []
+
+        def recorded_inertia(G):
+            pos, neg = inertia(G)
+            ranks.append(pos + neg)
+            return pos, neg
+
+        def checked(C, space, sizes):
+            try:
+                want = _chain_basis_top_form_signs(C, space, sizes)
+            except ValueError:
+                assert tol is not None
+                return top_form_signs(C, space, sizes)
+            ranks.clear()
+            got = top_form_signs(C, space, sizes)
+            assert got == want
+            assert ranks == [space.sizes.count(m) for m in sizes]
+            compared.append(len(sizes))
+            return got
+
+        monkeypatch.setattr(canon, "_inertia", recorded_inertia)
+        monkeypatch.setattr(canon, "_top_form_signs", checked)
+        fm = field_mode_for(cmode, floating=tol is not None)
+        if tol is not None:
+            fm = FieldMode(fm.base, fm.involution, tol)
+        forms = 0
+        for t in itertools.count():
+            if forms == 30:
+                break
+            bs = sample_blocks(cmode, random.Random(90000 + t), maxtotal=10)
+            if not any(b.eps for b in bs.blocks):
+                continue
+            forms += 1
+            A = scramble(block_sum_matrix(bs), 91000 + t).cast(fm)
+            try:
+                got = canonicalize(A, cmode)
+            except ValueError:
+                assert tol is not None
+                continue
+            assert close_blocks(got, bs), (t, bs, got)
+        assert sum(compared) >= 30
 
 
 class TestFloatSample:
