@@ -32,16 +32,15 @@ from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
                      GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
                      IDENTITY, abs_squared, complex_mode, is_unimodular,
                      scalar_key)
-from .matrix import (Matrix, direct_sum, realify, char_poly,
-                     column_complement, _P, _images_mod_p, _kernel_mod_p,
-                     _rref_mod_p)
+from .matrix import (Matrix, direct_sum, realify, char_poly, _P,
+                     _images_mod_p, _kernel_mod_p, _rref_mod_p)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
                      BlockSum, jordan_block, field_mode_for)
 from .cosquare import cosquare, root_exists_jordan, star_root_jordan
 from .jordan import (RootSpace, chain_counts, eigenvalues, preimage_chain,
-                     _distinct)
+                     _comparison_mode, _distinct)
 
 
 class ClassificationError(ValueError):
@@ -201,9 +200,6 @@ def _reg_rec(A):
     only at f and at earlier pivots of A, ker K* A's basis vector at f lies
     in ker A plus the earlier ones, and one at a pivot g of A does not (ker
     A is zero at g when zero at the free columns after g): W is those.
-    Floats read only W, raising if a free column of A pivots in K* A: A* K's
-    rank decisions at the tolerance need not be [A; A*]'s, and one form of
-    the float sample then loses its eigenvalue pairing.
 
     Chain j is lifted by y_j with y_j^* A x = 1 on its head x (the first
     vector of a carried chain) and 0 on the other carried vectors: the
@@ -279,15 +275,9 @@ def _level_bases(A):
     if not set(redKA.pivots) <= set(red.pivots):
         raise ClassificationError("a free column of A is a pivot of K* A")
     W = redKA.kernel([c for c in red.pivots if c not in redKA.pivots])
-    if A.mode.exact:
-        redAK = KA.conj_transpose().rref()
-        return (K.submatrix(range(n), redAK.pivots),
-                KA.submatrix(redAK.pivots, range(n)), W, K * redAK.kernel())
-    V0 = A.vstack(A.conj_transpose()).right_kernel()
-    if V0.cols:
-        K = column_complement(V0, K)
-        KA = K.conj_transpose() * A
-    return K, KA, W, V0
+    redAK = KA.conj_transpose().rref()
+    return (K.submatrix(range(n), redAK.pivots),
+            KA.submatrix(redAK.pivots, range(n)), W, K * redAK.kernel())
 
 
 def regularize(A):
@@ -552,15 +542,6 @@ def extract_signs(core, space, sizes, cmode):
 def canonicalize(A, cmode):
     """The ordered canonical BlockSum of A under the given equivalence."""
     return canonicalize_with_confidence(A, cmode)[0]
-
-
-def _comparison_mode(fm):
-    """fm when exact; over the floats the coarser yardstick eigenvalues are
-    compared at, since a defective eigenvalue scatters its computed copies
-    far beyond the working tolerance while the cluster mean stays accurate."""
-    if fm.exact:
-        return fm
-    return FieldMode(fm.base, fm.involution, fm.tolerance ** 0.4)
 
 
 def canonicalize_with_confidence(A, cmode):

@@ -23,8 +23,8 @@ Any other factor raises UnsplittablePolynomial naming it, and so does any
 factor of chi left undivided.  The floats only choose what to try: the
 root multiset is exact whatever they do.
 
-Float modes cluster numerically computed eigenvalues at radius
-tolerance**(1/2).
+Float modes cluster numerically computed eigenvalues at _comparison_mode's
+tolerance, the one yardstick they are compared at.
 
 preimage_chain builds every chain of subspaces, K_k = {x : B x in S K_(k-1)}.
 RootSpace holds the chain of A - lam (the kernels of (A - lam)^k) at an
@@ -40,8 +40,8 @@ from cmath import isfinite, rect
 from functools import reduce
 from math import floor, gcd, isqrt, lcm, pi, ulp
 
-from .scalar import (GaussianRational, GAUSSIAN, REAL_FLOAT, complex_mode,
-                     rational, scalar_key)
+from .scalar import (GaussianRational, FieldMode, GAUSSIAN, REAL_FLOAT,
+                     complex_mode, rational, scalar_key)
 from .matrix import (Matrix, Poly, char_poly, column_complement, complexify,
                      _RINGS)
 
@@ -287,14 +287,23 @@ def _exact_roots(chi):
     return sorted(roots, key=scalar_key)
 
 
+def _comparison_mode(fm):
+    """fm when exact; over the floats the coarser yardstick eigenvalues are
+    clustered and compared at, since a defective eigenvalue scatters its
+    computed copies far beyond the working tolerance while the cluster mean
+    stays accurate."""
+    if fm.exact:
+        return fm
+    return FieldMode(fm.base, fm.involution, fm.tolerance ** 0.4)
+
+
 def _float_eigenvalues(A):
     import numpy as np
-    mode = A.mode
     arr = np.array([[complex(x) for x in row] for row in A.a], dtype=complex)
     if A.rows == 0:
         return []
     vals = np.linalg.eigvals(arr)
-    radius = max(mode.tolerance, 1e-300) ** 0.5
+    radius = _comparison_mode(A.mode).tolerance
     clusters = []  # list of lists
     for v in sorted(vals, key=lambda z: (z.real, z.imag)):
         # single linkage: near any member joins; merge clusters v bridges

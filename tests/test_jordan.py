@@ -491,7 +491,8 @@ class TestFloat:
 
     def test_clusters_defective_eigenvalue(self):
         # a 4-chain scatters its computed eigenvalues roughly like eps^(1/4);
-        # single-linkage clustering at radius sqrt(tolerance) must merge them
+        # single-linkage clustering at the comparison tolerance, tolerance**0.4,
+        # must merge them
         m = FieldMode("real-float", "identity", 1e-5)
         base = jordan_block(4, 1, MODE_RATIONAL)
         A = scrambled([base], MODE_RATIONAL, 21).cast(m)
