@@ -3,18 +3,23 @@ extraction, and canonical block-sum assembly.
 
 Pipeline: split off the singular summands first (a kernel-quotient
 recursion that builds an explicit congruence witness), then compute the
-core's cosquare once and its eigenvalues.  Each distinct eigenvalue gets one
-kernel chain (jordan.RootSpace), built after a unimodular float eigenvalue
-is snapped onto the unit circle; an exact simple eigenvalue builds it only
-if its signs are read.  The eigenvalues are grouped into orbits under
-x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus conjugation over
-the reals.  A one-member orbit (two for a unimodular non-real lam over
-the reals) gives root blocks at the sizes n where J_n(lam) has a cosquare
-root (cosquare.root_exists_jordan) and pairs the other sizes off into skew
-pairs; any larger orbit gives skew pairs at its representative.  The root
+core C's cosquare Phi once and its eigenvalues (in the Gaussian rationals
+or complex floats for a real Phi).  Each distinct eigenvalue lam gets one
+kernel chain (jordan.RootSpace), the kernels of (Phi - lam)^k read off the
+pencil C - lam C* with C* formed once, built after a unimodular float
+eigenvalue is snapped onto the unit circle; an exact simple eigenvalue
+builds it only if its signs are read.  The eigenvalues are grouped into
+orbits under x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus
+conjugation over the reals.  A one-member orbit (two for a unimodular
+non-real lam over the reals) gives root blocks at the sizes n where
+J_n(lam) has a cosquare root (cosquare.root_exists_jordan) and pairs the
+other sizes off into skew pairs; any larger orbit gives skew pairs at its
+representative.  The root
 blocks get their signs from the kernel chain: on K_n = ker (Phi - lam)^n
 the scaled form x* C (Phi - lam)^(n-1) y has rank the number of size-n
 chains and signature d_n, the signed count of the size-n root blocks.
+The + reference roots of block_matrix are calibrated from one entry by the
+same argument (_reference).
 
 regularize proves T* A T = C0 + J_m1(0) + ... with T and the core C0
 nonsingular, which fixes the sizes m_i; their subspace-chain profile is
@@ -396,13 +401,22 @@ def _inertia(G):
                                        for k, c in enumerate(cs)])
 
 
+def _sign_scale(m, lam, fm):
+    """sigma_m, the scale that makes the size-m top form carry the signs:
+    lam^(m-1) under the identity (lam = +-1) and c (i conj(lam))^(m-1),
+    c = 1 + conj(lam) (c = i at lam = -1), under a conjugation."""
+    if fm.involution == IDENTITY:
+        return lam ** (m - 1)
+    c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
+    return c * (fm.i() * fm.involve(lam)) ** (m - 1)
+
+
 def _top_form_signs(C, space, sizes):
     """d_m, the signed count of the root blocks of size m at space.lam, for
     each m in sizes: the signature of G_m = sigma_m K_m* C N^(m-1) K_m on
-    K_m = ker N^m, N = Phi - lam, both read off space's kernel chain.  The
-    scale sigma_m is lam^(m-1) under the identity (lam = +-1) and
-    c (i conj(lam))^(m-1), c = 1 + conj(lam) (c = i at lam = -1), under a
-    conjugation.
+    K_m = ker N^m, N = Phi - lam, K_m read off space's kernel chain and
+    sigma_m = _sign_scale(m, lam).  N is formed only when some m >= 2
+    needs it.
 
     In a canonical basis N^(m-1) maps K_m onto the bottoms of the chains
     of length >= m, and C pairs a bottom only with the top of a chain of
@@ -410,28 +424,25 @@ def _top_form_signs(C, space, sizes):
     off the size-m tops, where it is the classical sign characteristic:
     Hermitian (symmetric), of rank c_m, the number of size-m chains, and of
     signature d_m (a + block adds 1, a - block -1), in any basis of K_m.
-    Checked: C = C* Phi on the root subspace (so H = H* J for the chain
-    form H = P* C P), G_m Hermitian and of rank c_m.
+    Checked: C = C* Phi on the root subspace the chain reached (so H = H* J
+    for the chain form H = P* C P), G_m Hermitian and of rank c_m.
     """
     fm = C.mode
     lam = space.lam
     at = "signs at eigenvalue %s, " % (lam,)
-    N, kernels = space.chain()
+    kernels = space.chain()
     R = kernels[-1]
     if C * R != C.conj_transpose() * (space.A * R):
         raise ClassificationError(at + "sizes %s: the chain form H is not "
                                   "H* J" % (list(space.sizes),))
-    if fm.involution == IDENTITY:
-        c, z, kind = fm.one(), lam, "symmetric"
-    else:
-        z, kind = fm.i() * fm.involve(lam), "hermitian"
-        c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
+    kind = "symmetric" if fm.involution == IDENTITY else "hermitian"
+    N = space.A.minus_scalar(lam) if max(sizes) > 1 else None
     out = {}
     for m in sizes:
         K = V = kernels[m]
         for _ in range(m - 1):
             V = N * V
-        G = (K.conj_transpose() * C * V).scale_left(c * z ** (m - 1))
+        G = (K.conj_transpose() * C * V).scale_left(_sign_scale(m, lam, fm))
         if G != G.conj_transpose():
             raise ClassificationError(at + "size %d: the top form is not %s"
                                       % (m, kind))
@@ -460,26 +471,24 @@ def _raw_root(n, lam, fm):
 
 
 def _reference(n, lam, fm, realified):
-    """The calibrated (+1) root at size n: the deterministic root, negated
-    when extract_signs reads its single block as -1."""
+    """The calibrated (+1) root at size n: the deterministic root R,
+    negated when sigma_n R[n-1][0] is negative (realified, R is the complex
+    root before realify).  R is a single block of J_n(lam) in its Jordan
+    basis, so K_n is the whole space and N^(n-1) the matrix unit E_1n: the
+    top form G_n of _top_form_signs is the one entry sigma_n R[n-1][0], and
+    its sign is the block's."""
     key = (n, scalar_key(lam), fm.base, fm.involution, fm.tolerance,
            realified)
     hit = _REF_CACHE.get(key)
     if hit is not None:
         return hit
+    g = complex_mode(fm) if realified else fm
+    lam = g.promote(lam)
+    R = _raw_root(n, lam, g)
+    if scalar_key(_sign_scale(n, lam, g) * R.a[n - 1][0])[0] < 0:
+        R = -R
     if realified:
-        g = complex_mode(fm)
-        lam = g.promote(lam)
-        R = realify(_raw_root(n, lam, g)).cast(fm)
-        space = RootSpace(cosquare(R.cast(g)), lam, n)
-    else:
-        lam = fm.promote(lam)
-        R = _raw_root(n, lam, fm)
-        space = RootSpace(cosquare(R), lam, n)
-    cmode = (CONGRUENCE_REAL if realified or fm.involution == IDENTITY
-             else STAR_AC)
-    ((_, sign),) = extract_signs(R, space, [n], cmode)
-    R = R if sign == 1 else -R
+        R = realify(R).cast(fm)
     if len(_REF_CACHE) >= _REF_CACHE_MAX:
         del _REF_CACHE[next(iter(_REF_CACHE))]
     _REF_CACHE[key] = R
@@ -569,13 +578,15 @@ def canonicalize_with_confidence(A, cmode):
         # tolerance (rank profiles inside the Jordan analysis depend on it)
         sfm = _comparison_mode(fm)
         Phi = cosquare(C)
+        pencil = (C, C.conj_transpose())
         if cmode == CONGRUENCE_REAL:
-            work_mode = complex_mode(sfm)
-            Phic = Phi.cast(complex_mode(fm))
+            work_mode, cfm = complex_mode(sfm), complex_mode(fm)
+            cast = (Phi.cast(cfm), tuple(M.cast(cfm) for M in pencil))
         else:
-            work_mode, Phic = sfm, Phi
-        ents = [_root_space(Phi, Phic, sfm, work_mode, lam, mult, cmode)
-                for lam, mult in _distinct(eigenvalues(Phic), Phic.mode)]
+            work_mode, cfm, cast = sfm, fm, (Phi, pencil)
+        ents = [_root_space((Phi, pencil), cast, sfm, work_mode, lam, mult,
+                            cmode)
+                for lam, mult in _distinct(eigenvalues(Phi, cfm), cfm)]
         if floating:
             report["eigenvalue_gap"] = _eigen_gap(ents)
         used = [False] * len(ents)
@@ -601,27 +612,28 @@ def canonicalize_with_confidence(A, cmode):
     return BlockSum(cmode, blocks), report
 
 
-def _root_space(Phi, Phic, fm, g, lam, mult, cmode):
+def _root_space(real, cast, fm, g, lam, mult, cmode):
     """(lam, RootSpace) for one distinct eigenvalue lam of the cosquare.
 
-    Phic is Phi, complexified under congruence-real; fm and g are the
-    comparison modes (g the complex one under congruence-real, else fm).
-    A real lam of a congruence-real form is read in fm on the real Phi, so
-    its +-1 signs run over the reals; any other lam in g on Phic.  In float
-    mode a lam that is unimodular at the comparison tolerance is first
-    projected onto x involve(x) = 1 (the unit circle, or +-1 under the
-    identity), so the chain and the signs read the same lam.
+    real and cast are (Phi, (C, C*)), the cosquare and its pencil, and the
+    same complexified under congruence-real (else the same again); fm and
+    g are the comparison modes (g the complex one under congruence-real,
+    else fm).  A real lam of a congruence-real form is read in fm on the
+    real pencil, so its +-1 signs run over the reals; any other lam in g on
+    the cast one.  In float mode a lam that is unimodular at the comparison
+    tolerance is first projected onto x involve(x) = 1 (the unit circle, or
+    +-1 under the identity), so the chain and the signs read the same lam.
     """
     lam = g.promote(lam)
     if cmode == CONGRUENCE_REAL and g.is_zero(scalar_key(lam)[1]):
-        mode, M, lam = fm, Phi, fm.promote(scalar_key(lam)[0])
+        mode, (M, pencil), lam = fm, real, fm.promote(scalar_key(lam)[0])
     else:
-        mode, M = g, Phic
+        mode, (M, pencil) = g, cast
     if not mode.exact and is_unimodular(lam, mode):
         z = complex(lam)
         lam = mode.promote(z / abs(z) if mode.involution != IDENTITY
                            else (1.0 if z.real > 0 else -1.0))
-    return g.promote(lam), RootSpace(M, lam, mult)
+    return g.promote(lam), RootSpace(M, lam, mult, pencil)
 
 
 def _orbit_blocks(C, cmode, fm, orbit, rep, space):

@@ -26,14 +26,20 @@ root multiset is exact whatever they do.
 Float modes cluster numerically computed eigenvalues at _comparison_mode's
 tolerance, the one yardstick they are compared at.
 
+A rational chi's roots can be sought in the Gaussian rationals
+(eigenvalues(A, mode)), so a real cosquare's complex eigenvalues need no
+complexified matrix.
+
 preimage_chain builds every chain of subspaces, K_k = {x : B x in S K_(k-1)}.
-RootSpace holds the chain of A - lam (the kernels of (A - lam)^k) at an
-eigenvalue lam, stopped once the nullity reaches lam's algebraic multiplicity
-(a nullity that stalls below it or passes it raises ValueError); the Jordan
-partition (chain_counts) and the root-block signs read it.  An exact simple
-eigenvalue has the partition (1,) without a chain, which is built, with its
-checks, only when it is read.  The chain-ordered basis serves
-generalized_eigenbasis only.
+RootSpace holds the kernels of (A - lam)^k at an eigenvalue lam, stopped
+once the nullity reaches lam's algebraic multiplicity (a nullity that stalls
+below it or passes it raises ValueError), as the preimage chain of a pencil
+B - lam S with A = S^-1 B: A - lam with S = I by default, C - lam C* for a
+cosquare A = C^-* C, whose eliminations then run on C's entries and give
+the same kernels.  The Jordan partition (chain_counts) and the root-block
+signs read it.  An exact simple eigenvalue has the partition (1,) without a
+chain, which is built, with its checks, only when it is read.  The
+chain-ordered basis serves generalized_eigenbasis only.
 """
 
 from cmath import isfinite, rect
@@ -261,17 +267,19 @@ def _factored(f, mode):
         yield from _candidates(g, mode)
 
 
-def _exact_roots(chi):
-    """The roots of chi in its base, with multiplicity, ordered by
+def _exact_roots(chi, mode):
+    """The roots of chi in mode's base, with multiplicity, ordered by
     scalar_key: the guesses first, then the factoring of what they leave.
-    chi is deflated on the integer numerators p + i q of d chi."""
-    mode = chi.mode
-    ring = _RINGS.get(mode.base)
-    if ring is None:
+    chi is deflated on the integer numerators p + i q of d chi; a rational
+    chi has q = 0, whichever base its roots are sought in."""
+    ring = _RINGS.get(chi.mode.base)
+    if ring is None or mode.base not in _RINGS:
         raise ValueError("exact eigenvalues need a rational or Gaussian "
-                         "rational base, not %r" % mode.base)
+                         "rational base, not %r"
+                         % (mode.base if ring else chi.mode.base))
     ints, d = ring.vector(chi.c[::-1])
-    p, q = ints if mode.base == GAUSSIAN else (ints, [0] * len(ints))
+    gauss = chi.mode.base == GAUSSIAN
+    p, q = ints if gauss else (ints, [0] * len(ints))
     roots = []
     for candidates in (_guesses, _factored):
         if len(p) > 1:
@@ -280,10 +288,10 @@ def _exact_roots(chi):
                     roots.append(r)
                     p, q = quot
     if len(p) > 1:
-        rest = ring.scalars((p, q) if mode.base == GAUSSIAN else p, d)
+        rest = ring.scalars((p, q) if gauss else p, d)
         raise UnsplittablePolynomial(
             "characteristic polynomial: the factor %s has no root among the "
-            "candidates" % Poly(rest[::-1], mode, promote=False))
+            "candidates" % Poly(rest[::-1], chi.mode, promote=False))
     return sorted(roots, key=scalar_key)
 
 
@@ -323,13 +331,16 @@ def _float_eigenvalues(A):
     return out
 
 
-def eigenvalues(A):
-    """Roots of the characteristic polynomial, with multiplicity."""
+def eigenvalues(A, mode=None):
+    """Roots of the characteristic polynomial, with multiplicity, in mode's
+    field (A's by default): a rational A's in the Gaussian rationals too,
+    with no elimination of its complexification.  Float eigenvalues are
+    complex whatever the mode."""
     if not A.is_square():
         raise ValueError("square matrix required")
     if not A.mode.exact:
         return _float_eigenvalues(A)
-    return _exact_roots(char_poly(A))
+    return _exact_roots(char_poly(A), mode or A.mode)
 
 
 class JordanStructure:
@@ -393,9 +404,15 @@ def chain_counts(dims):
 
 class RootSpace:
     """The root subspace of A at lam, an eigenvalue of algebraic
-    multiplicity mult, as the preimage chain of A - lam: the kernels of
-    (A - lam)^k for k = 1, 2, ... until the nullity reaches mult.
+    multiplicity mult, as the preimage chain of the pencil B - lam S with
+    A = S^-1 B: the kernels K_k = {x : (B - lam S) x in S K_(k-1)} of
+    (A - lam)^k for k = 1, 2, ... until the nullity reaches mult, since
+    B - lam S = S (A - lam) with S nonsingular.
 
+    pencil is (B, S), by default (A, None), S = None standing for the
+    identity.  A cosquare Phi = C^-* C takes (C, C*), so its eliminations
+    run on the entries of C rather than of Phi; right_kernel's basis
+    depends only on the subspace, so the kernels are the same either way.
     A nullity that stalls below mult or passes it raises ValueError: in
     exact modes neither can happen, in float modes either means the
     eigenvalue clusters are wrong.  The Jordan block sizes at lam (sizes)
@@ -406,37 +423,38 @@ class RootSpace:
     built at the first read, so a lam that is not an eigenvalue raises there.
     """
 
-    __slots__ = ("A", "lam", "mult", "sizes", "_N", "_kernels")
+    __slots__ = ("A", "lam", "mult", "sizes", "_pencil", "_kernels")
 
-    def __init__(self, A, lam, mult):
+    def __init__(self, A, lam, mult, pencil=None):
         self.A, self.lam, self.mult = A, A.mode.promote(lam), mult
+        self._pencil = (A, None) if pencil is None else pencil
         self._kernels = None
         if A.mode.exact and mult == 1:
             self.sizes = (1,)
             return
-        counts = chain_counts([K.cols for K in self.chain()[1]])
+        counts = chain_counts([K.cols for K in self.chain()])
         self.sizes = tuple(k for k in range(len(counts), 0, -1)
                            for _ in range(counts[k - 1]))
 
     def chain(self):
-        """(N, kernels): N = A - lam and the kernels of N^k, k = 0, 1, ...,
-        up to the root subspace, built once."""
+        """The kernels of (A - lam)^k, k = 0, 1, ..., up to the root
+        subspace, built once."""
         if self._kernels is None:
-            A, mult = self.A, self.mult
-            self._N = A.minus_scalar(self.lam)
+            A, lam, mult = self.A, self.lam, self.mult
+            B, S = self._pencil
+            P = B.minus_scalar(lam) if S is None else B - S.scale_left(lam)
             kernels = [Matrix.zeros(A.rows, 0, A.mode)]
-            for K in preimage_chain(self._N):
+            for K in preimage_chain(P, S):
                 kernels.append(K)
                 nul = [K.cols for K in kernels]
                 if nul[-1] == nul[-2] or nul[-1] > mult:
                     raise ValueError(
                         "eigenvalue %s: the nullities %s of (A - lam)^k miss "
-                        "its algebraic multiplicity %d"
-                        % (self.lam, nul[1:], mult))
+                        "its algebraic multiplicity %d" % (lam, nul[1:], mult))
                 if nul[-1] == mult:
                     break
             self._kernels = kernels
-        return self._N, self._kernels
+        return self._kernels
 
     def basis(self):
         """Chain-ordered basis, longest chains first.
@@ -445,7 +463,8 @@ class RootSpace:
         restriction of A is the direct sum of the upper Jordan blocks
         J_h(lam), h in sizes.
         """
-        N, kernels = self.chain()
+        kernels = self.chain()
+        N = self.A.minus_scalar(self.lam)
         n = N.rows
         chains = []  # each from its top vector down to height h
         for h in range(len(kernels) - 1, 0, -1):

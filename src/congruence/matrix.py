@@ -23,9 +23,6 @@ these depend on the base:
 - the mod-p certificate of Matrix.is_nonsingular and the canon module's
   mod-p singular profile (_rref_mod_p), on integer rows only;
 - the float tolerance of ==, and cast.
-
-_mul_generic and _char_poly_generic, the entrywise definitions, are kept
-as the tests' oracles.
 """
 
 from collections import namedtuple
@@ -351,18 +348,9 @@ class Matrix:
         return Matrix(rows, mode, promote=False, shape=shape)
 
 
-# -- entrywise scalar definitions -------------------------------------------
+# -- entrywise scalar elimination -------------------------------------------
 #
-# _mul_generic and _char_poly_generic are the tests' oracles; _rref_generic
-# is the elimination of every base without integer rows.
-
-def _mul_generic(A, B):
-    """A B entrywise: sum over k of A[i][k] B[k][j], from zero, in order."""
-    b, z = B.a, A.mode.zero()
-    out = [[reduce(lambda s, k: s + row[k] * b[k][j], range(A.cols), z)
-            for j in range(B.cols)] for row in A.a]
-    return Matrix(out, A.mode, promote=False, shape=(A.rows, B.cols))
-
+# _rref_generic is the elimination of every base without integer rows.
 
 def _rref_generic(M, limit):
     """Gauss-Jordan elimination over any base with left-multiplication row
@@ -919,25 +907,6 @@ def char_poly(A):
     if mode.base == QUATERNION:
         raise ValueError("no characteristic polynomial over the quaternions")
     return Poly(_char_poly_int(A, _ring(mode))[::-1], mode, promote=False)
-
-
-def _char_poly_generic(A):
-    """char_poly's coefficients, highest power first, on A's scalars: each
-    step of v <- v A_r and v C is one row of products with [A_r | C]."""
-    mode = A.mode
-    zero, one = mode.zero(), mode.one()
-    a = A.a
-    p = [one]
-    for r in range(A.rows):
-        col = [one, -a[r][r]]
-        AC = list(zip(*[row[:r + 1] for row in a[:r]]))
-        v = a[r][:r]
-        for _ in range(r):
-            w = [sum(map(mul, v, c), zero) for c in AC]
-            col.append(-w[r])
-            v = w[:r]
-        p = [sum(map(mul, col[i::-1], p), zero) for i in range(r + 2)]
-    return p
 
 
 def _char_poly_int(A, ring):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from congruence import canon, matrix
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
@@ -19,7 +19,8 @@ from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                                CanonicalBlock, BlockSum, block_sum_matrix,
                                field_mode_for, jordan_block)
 from congruence.cosquare import cosquare, star_root_jordan
-from congruence.jordan import RootSpace, jordan_structure, preimage_chain
+from congruence.jordan import (RootSpace, jordan_structure, preimage_chain,
+                               eigenvalues, _distinct)
 from congruence.canon import (regularize, extract_signs, canonicalize, canonicalize_with_confidence,
                               are_equivalent, random_congruence,
                               plus_root, plus_realified_root,
@@ -746,14 +747,21 @@ class TestColdReferenceCache:
         assert calls == []
 
     def test_one_sign_read_per_reference_root(self, monkeypatch):
+        # each reference root builds one raw root and reads its sign off one
+        # entry: no cosquare, root space or extract_signs
         calls = []
 
-        def counted_signs(*args):
+        def counted_root(*args):
             calls.append(args)
-            return extract_signs(*args)
+            return star_root_jordan(*args)
+
+        def refused(*args):
+            raise AssertionError("sign read through a root space")
 
         monkeypatch.setattr(canon, "_REF_CACHE", {})
-        monkeypatch.setattr(canon, "extract_signs", counted_signs)
+        monkeypatch.setattr(canon, "star_root_jordan", counted_root)
+        for name in ("extract_signs", "cosquare", "RootSpace"):
+            monkeypatch.setattr(canon, name, refused)
         u = gr(rational(3, 5), rational(4, 5))
         plus_root(3, u, MODE_GAUSSIAN)
         assert len(calls) == 1
@@ -763,6 +771,41 @@ class TestColdReferenceCache:
         assert len(calls) == 3
         plus_root(3, u, MODE_GAUSSIAN)  # a cache hit reads nothing
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("setting", ["star", "sym", "realified"])
+    def test_one_entry_rule_matches_extract_signs(self, setting,
+                                                  monkeypatch):
+        # the + root is the raw root, negated by the one-entry rule; the
+        # kernel-chain sign read of the same raw root decides the same:
+        # n = 1-6 at six lam under conjugation, lam = (-1)^(n+1) under the
+        # identity, and realified roots at n = 1-5 for three lam
+        if setting == "star":
+            fm, cmode = MODE_GAUSSIAN, STAR_AC
+            cases = [(n, lam) for lam in SIGNED_LAMS[:4] + [
+                gr(rational(3, 5), rational(4, 5)),
+                gr(rational(-5, 13), rational(12, 13))]
+                for n in range(1, 7)]
+        elif setting == "sym":
+            fm, cmode = MODE_RATIONAL, CONGRUENCE_REAL
+            cases = [(n, rational((-1) ** (n + 1))) for n in range(1, 7)]
+        else:
+            fm, cmode = MODE_RATIONAL, CONGRUENCE_REAL
+            cases = [(n, lam) for lam in (
+                gr(0, 1), gr(rational(3, 5), rational(4, 5)),
+                gr(rational(-5, 13), rational(12, 13))) for n in range(1, 6)]
+        g = complex_mode(fm) if setting == "realified" else fm
+        monkeypatch.setattr(canon, "_REF_CACHE", {})
+        for n, lam in cases:
+            lam = g.promote(lam)
+            raw = canon._raw_root(n, lam, g)
+            if setting == "realified":
+                raw = matrix.realify(raw).cast(fm)
+                plus = plus_realified_root(n, lam, fm)
+            else:
+                plus = plus_root(n, lam, fm)
+            space = RootSpace(cosquare(raw.cast(g)), lam, n)
+            ((_, sign),) = extract_signs(raw, space, [n], cmode)
+            assert plus == (raw if sign == 1 else -raw), (n, lam)
 
     def test_bounded_oldest_entry_evicted(self, monkeypatch):
         monkeypatch.setattr(canon, "_REF_CACHE", {})
@@ -795,9 +838,12 @@ class TestOneChainPerEigenvalue:
             counts["cosquare"] += 1
             return cosquare(M)
 
-        def counted_space(M, lam, mult):
+        def counted_space(M, lam, mult, pencil):
+            # the chain runs on the core's pencil (C, C*), of cosquare M
+            C, Cs = pencil
+            assert Cs == C.conj_transpose() and Cs * M == C
             lams.append(lam)
-            return RootSpace(M, lam, mult)
+            return RootSpace(M, lam, mult, pencil)
 
         monkeypatch.setattr(canon, "cosquare", counted_cosquare)
         monkeypatch.setattr(canon, "RootSpace", counted_space)
@@ -808,6 +854,122 @@ class TestOneChainPerEigenvalue:
         assert sorted(lams, key=lambda x: (x.re, x.im)) == [
             gr(rational(1, 2)), gr(rational(3, 5), rational(4, 5)), gr(1),
             gr(2)]
+
+
+def _height(M):
+    """The largest bit length of a numerator or denominator of M's entries
+    (real and imaginary parts apart)."""
+    def bits(x):
+        if isinstance(x, GaussianRational):
+            return max(bits(x.re), bits(x.im))
+        x = Fraction(x)
+        return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+    return max((bits(x) for row in M.a for x in row), default=0)
+
+
+def _semisimple_star_form(lams, skew):
+    """A regular star-ac BlockSum: a + and a - root of size 1 at each
+    unimodular lam, and a size-1 skew pair at each of skew."""
+    return BlockSum(STAR_AC, [
+        CanonicalBlock(SIGNED_ROOT, 1, lam=lam, eps=e)
+        for lam in lams for e in (1, -1)]
+        + [CanonicalBlock(SKEW_PAIR, 1, lam=mu) for mu in skew])
+
+
+PYTHAGOREAN = [gr(rational(a, c), rational(b, c))
+               for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17),
+                               (7, 24, 25))]
+
+
+class TestPencilChain:
+    """The root-space chain runs on the pencil C - lam C*, and its kernels
+    are those of (Phi - lam)^k, bit for bit."""
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC,
+                                       CONGRUENCE_REAL])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_kernels_are_the_cosquare_chain(self, cmode, data):
+        # the oracle is the preimage chain of Phi - lam itself; a real lam
+        # of a congruence-real form is read on the real pencil as well
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        blocks = [b for b in sample_blocks(cmode, rng, maxtotal=8).blocks
+                  if b.kind != SINGULAR_JORDAN]
+        assume(blocks)
+        C = scramble(block_sum_matrix(BlockSum(cmode, blocks)),
+                     data.draw(st.integers(0, 10 ** 6)))
+        Phi = cosquare(C)
+        g = complex_mode(C.mode) if cmode == CONGRUENCE_REAL else C.mode
+        routes = [(Phi.cast(g), C.cast(g))]
+        for lam, mult in _distinct(eigenvalues(Phi, g), g):
+            if cmode == CONGRUENCE_REAL and lam.im == 0:
+                routes.append((Phi, C))
+            for M, Cm in routes:
+                mu = M.mode.promote(lam if M.mode == g else lam.re)
+                got = RootSpace(M, mu, mult,
+                                (Cm, Cm.conj_transpose())).chain()
+                want = [Matrix.zeros(M.rows, 0, M.mode)] + list(
+                    itertools.islice(preimage_chain(M.minus_scalar(mu)),
+                                     len(got) - 1))
+                assert got == want, (cmode, mu)
+                assert [K.mode for K in got] == [K.mode for K in want]
+            del routes[1:]
+
+    def test_eliminations_stay_at_the_height_of_the_form(self, monkeypatch):
+        # each root space here is semisimple, so its chain is the one
+        # elimination of C - lam C*: no entry taller than C's and lam's
+        # heights together (the cosquare's entries have about 150 bits)
+        bs = _semisimple_star_form(PYTHAGOREAN[:2], [
+            gr(rational(j + 2, j + 1), rational(1, j + 3)) for j in range(4)])
+        A = scramble(block_sum_matrix(bs), 1)
+        rref, chain, seen, at = Matrix.rref, RootSpace.chain, [], [None]
+
+        def recorded_rref(M, limit=None):
+            if at[0] is not None:
+                seen.append((at[0], _height(M)))
+            return rref(M, limit)
+
+        def marked_chain(space):
+            at[0] = space.lam
+            try:
+                return chain(space)
+            finally:
+                at[0] = None
+
+        monkeypatch.setattr(Matrix, "rref", recorded_rref)
+        monkeypatch.setattr(RootSpace, "chain", marked_chain)
+        assert canonicalize(A, STAR_AC) == bs
+        assert sorted({lam for lam, _ in seen}, key=scalar_key) == sorted(
+            PYTHAGOREAN[:2], key=scalar_key)
+        hC = _height(A)
+        for lam, h in seen:
+            assert h <= hC + _height(Matrix([[lam]], A.mode)), (lam, h, hC)
+
+
+class TestLargeRegular:
+    """Regular star-ac forms above n = 11, brought to their BlockSums (CI
+    prints each one's wall time)."""
+
+    def test_n25_roots_and_skew_pairs(self):
+        u = gr(rational(3, 5), rational(4, 5))
+        bs = BlockSum(STAR_AC, [
+            CanonicalBlock(SIGNED_ROOT, n, lam=lam, eps=e)
+            for n, lam, e in ((3, gr(1), 1), (2, gr(1), -1), (2, gr(1), 1),
+                              (2, gr(-1), -1), (1, gr(-1), 1),
+                              (3, gr(0, 1), -1), (2, gr(0, -1), 1),
+                              (3, u, 1), (1, u, -1))]
+            + [CanonicalBlock(SKEW_PAIR, 2, lam=gr(2)),
+               CanonicalBlock(SKEW_PAIR, 1, lam=gr(1, 1))])
+        A = scramble(block_sum_matrix(bs), 12345)
+        assert A.rows == 25
+        assert canonicalize(A, STAR_AC) == bs
+
+    def test_n24_unimodular_roots_and_skew_pairs(self):
+        bs = _semisimple_star_form(PYTHAGOREAN, [
+            gr(rational(j + 2, j + 1), rational(1, j + 3)) for j in range(8)])
+        A = scramble(block_sum_matrix(bs), 1)
+        assert A.rows == 24
+        assert canonicalize(A, STAR_AC) == bs
 
 
 class TestSignsFromTheKernelChain:

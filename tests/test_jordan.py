@@ -17,7 +17,7 @@ import congruence
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
                                rational)
-from congruence.matrix import Matrix, Poly, direct_sum
+from congruence.matrix import Matrix, Poly, direct_sum, realify
 from congruence.blocks import (STAR_AC, SIGNED_ROOT, SKEW_PAIR, BlockSum,
                                CanonicalBlock, block_sum_matrix, jordan_block,
                                frobenius_block)
@@ -80,6 +80,17 @@ class TestExact:
         A = Matrix([[0, -1], [1, 0]], MODE_RATIONAL)
         with pytest.raises(UnsplittablePolynomial):
             eigenvalues(A)
+
+    def test_real_matrix_roots_in_the_gaussian_rationals(self):
+        # a rational chi's roots sought in Q(i), with multiplicity: those of
+        # the complexified matrix, with no complexification eliminated
+        u = gr(rational(3, 5), rational(4, 5))
+        A = realify(scrambled([jordan_block(2, u, MODE_GAUSSIAN),
+                               jordan_block(1, gr(2), MODE_GAUSSIAN)],
+                              MODE_GAUSSIAN, 4))
+        got = eigenvalues(A, MODE_GAUSSIAN)
+        assert got == eigenvalues(A.cast(MODE_GAUSSIAN))
+        assert Counter(got) == Counter({u: 2, u.conj(): 2, gr(2): 2})
 
 
 def with_roots(roots, mode):

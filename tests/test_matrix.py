@@ -1,5 +1,6 @@
 """Exact and float matrix arithmetic, factorizations, polynomial helpers."""
 
+import functools
 import math
 import operator
 import random
@@ -15,12 +16,42 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                REAL_FLOAT, IDENTITY, rational)
 from congruence import matrix
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
-                               realify, complexify, _mul_generic,
-                               _rref_generic, _char_poly_generic)
+                               realify, complexify, _rref_generic)
 
 
 def mat(rows, mode=MODE_RATIONAL):
     return Matrix(rows, mode)
+
+
+# the entrywise definitions on the scalars, the oracles of the row arithmetic
+
+def _mul_generic(A, B):
+    """A B entrywise: sum over k of A[i][k] B[k][j], from zero, in order."""
+    b, z = B.a, A.mode.zero()
+    out = [[functools.reduce(lambda s, k: s + row[k] * b[k][j],
+                             range(A.cols), z)
+            for j in range(B.cols)] for row in A.a]
+    return Matrix(out, A.mode, promote=False, shape=(A.rows, B.cols))
+
+
+def _char_poly_generic(A):
+    """char_poly's coefficients, highest power first, on A's scalars: each
+    step of v <- v A_r and v C is one row of products with [A_r | C]."""
+    mode = A.mode
+    zero, one = mode.zero(), mode.one()
+    a = A.a
+    p = [one]
+    for r in range(A.rows):
+        col = [one, -a[r][r]]
+        AC = list(zip(*[row[:r + 1] for row in a[:r]]))
+        v = a[r][:r]
+        for _ in range(r):
+            w = [sum(map(operator.mul, v, c), zero) for c in AC]
+            col.append(-w[r])
+            v = w[:r]
+        p = [sum(map(operator.mul, col[i::-1], p), zero)
+             for i in range(r + 2)]
+    return p
 
 
 def rand_matrix(n, rng, mode=MODE_RATIONAL):
