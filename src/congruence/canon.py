@@ -37,8 +37,8 @@ from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
                      GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
                      IDENTITY, abs_squared, complex_mode, is_unimodular,
                      scalar_key)
-from .matrix import (Matrix, direct_sum, realify, char_poly, _P,
-                     _images_mod_p, _kernel_mod_p, _rref_mod_p)
+from .matrix import (Matrix, direct_sum, realify, char_poly, complexify, _P,
+                     _ModP, _bareiss, _images_mod_p, _kernel_mod_p)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
@@ -90,7 +90,7 @@ def _profile_mod_p(A):
     B, Bs = images
     try:
         return _chain_profile(zip(chain(B, Bs), chain(Bs, B)), n, len,
-                              lambda M, P: len(_rref_mod_p(M + P, n)[0]))
+                              lambda M, P: len(_bareiss(M + P, n, _ModP)[0]))
     except ClassificationError:
         return None
 
@@ -578,15 +578,13 @@ def canonicalize_with_confidence(A, cmode):
         # tolerance (rank profiles inside the Jordan analysis depend on it)
         sfm = _comparison_mode(fm)
         Phi = cosquare(C)
-        pencil = (C, C.conj_transpose())
+        forms = (Phi, C, C.conj_transpose())
         if cmode == CONGRUENCE_REAL:
             work_mode, cfm = complex_mode(sfm), complex_mode(fm)
-            cast = (Phi.cast(cfm), tuple(M.cast(cfm) for M in pencil))
         else:
-            work_mode, cfm, cast = sfm, fm, (Phi, pencil)
-        ents = [_root_space((Phi, pencil), cast, sfm, work_mode, lam, mult,
-                            cmode)
-                for lam, mult in _distinct(eigenvalues(Phi, cfm), cfm)]
+            work_mode, cfm = sfm, fm
+        ents = [_root_space(forms, sfm, work_mode, lam, mult, cmode)
+                for lam, mult in _distinct(eigenvalues(Phi, cfm))]
         if floating:
             report["eigenvalue_gap"] = _eigen_gap(ents)
         used = [False] * len(ents)
@@ -612,28 +610,29 @@ def canonicalize_with_confidence(A, cmode):
     return BlockSum(cmode, blocks), report
 
 
-def _root_space(real, cast, fm, g, lam, mult, cmode):
+def _root_space(forms, fm, g, lam, mult, cmode):
     """(lam, RootSpace) for one distinct eigenvalue lam of the cosquare.
 
-    real and cast are (Phi, (C, C*)), the cosquare and its pencil, and the
-    same complexified under congruence-real (else the same again); fm and
-    g are the comparison modes (g the complex one under congruence-real,
-    else fm).  A real lam of a congruence-real form is read in fm on the
-    real pencil, so its +-1 signs run over the reals; any other lam in g on
-    the cast one.  In float mode a lam that is unimodular at the comparison
-    tolerance is first projected onto x involve(x) = 1 (the unit circle, or
-    +-1 under the identity), so the chain and the signs read the same lam.
+    forms is (Phi, C, C*), the cosquare and its pencil; fm and g are the
+    comparison modes (g the complex one under congruence-real, else fm).
+    A real lam of a congruence-real form is read in fm on the real forms,
+    so its +-1 signs run over the reals; any other lam in g, on the forms
+    complexified under congruence-real.  In float mode a lam that is
+    unimodular at the comparison tolerance is first projected onto
+    x involve(x) = 1 (the unit circle, or +-1 under the identity), so the
+    chain and the signs read the same lam.
     """
-    lam = g.promote(lam)
-    if cmode == CONGRUENCE_REAL and g.is_zero(scalar_key(lam)[1]):
-        mode, (M, pencil), lam = fm, real, fm.promote(scalar_key(lam)[0])
-    else:
-        mode, (M, pencil) = g, cast
+    lam, mode = g.promote(lam), g
+    if cmode == CONGRUENCE_REAL:
+        if g.is_zero(scalar_key(lam)[1]):
+            mode, lam = fm, fm.promote(scalar_key(lam)[0])
+        else:
+            forms = tuple(map(complexify, forms))
     if not mode.exact and is_unimodular(lam, mode):
         z = complex(lam)
         lam = mode.promote(z / abs(z) if mode.involution != IDENTITY
                            else (1.0 if z.real > 0 else -1.0))
-    return g.promote(lam), RootSpace(M, lam, mult, pencil)
+    return g.promote(lam), RootSpace(forms[0], lam, mult, forms[1:])
 
 
 def _orbit_blocks(C, cmode, fm, orbit, rep, space):

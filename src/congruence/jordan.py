@@ -1,4 +1,4 @@
-"""Jordan structure: eigenvalues, block-size partitions, chain bases.
+"""Jordan structure: eigenvalues, block-size partitions, kernel chains.
 
 Exact modes restrict eigenvalues to the working field, the rationals or
 the Gaussian rationals.  Write the characteristic polynomial as
@@ -38,18 +38,18 @@ B - lam S with A = S^-1 B: A - lam with S = I by default, C - lam C* for a
 cosquare A = C^-* C, whose eliminations then run on C's entries and give
 the same kernels.  The Jordan partition (chain_counts) and the root-block
 signs read it.  An exact simple eigenvalue has the partition (1,) without a
-chain, which is built, with its checks, only when it is read.  The
-chain-ordered basis serves generalized_eigenbasis only.
+chain, which is built, with its checks, only when it is read.
+generalized_eigenbasis reads a chain-ordered basis off the same chain.
 """
 
 from cmath import isfinite, rect
 from functools import reduce
+from itertools import groupby
 from math import floor, gcd, isqrt, lcm, pi, ulp
 
 from .scalar import (GaussianRational, FieldMode, GAUSSIAN, REAL_FLOAT,
                      complex_mode, rational, scalar_key)
-from .matrix import (Matrix, Poly, char_poly, column_complement, complexify,
-                     _RINGS)
+from .matrix import Matrix, Poly, char_poly, complexify, _RINGS
 
 
 class UnsplittablePolynomial(ValueError):
@@ -370,15 +370,11 @@ class JordanStructure:
         return "JordanStructure(%r)" % (self.entries,)
 
 
-def _distinct(vals, mode):
-    out = []
-    for v in vals:
-        if not any(mode.eq(mode.promote(v), mode.promote(w)) for w, _ in out):
-            out.append((v, 1))
-        else:
-            out = [(w, c + 1) if mode.eq(mode.promote(v), mode.promote(w))
-                   else (w, c) for w, c in out]
-    return out
+def _distinct(vals):
+    """(value, multiplicity) of each run of equal values in vals, which
+    eigenvalues() lists together: the exact roots sorted, each float
+    cluster's mean repeated."""
+    return [(v, len(list(run))) for v, run in groupby(vals)]
 
 
 def preimage_chain(B, S=None):
@@ -416,8 +412,8 @@ class RootSpace:
     A nullity that stalls below mult or passes it raises ValueError: in
     exact modes neither can happen, in float modes either means the
     eigenvalue clusters are wrong.  The Jordan block sizes at lam (sizes)
-    and the root-block signs (through chain()) read this one kernel chain;
-    basis() serves generalized_eigenbasis only.  In exact modes a simple
+    and the root-block signs (through chain()) read this one kernel chain,
+    and so does generalized_eigenbasis.  In exact modes a simple
     eigenvalue (mult = 1) has sizes (1,) without it, since
     1 <= nullity of A - lam <= mult; its chain, with the nullity checks, is
     built at the first read, so a lam that is not an eigenvalue raises there.
@@ -456,29 +452,6 @@ class RootSpace:
             self._kernels = kernels
         return self._kernels
 
-    def basis(self):
-        """Chain-ordered basis, longest chains first.
-
-        Each chain (x_1 ... x_h) satisfies A x_j = lam x_j + x_{j-1}, so the
-        restriction of A is the direct sum of the upper Jordan blocks
-        J_h(lam), h in sizes.
-        """
-        kernels = self.chain()
-        N = self.A.minus_scalar(self.lam)
-        n = N.rows
-        chains = []  # each from its top vector down to height h
-        for h in range(len(kernels) - 1, 0, -1):
-            for chain in chains:
-                chain.append(N * chain[-1])
-            # new tops extend ker N^(h-1) and the chains pushed down to
-            # height h to a basis of ker N^h; each heads a chain of length h
-            span = reduce(Matrix.hstack, [c[-1] for c in chains],
-                          kernels[h - 1])
-            new = column_complement(span, kernels[h])
-            chains += [[new.submatrix(range(n), [j])] for j in range(new.cols)]
-        cols = [v for chain in chains for v in reversed(chain)]
-        return reduce(Matrix.hstack, cols)
-
 
 def jordan_structure(A):
     """Eigenvalues with their Jordan size partitions."""
@@ -486,16 +459,28 @@ def jordan_structure(A):
         # complex eigenvalues force the analysis into the complexification
         A = complexify(A)
     return JordanStructure([(lam, RootSpace(A, lam, mult).sizes)
-                            for lam, mult in _distinct(eigenvalues(A),
-                                                       A.mode)])
+                            for lam, mult in _distinct(eigenvalues(A))])
 
 
 def generalized_eigenbasis(A, lam):
-    """Chain-ordered basis of the root subspace at lam (RootSpace.basis);
+    """Chain-ordered basis of the root subspace at lam, longest chains
+    first, each chain (x_1 ... x_h) with A x_j = lam x_j + x_{j-1};
     ValueError when lam is not an eigenvalue.  A real-float A is read over
     the complex floats, as in jordan_structure."""
     A = complexify(A) if A.mode.base == REAL_FLOAT else A
     mode = A.mode
     lam = mode.promote(lam)
     mult = sum(mode.eq(mode.promote(v), lam) for v in eigenvalues(A))
-    return RootSpace(A, lam, mult).basis()
+    kernels = RootSpace(A, lam, mult).chain()
+    N, n = A.minus_scalar(lam), A.rows
+    chains = []  # each from its top vector down to height h
+    for h in range(len(kernels) - 1, 0, -1):
+        for chain in chains:
+            chain.append(N * chain[-1])
+        # the new tops, each heading a chain of length h, extend ker N^(h-1)
+        # and the chains at height h to ker N^h: [span | ker N^h]'s pivots
+        span = reduce(Matrix.hstack, [c[-1] for c in chains], kernels[h - 1])
+        k = span.cols
+        chains += [[kernels[h].submatrix(range(n), [j - k])]
+                   for j in span.hstack(kernels[h]).rref().pivots if j >= k]
+    return reduce(Matrix.hstack, [v for c in chains for v in reversed(c)])

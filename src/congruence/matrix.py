@@ -21,7 +21,8 @@ these depend on the base:
   elimination by left-multiplication row operations, which for floats
   takes the largest pivot above a tolerance relative to the matrix scale;
 - the mod-p certificate of Matrix.is_nonsingular and the canon module's
-  mod-p singular profile (_rref_mod_p), on integer rows only;
+  mod-p singular profile, on the residues of integer rows only, which
+  _bareiss eliminates too (_ModP, with no division);
 - the float tolerance of ==, and cast.
 """
 
@@ -260,9 +261,9 @@ class Matrix:
         if not self.is_square():
             raise ValueError("nonsingularity of a nonsquare matrix")
         ring = _RINGS.get(self.mode.base)
-        if ring is not None and len(_rref_mod_p(
+        if ring is not None and len(_bareiss(
                 [ring.mod_p(v) for v, _ in self._rows],
-                self.cols)[0]) == self.rows:
+                self.cols, _ModP)[0]) == self.rows:
             return True
         return self.rank() == self.rows
 
@@ -560,6 +561,19 @@ class _GaussRows:
 _RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
 
 
+class _ModP:
+    """Rows of residues mod _P, for _bareiss: an update divides by no
+    pivot, since a row times a nonzero residue spans the same line."""
+    one = 1
+    at = staticmethod(lambda row, c: row[c])
+
+    @staticmethod
+    def update(x, y, c, p, q):
+        """p x - x[c] y mod _P; x itself when x[c] = 0."""
+        f = x[c]
+        return [(p * a - f * b) % _P for a, b in zip(x, y)] if f else x
+
+
 class _Scalars(_IntRows):
     """The quaternions, GF(2) and the floats: a vector is a list of scalars
     over 1, with _IntRows' list operations but the mode's scalars (their
@@ -639,13 +653,14 @@ def _mul_int(A, B):
 
 
 def _bareiss(rows, limit, ring):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+    """Fraction-free Gauss-Jordan elimination of integer rows or residues
+    mod p, in place.
 
-    Each update (p x - f y) / q divides exactly by the previous pivot q:
-    the entries stay minors of the input.  Returns (pivots, last pivot d,
-    sign of the row permutation).  The first len(pivots) rows end as d
-    times the reduced rows; for a square matrix d is the determinant of the
-    row-permuted input.
+    Each integer update (p x - f y) / q divides exactly by the previous
+    pivot q: the entries stay minors of the input.  Returns (pivots, last
+    pivot d, sign of the row permutation).  The first len(pivots) rows end
+    as d times the reduced rows (mod p, _ModP, as nonzero multiples of
+    them); for a square matrix d is the determinant of the permuted input.
     """
     at, update = ring.at, ring.update
     m = len(rows)
@@ -692,32 +707,16 @@ def _rref_int(M, limit):
     return Reduction(pivots, Matrix._of(out, mode, (k, n)), det)
 
 
-def _rref_mod_p(rows, ncols):
-    """Gauss-Jordan elimination of residue rows mod _P with ncols columns:
-    (pivots, the reduced pivot rows).  The input lists are not changed."""
-    rows, pivots = list(rows), []
-    for c in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        inv = pow(rows[k][c], -1, _P)
-        # columns before c are zero in the pivot row
-        prow = rows[k][:c] + [b * inv % _P for b in rows[k][c:]]
-        rows[k], rows[r] = rows[r], prow
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = row[:c] + [(a - f * b) % _P
-                                     for a, b in zip(row[c:], prow[c:])]
-        pivots.append(c)
-    return pivots, rows[:len(pivots)]
-
-
 def _kernel_mod_p(rows, ncols):
     """A basis of {x : M x = 0} over GF(_P), M given by its residue rows,
-    one vector per free column as in Matrix.right_kernel."""
-    at = dict(zip(*_rref_mod_p(rows, ncols)))  # pivot column -> its row
+    one vector per free column as in Matrix.right_kernel: each pivot row
+    _bareiss leaves is a nonzero multiple of the reduced one, divided here
+    by its pivot.  The input list is not changed."""
+    rows = list(rows)
+    at = {}  # pivot column -> its reduced row
+    for c, row in zip(_bareiss(rows, ncols, _ModP)[0], rows):
+        inv = pow(row[c], -1, _P)
+        at[c] = [a * inv % _P for a in row]
     return [[-at[c][f] % _P if c in at else int(c == f) for c in range(ncols)]
             for f in range(ncols) if f not in at]
 
@@ -737,14 +736,6 @@ def _images_mod_p(M):
     Bc = ([ring.mod_p(v, _P - _I_MOD_P) for v in vs]
           if M.mode.involution != IDENTITY else B)
     return B, _IntRows.columns(Bc, M.cols)
-
-
-def column_complement(S, T):
-    """The columns of T that extend the columns of S to a basis of their
-    joint span: the pivot columns of [S | T] that fall in T."""
-    k = S.cols
-    piv = S.hstack(T).rref().pivots
-    return T.submatrix(range(T.rows), [j - k for j in piv if j >= k])
 
 
 def direct_sum(*mats):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ import congruence
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
                                rational)
-from congruence.matrix import Matrix, Poly, direct_sum, realify
+from congruence.matrix import Matrix, Poly, complexify, direct_sum, realify
 from congruence.blocks import (STAR_AC, SIGNED_ROOT, SKEW_PAIR, BlockSum,
                                CanonicalBlock, block_sum_matrix, jordan_block,
                                frobenius_block)
@@ -25,7 +26,7 @@ from congruence.canon import canonicalize, random_congruence
 from congruence import jordan
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
                                eigenvalues, UnsplittablePolynomial, RootSpace,
-                               chain_counts, preimage_chain)
+                               chain_counts, preimage_chain, _distinct)
 from test_matrix import exact_matrix
 
 
@@ -365,7 +366,7 @@ class TestRankChain:
     # step k > 1 of the chain takes two kernels (the complement of K_(k-1)
     # and K_k) and one product
     @pytest.mark.parametrize("lam, mult, part, kernels, products", [
-        (2, 1, (1,), 0, 0),     # a simple eigenvalue: no chain until basis()
+        (2, 1, (1,), 0, 0),     # a simple eigenvalue: no chain until chain()
         (1, 3, (3,), 5, 2),     # stops at nullity 3, no kernel past it
     ])
     def test_chain_stops_at_the_multiplicity(self, monkeypatch, lam, mult,
@@ -394,10 +395,10 @@ class TestRankChain:
         monkeypatch.setattr(Matrix, "right_kernel", counted)
         space = RootSpace(A, rational(2), 1)
         assert space.sizes == (1,) and not calls
-        P = space.basis()
+        K = space.chain()[-1]
         assert len(calls) == 1
-        assert A * P == P.scale_left(rational(2))
-        space.basis()
+        assert K.cols == 1 and A * K == K.scale_left(rational(2))
+        space.chain()
         assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
@@ -407,7 +408,7 @@ class TestRankChain:
         space = RootSpace(A, mode.promote(3), 1)
         assert space.sizes == (1,)
         with pytest.raises(ValueError, match="multiplicity 1"):
-            space.basis()
+            space.chain()
 
 
 class TestPreimageChain:
@@ -459,7 +460,7 @@ class TestRootSpace:
             space = RootSpace(A, lam, sum(sizes))
             assert space.sizes == want
             # P has full column rank, so A P = P J pins J down
-            P = space.basis()
+            P = generalized_eigenbasis(A, lam)
             assert P.rank() == P.cols
             assert A * P == P * direct_sum(
                 *[jordan_block(m, lam, mode) for m in want])
@@ -482,6 +483,51 @@ class TestChainBasis:
         A = Matrix.identity(2, MODE_RATIONAL)
         with pytest.raises(ValueError):
             generalized_eigenbasis(A, rational(5))
+
+
+def _pairwise_distinct(vals, mode):
+    """The grouping _distinct's runs replaced: each value joins every
+    earlier group whose value it equals at mode's tolerance."""
+    out = []
+    for v in vals:
+        if not any(mode.eq(mode.promote(v), mode.promote(w)) for w, _ in out):
+            out.append((v, 1))
+        else:
+            out = [(w, c + 1) if mode.eq(mode.promote(v), mode.promote(w))
+                   else (w, c) for w, c in out]
+    return out
+
+
+class TestRunGrouping:
+    def test_runs_are_the_pairwise_tolerance_groups(self):
+        # eigenvalues() lists equal exact roots together (sorted) and
+        # repeats each float cluster's mean, so runs are the pairwise
+        # groups, also where a defective float eigenvalue scatters its
+        # computed copies next to simple ones 1/500 or 1/1200 away
+        rng = random.Random(27)
+        for seed in range(20):
+            mode = rng.choice([MODE_RATIONAL, MODE_GAUSSIAN])
+            pool = ([gr(a, b) for a in range(-2, 3) for b in range(-1, 2)]
+                    if mode == MODE_GAUSSIAN else range(-3, 4))
+            blocks = [jordan_block(rng.randint(1, 3), lam, mode)
+                      for lam in rng.sample(pool, rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 2))]
+            A = scrambled(blocks, mode, seed)
+            vals = eigenvalues(A)
+            assert _distinct(vals) == _pairwise_distinct(vals, mode)
+        fm = FieldMode("real-float", "identity", 1e-8)
+        for seed in range(4):
+            for d in (Fraction(1, 500), Fraction(1, 1200)):
+                A = complexify(scrambled(
+                    [jordan_block(3, 1, MODE_RATIONAL),
+                     jordan_block(1, 1 + d, MODE_RATIONAL),
+                     jordan_block(2, 2, MODE_RATIONAL),
+                     jordan_block(1, 1 - d, MODE_RATIONAL)],
+                    MODE_RATIONAL, seed).cast(fm))
+                vals = eigenvalues(A)
+                groups = _distinct(vals)
+                assert [c for _, c in groups] == [1, 3, 1, 2]
+                assert groups == _pairwise_distinct(vals, A.mode)
 
 
 class TestFloat:

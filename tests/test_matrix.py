@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GF2, MODE_QUAT_CONJ, GF2,
@@ -613,6 +613,33 @@ class TestStoredRows:
         t = -s if gauss and A.mode.involution != IDENTITY else s
         assert Bc == [[int(image(A.a[i][j], t)) % matrix._P
                        for i in range(n)] for j in range(n)]
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mod_p_elimination_matches_the_exact_one(self, gauss, data):
+        # where the image in GF(_P) keeps the rank, _bareiss mod p finds the
+        # exact pivots and _kernel_mod_p the image of the exact kernel basis
+        m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        small = st.integers(-3, 3)
+        entry = st.builds(GaussianRational, small, small) if gauss else small
+        A = Matrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                      min_size=m, max_size=m)),
+                   MODE_GAUSSIAN if gauss else MODE_RATIONAL, shape=(m, n))
+        ring, P = matrix._RINGS[A.mode.base], matrix._P
+        rows = [ring.mod_p(v) for v, _ in A._rows]
+        pivots = matrix._bareiss(list(rows), n, matrix._ModP)[0]
+        red = A.rref()
+        assume(len(pivots) == len(red.pivots))
+        assert pivots == red.pivots
+
+        def image(z):
+            re, im = (z.re, z.im) if gauss else (z, 0)
+            q = Fraction(re) + matrix._I_MOD_P * Fraction(im)
+            return q.numerator * pow(q.denominator, -1, P) % P
+
+        K = A.right_kernel()
+        assert matrix._kernel_mod_p(rows, n) == [
+            [image(K.a[i][j]) for i in range(n)] for j in range(K.cols)]
 
     @given(exact_matrix(), st.data())
     @settings(max_examples=150, deadline=None)
