@@ -191,7 +191,7 @@ class Matrix:
         return "Matrix(%d x %d over %s)" % (self.rows, self.cols, self.mode.base)
 
     def __str__(self):
-        return "\n".join(" ".join(repr(e) for e in row) for row in self.a)
+        return "\n".join(" ".join(str(e) for e in row) for row in self.a)
 
     def _check_same_base(self, other):
         if self.mode.base != other.mode.base:
@@ -869,11 +869,11 @@ class Poly:
             if self.mode.is_zero(x):
                 continue
             if k == 0:
-                terms.append(repr(x))
+                terms.append(str(x))
             elif k == 1:
-                terms.append("%s*x" % repr(x))
+                terms.append("%s*x" % x)
             else:
-                terms.append("%s*x^%d" % (repr(x), k))
+                terms.append("%s*x^%d" % (x, k))
         return " + ".join(terms)
 
     __repr__ = __str__

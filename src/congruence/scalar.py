@@ -5,10 +5,21 @@ Supported bases: rationals, Gaussian rationals, rational quaternions,
 bundles a base with an involution and (for floats) a comparison
 tolerance, and provides the generic arithmetic hooks the matrix code
 needs.
+
+GaussianRational, Quaternion and GF2 share one base, _Parts: each is a
+tuple of parts, and each supplies only its constructor, _parts() (the
+parts in constructor order), promote (an operand into its class, or
+None), its product and its repr.  The base promotes the other operand of
+every binary operator, and returns NotImplemented where that fails; it
+adds, subtracts, negates, compares, hashes and tests for zero part by
+part.  The conjugate negates every part after the first, the norm is the
+sum of the squared parts, and x / y is x * y^-1 with y^-1 = conj(y) /
+norm(y).  GF2 has its own inverse, which divides nothing.
 """
 
 import numbers
 from fractions import Fraction
+from operator import add, sub
 
 rational = Fraction
 
@@ -18,7 +29,95 @@ def is_rational(x):
     return isinstance(x, numbers.Rational)
 
 
-class GaussianRational:
+def _promoted(op):
+    """The binary operator op(x, y), with y first promoted into x's class:
+    NotImplemented when it does not promote."""
+    def method(self, other):
+        other = self.promote(other)
+        return NotImplemented if other is None else op(self, other)
+    return method
+
+
+class _Parts:
+    """Arithmetic of an exact scalar that is a tuple of parts (see the
+    module docstring for what a subclass supplies)."""
+
+    __slots__ = ()
+
+    @_promoted
+    def __add__(self, other):
+        return type(self)(*map(add, self._parts(), other._parts()))
+
+    __radd__ = __add__
+
+    @_promoted
+    def __sub__(self, other):
+        return type(self)(*map(sub, self._parts(), other._parts()))
+
+    @_promoted
+    def __rsub__(self, other):
+        return other - self
+
+    @_promoted
+    def __rmul__(self, other):
+        return other * self
+
+    @_promoted
+    def __truediv__(self, other):
+        # right division: self * other^-1
+        return self * other.inverse()
+
+    @_promoted
+    def __rtruediv__(self, other):
+        return other * self.inverse()
+
+    def __neg__(self):
+        return type(self)(*(-p for p in self._parts()))
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** -k
+        out, base = type(self)(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    @_promoted
+    def __eq__(self, other):
+        return self._parts() == other._parts()
+
+    def __hash__(self):
+        # trailing zero parts are dropped, and a lone part hashes as
+        # itself: equal scalars of different classes hash equal
+        parts = self._parts()
+        n = len(parts)
+        while n > 1 and not parts[n - 1]:
+            n -= 1
+        return hash(parts[0] if n == 1 else parts[:n])
+
+    def __bool__(self):
+        return any(self._parts())
+
+    def conj(self):
+        first, *rest = self._parts()
+        return type(self)(first, *(-p for p in rest))
+
+    def norm(self):
+        return sum(p * p for p in self._parts())
+
+    def inverse(self):
+        n = self.norm()
+        if not n:
+            raise ZeroDivisionError("division by zero %s" % type(self).__name__)
+        return type(self)(*(p / n for p in self.conj()._parts()))
+
+
+class GaussianRational(_Parts):
     """a + b*i with rational a, b."""
 
     __slots__ = ("re", "im")
@@ -28,6 +127,9 @@ class GaussianRational:
         self.re = re if type(re) is rational else rational(re)
         self.im = im if type(im) is rational else rational(im)
 
+    def _parts(self):
+        return self.re, self.im
+
     @staticmethod
     def promote(x):
         if isinstance(x, GaussianRational):
@@ -36,85 +138,14 @@ class GaussianRational:
             return GaussianRational(x, 0)
         return None
 
-    def __add__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
+    @_promoted
     def __mul__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
-
-    def __rtruediv__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return (GaussianRational(1, 0) / self) ** (-k)
-        out = GaussianRational(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = GaussianRational.promote(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def conj(self):
-        return GaussianRational(self.re, -self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -127,7 +158,7 @@ class GaussianRational:
         return "(%s%s%s*i)" % (self.re, "+" if self.im >= 0 else "-", abs(self.im))
 
 
-class Quaternion:
+class Quaternion(_Parts):
     """a + b*i + c*j + d*k with rational components."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -137,6 +168,9 @@ class Quaternion:
         self.b = rational(b)
         self.c = rational(c)
         self.d = rational(d)
+
+    def _parts(self):
+        return self.a, self.b, self.c, self.d
 
     @staticmethod
     def promote(x):
@@ -148,32 +182,8 @@ class Quaternion:
             return Quaternion(x.re, x.im)
         return None
 
-    def __add__(self, other):
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion(self.a + other.a, self.b + other.b,
-                          self.c + other.c, self.d + other.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion(self.a - other.a, self.b - other.b,
-                          self.c - other.c, self.d - other.d)
-
-    def __rsub__(self, other):
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
+    @_promoted
     def __mul__(self, other):
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         return Quaternion(
@@ -183,52 +193,11 @@ class Quaternion:
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
         )
 
-    def __rmul__(self, other):
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def norm(self):
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-
-    def conj(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quaternion")
-        return Quaternion(self.a / n, -self.b / n, -self.c / n, -self.d / n)
-
-    def __truediv__(self, other):
-        # right division: self * other^{-1}
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def __eq__(self, other):
-        other = Quaternion.promote(other)
-        if other is None:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __bool__(self):
-        return self.norm() != 0
-
     def __repr__(self):
         return "(%s+%s*i+%s*j+%s*k)" % (self.a, self.b, self.c, self.d)
 
 
-class GF2:
+class GF2(_Parts):
     """Element of the two-element field."""
 
     __slots__ = ("v",)
@@ -236,48 +205,27 @@ class GF2:
     def __init__(self, v=0):
         self.v = int(v) % 2
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = GF2(other)
-        if not isinstance(other, GF2):
-            return NotImplemented
-        return GF2(self.v ^ other.v)
+    def _parts(self):
+        return (self.v,)
 
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
+    @staticmethod
+    def promote(x):
+        if isinstance(x, GF2):
+            return x
+        if isinstance(x, int):
+            return GF2(x)
+        return None
 
+    @_promoted
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = GF2(other)
-        if not isinstance(other, GF2):
-            return NotImplemented
         return GF2(self.v & other.v)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = GF2(other)
-        if other.v == 0:
+    def inverse(self):
+        if not self.v:
             raise ZeroDivisionError("division by zero in GF(2)")
-        return GF2(self.v)
-
-    def __neg__(self):
-        return GF2(self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = GF2(other)
-        if not isinstance(other, GF2):
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __bool__(self):
-        return self.v != 0
+        return self
 
     def __repr__(self):
         return str(self.v)
@@ -298,6 +246,8 @@ QUAT_CONJUGATION = "quat-conjugation"
 QUAT_SEMICONJUGATION = "quat-semiconjugation"
 
 _EXACT_BASES = (RATIONAL, GAUSSIAN, QUATERNION, GF2_BASE)
+_PART_CLASSES = {GAUSSIAN: GaussianRational, QUATERNION: Quaternion,
+                 GF2_BASE: GF2}
 _DEFAULT_TOLERANCE = 1e-10
 
 
@@ -359,44 +309,33 @@ class FieldMode:
 
     def i(self):
         """The imaginary unit, where the base has one."""
-        if self.base == GAUSSIAN:
-            return GaussianRational(0, 1)
-        if self.base == QUATERNION:
-            return Quaternion(0, 1, 0, 0)
+        if self.base in (GAUSSIAN, QUATERNION):
+            return _PART_CLASSES[self.base](0, 1)
         if self.base == COMPLEX_FLOAT:
             return 1j
         raise ValueError("base %r has no imaginary unit" % self.base)
 
     def promote(self, x):
         """Coerce x into this base; raises TypeError when impossible."""
-        if self.base == RATIONAL:
+        cls = _PART_CLASSES.get(self.base)
+        if cls is not None:
+            y = cls.promote(x)
+            if y is not None:
+                return y
+        elif self.base == RATIONAL:
             if is_rational(x):
                 return rational(x)
             if isinstance(x, GaussianRational) and x.im == 0:
                 return x.re
-        elif self.base == GAUSSIAN:
-            y = GaussianRational.promote(x)
-            if y is not None:
-                return y
-        elif self.base == QUATERNION:
-            y = Quaternion.promote(x)
-            if y is not None:
-                return y
         elif self.base == REAL_FLOAT:
             if isinstance(x, float) or is_rational(x):
                 return float(x)
             if isinstance(x, GaussianRational) and x.im == 0:
                 return float(x.re)
         elif self.base == COMPLEX_FLOAT:
-            if isinstance(x, (float, complex)) or is_rational(x):
+            if (isinstance(x, (float, complex, GaussianRational))
+                    or is_rational(x)):
                 return complex(x)
-            if isinstance(x, GaussianRational):
-                return complex(float(x.re), float(x.im))
-        elif self.base == GF2_BASE:
-            if isinstance(x, GF2):
-                return x
-            if isinstance(x, int):
-                return GF2(x)
         raise TypeError("cannot promote %r into base %r" % (x, self.base))
 
     # -- arithmetic hooks ---------------------------------------------------
@@ -456,7 +395,7 @@ def abs_squared(x):
     if isinstance(x, Quaternion):
         raise TypeError("use the 4-component quaternion norm instead")
     if isinstance(x, GaussianRational):
-        return x.re * x.re + x.im * x.im
+        return x.norm()
     if isinstance(x, complex):
         return x.real * x.real + x.imag * x.imag
     if is_rational(x):
@@ -500,10 +439,8 @@ def scalar_to_json(x):
         raise TypeError("booleans are not scalars")
     if is_rational(x):
         return str(rational(x))
-    if isinstance(x, GaussianRational):
-        return [str(x.re), str(x.im)]
-    if isinstance(x, Quaternion):
-        return [str(x.a), str(x.b), str(x.c), str(x.d)]
+    if isinstance(x, (GaussianRational, Quaternion)):
+        return [str(p) for p in x._parts()]
     if isinstance(x, GF2):
         return x.v
     if isinstance(x, float):

@@ -815,3 +815,11 @@ class TestPoly:
     def test_degree_strips_leading_zeros(self):
         p = Poly([1, 2, 0, 0], MODE_RATIONAL)
         assert p.degree == 1
+
+    def test_str_prints_the_scalars_alike_over_q_and_q_i(self):
+        # a rational printed by repr reads Fraction(7, 2), by str 7/2
+        rows = [[Fraction(1, 2), 1], [0, 3]]
+        over_q, over_qi = Matrix(rows, MODE_RATIONAL), Matrix(rows, MODE_GAUSSIAN)
+        assert str(char_poly(over_q)) == str(char_poly(over_qi)) \
+            == "1*x^2 + -7/2*x + 3/2"
+        assert str(over_q) == str(over_qi) == "1/2 1\n0 3"

@@ -79,6 +79,77 @@ class TestGF2:
         assert one / one == one
         assert -one == one
 
+    @pytest.mark.parametrize("other", [Fraction(1), "x", 1.0])
+    def test_division_by_a_foreign_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            GF2(1) / other
+        with pytest.raises(TypeError):
+            other / GF2(1)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# each class's elements, and the plain scalars that promote into it
+CLASSES = [
+    (GaussianRational, st.builds(GaussianRational, SMALL, SMALL),
+     st.one_of(st.integers(-5, 5), SMALL)),
+    (Quaternion, st.builds(Quaternion, SMALL, SMALL, SMALL, SMALL),
+     st.one_of(st.integers(-5, 5), SMALL)),
+    (GF2, st.builds(GF2, st.integers(0, 1)), st.integers(-3, 3)),
+]
+
+
+class TestSharedArithmetic:
+    """The operations GaussianRational, Quaternion and GF2 share."""
+
+    @pytest.mark.parametrize("cls, elements, scalars", CLASSES)
+    @given(data=st.data())
+    def test_field_laws(self, cls, elements, scalars, data):
+        x, y = data.draw(elements), data.draw(elements)
+        one = cls(1)
+        assert x + y - y == x
+        assert -(-x) == x
+        assert x.conj().conj() == x
+        assert x ** 2 == x * x and x ** 0 == one
+        if x:
+            assert x * x.inverse() == x.inverse() * x == one
+            assert x ** -1 == x.inverse()
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y / x
+        if y:
+            assert (x / y) * y == x
+
+    @pytest.mark.parametrize("cls, elements, scalars", CLASSES)
+    @given(data=st.data())
+    def test_plain_scalars_on_either_side(self, cls, elements, scalars, data):
+        x, c = data.draw(elements), data.draw(scalars)
+        p = cls.promote(c)
+        assert type(p) is cls
+        assert x + c == c + x == x + p
+        assert x - c == x - p and c - x == p - x
+        assert x * c == x * p and c * x == p * x
+        if p:
+            assert x / c == x / p
+        if x:
+            assert c / x == p / x
+        assert (x == c) == (c == x) == (x == p)
+
+    @given(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]),
+                    min_size=4, max_size=4),
+           st.sampled_from(range(4)), st.sampled_from(range(4)))
+    def test_equal_scalars_hash_equal(self, parts, k1, k2):
+        kinds = [lambda p: p[0],  # an int or Fraction(1, 2)
+                 lambda p: Fraction(p[0]),
+                 lambda p: GaussianRational(*p[:2]),
+                 lambda p: Quaternion(*p)]
+        x, y = kinds[k1](parts), kinds[k2](parts)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    def test_a_set_keeps_one_of_equal_scalars(self):
+        assert len({Quaternion(2), Fraction(2), GaussianRational(2), 2}) == 1
+        assert len({Quaternion(1, 2), GaussianRational(1, 2)}) == 1
+
 
 class TestFieldMode:
     def test_promote(self):
