@@ -71,15 +71,20 @@ def _profile_mod_p(A):
     """singular_profile of A's image in GF(_P) (matrix._images_mod_p); None
     when that is undefined or inconsistent.  K_k = {x : B x in S K_(k-1)}
     is the kernel of L^T B, L spanning {y : y^T S K_(k-1) = 0}: transposes
-    only, so the chain holds over any field."""
+    only, so the chain holds over any field.  An image with an empty kernel
+    is nonsingular, and so is its conjugate transpose: the profile is []
+    after that one elimination."""
     images = _images_mod_p(A)
     if images is None:
         return None
     n = A.rows
+    B, Bs = images
+    K = _kernel_mod_p(B, n)
+    if not K:
+        return []
 
-    def chain(B, S):
+    def chain(B, S, K):
         Bt = list(zip(*B))
-        K = _kernel_mod_p(B, n)
         while True:
             yield K
             if K:
@@ -87,9 +92,9 @@ def _profile_mod_p(A):
                 K = _kernel_mod_p([[sum(map(mul, col, y)) % _P for col in Bt]
                                    for y in _kernel_mod_p(SK, n)], n)
 
-    B, Bs = images
     try:
-        return _chain_profile(zip(chain(B, Bs), chain(Bs, B)), n, len,
+        return _chain_profile(zip(chain(B, Bs, K),
+                                  chain(Bs, B, _kernel_mod_p(Bs, n))), n, len,
                               lambda M, P: len(_bareiss(M + P, n, _ModP)[0]))
     except ClassificationError:
         return None
@@ -291,7 +296,8 @@ def regularize(A):
     The returned witness satisfies S* A S = core + J_m1(0) + ... exactly
     in exact modes (to tolerance otherwise).  In exact modes the
     subspace-chain profile of A's image mod a prime (_profile_mod_p) comes
-    first.  The profile [] means that image has no kernel, so det A != 0
+    first.  The profile [] means that image has no kernel (read off one
+    elimination of the image, which then ends the profile), so det A != 0
     and A is its own core: the sizes are [], the core is A and the witness
     is (I, A, A).  Every check below then holds by construction: T* A T = D
     reads A = A, T = I is nonsingular, C0 = A is nonsingular by the same

@@ -416,9 +416,11 @@ def _rref_generic(M, limit):
 _Q0 = rational(0)
 
 # the prime of Matrix.is_nonsingular; _P = 1 (mod 4), so -1 has the square
-# root _I_MOD_P in GF(_P) and i -> _I_MOD_P maps Z[i] into GF(_P)
-_P = 2147483629
-_I_MOD_P = 629208553
+# root _I_MOD_P in GF(_P) and i -> _I_MOD_P maps Z[i] into GF(_P).  _P is
+# the largest such prime below 2^30, so a residue is one CPython digit
+# (sys.int_info.bits_per_digit == 30) and % _P a single-digit division
+_P = 1073741789
+_I_MOD_P = 140687844
 
 
 def _q(num, den):

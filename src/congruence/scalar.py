@@ -14,7 +14,9 @@ every binary operator, and returns NotImplemented where that fails; it
 adds, subtracts, negates, compares, hashes and tests for zero part by
 part.  The conjugate negates every part after the first, the norm is the
 sum of the squared parts, and x / y is x * y^-1 with y^-1 = conj(y) /
-norm(y).  GF2 has its own inverse, which divides nothing.
+norm(y).  GF2 has its own inverse, which divides nothing, and its own ==,
+under which an int equals only its own value 0 or 1 (promote still
+reduces ints mod 2 for arithmetic).
 """
 
 import numbers
@@ -215,6 +217,15 @@ class GF2(_Parts):
         if isinstance(x, int):
             return GF2(x)
         return None
+
+    def __eq__(self, other):
+        # an int equals only its own value: promote's reduction mod 2 would
+        # make GF2(1) == 3 while the two hash apart
+        if isinstance(other, int):
+            return self.v == other
+        return _Parts.__eq__(self, other)
+
+    __hash__ = _Parts.__hash__
 
     @_promoted
     def __mul__(self, other):

@@ -82,16 +82,23 @@ class TestRegularize:
         A = scramble(direct_sum(plus_root(1, 1, fm), jordan_block(3, 1, fm),
                                 skew_sum(jordan_block(2, 2, fm),
                                          jordan_block(2, 2, fm))), 17)
-        rref = Matrix.rref
-        calls = []
+        rref, kernel = Matrix.rref, canon._kernel_mod_p
+        calls, eliminations = [], []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return rref(*args, **kwargs)
 
+        def counting_kernel(*args):
+            eliminations.append(1)
+            return kernel(*args)
+
         monkeypatch.setattr(Matrix, "rref", counting)
+        monkeypatch.setattr(canon, "_kernel_mod_p", counting_kernel)
         reg = regularize(A)
         assert not calls
+        # the image's kernel is empty after one elimination, ending the profile
+        assert len(eliminations) == 1
         monkeypatch.undo()
         assert reg.singular_blocks == [] and reg.core == A
         assert reg.witness.verify() and reg.witness.rhs == A
@@ -100,20 +107,28 @@ class TestRegularize:
         A = scramble(direct_sum(jordan_block(3, 0, MODE_GAUSSIAN),
                                 jordan_block(1, 0, MODE_GAUSSIAN),
                                 Matrix([[gr(2, 1)]], MODE_GAUSSIAN)), 23)
-        profile = canon._profile_mod_p
-        calls = []
+        profile, kernel = canon._profile_mod_p, canon._kernel_mod_p
+        calls, eliminations = [], []
 
         def counting(M):
             calls.append(1)
             return profile(M)
 
+        def counting_kernel(*args):
+            eliminations.append(1)
+            return kernel(*args)
+
         def exact_profile(*args):
             raise AssertionError("exact singular_profile computed")
 
         monkeypatch.setattr(canon, "_profile_mod_p", counting)
+        monkeypatch.setattr(canon, "_kernel_mod_p", counting_kernel)
         monkeypatch.setattr(canon, "singular_profile", exact_profile)
         assert regularize(A).singular_blocks == [3, 1]
         assert len(calls) == 1
+        # each chain takes one kernel for its first step and two for each
+        # step after; both stall at their third step: 2 (1 + 2 + 2)
+        assert len(eliminations) == 10
 
 
     @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL])

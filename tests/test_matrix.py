@@ -498,6 +498,9 @@ class TestIsNonsingular:
     def test_root_of_minus_one_mod_the_prime(self):
         assert sympy.isprime(matrix._P) and matrix._P % 4 == 1
         assert (matrix._I_MOD_P ** 2 + 1) % matrix._P == 0
+        # a residue must stay one CPython digit (30 bits), so that each
+        # reduction mod p is a single-digit division
+        assert matrix._P < 2 ** 30
 
     @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN,
                                       MODE_QUAT_CONJ])

@@ -86,6 +86,17 @@ class TestGF2:
         with pytest.raises(TypeError):
             other / GF2(1)
 
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_equal_to_an_int_only_at_its_own_value(self, v):
+        # promote reduces ints mod 2 for arithmetic, but == must not: equal
+        # values hash equal, and {GF2(1), 3} has two members
+        for k in range(-5, 6):
+            assert (GF2(v) == k) == (k == v)
+            if GF2(v) == k:
+                assert hash(GF2(v)) == hash(k)
+        assert GF2(v) == GF2(v + 2) and GF2(1) + 3 == GF2(0)
+        assert len({GF2(1), 3}) == 2 and len({GF2(v), v}) == 1
+
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 # each class's elements, and the plain scalars that promote into it
@@ -132,7 +143,9 @@ class TestSharedArithmetic:
             assert x / c == x / p
         if x:
             assert c / x == p / x
-        assert (x == c) == (c == x) == (x == p)
+        # GF2 equals an int only at the int's own value (TestGF2)
+        equal = x == p and (cls is not GF2 or c in (0, 1))
+        assert (x == c) == (c == x) == equal
 
     @given(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]),
                     min_size=4, max_size=4),
