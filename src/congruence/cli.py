@@ -14,9 +14,8 @@ import click
 from .scalar import (FieldMode, RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
                      COMPLEX_FLOAT, GF2_BASE, IDENTITY, CONJUGATION,
                      QUAT_CONJUGATION, QUAT_SEMICONJUGATION,
-                     MODE_RATIONAL, rational, scalar_to_json,
-                     scalar_from_json)
-from .matrix import Matrix, Poly
+                     MODE_RATIONAL, rational, scalar_to_json)
+from .matrix import Matrix, Poly, _from_entries
 from .blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                      frobenius_block, field_mode_for)
 from .cosquare import toeplitz_root, RootNotFound
@@ -73,8 +72,7 @@ def _load_matrix(path, mode):
         if mode is None:
             raise CliError("bare matrix lists need --field/--involution")
         rows = [r if isinstance(r, list) else [r] for r in data]
-        entries = [[_wrap(scalar_from_json, e, mode) for e in r] for r in rows]
-        return _wrap(Matrix, entries, mode, promote=False)
+        return _wrap(_from_entries, rows, mode)
     raise CliError("matrix JSON must be an object or a nested list")
 
 

@@ -24,10 +24,19 @@ these depend on the base:
   mod-p singular profile, on the residues of integer rows only, which
   _bareiss eliminates too (_ModP, with no division);
 - the float tolerance of ==, and cast.
+
+Matrix.from_json and the CLI's bare lists decode JSON straight to stored
+rows over the rationals and Gaussian rationals (_from_entries): an exact
+string, an int or, over the Gaussian rationals, a [re, im] pair of them
+becomes its (numerator, denominator) ratios with no scalar built.  Every
+other entry form (floats, {"re", "im"} objects, quaternion 4-lists, a pair
+in a rational matrix) and every entry over the other bases takes the
+scalar path, scalar_from_json, so both accept and reject the same entries.
 """
 
 from collections import namedtuple
 from functools import reduce
+from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -35,7 +44,7 @@ from .scalar import (FieldMode, GaussianRational, rational, IDENTITY,
                      RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
                      COMPLEX_FLOAT, MODE_RATIONAL, MODE_REAL_FLOAT,
                      complex_mode, scalar_key, scalar_to_json,
-                     scalar_from_json)
+                     scalar_from_json, _json_ratio)
 
 
 class Reduction(namedtuple("Reduction", "pivots rows det")):
@@ -111,8 +120,7 @@ class Matrix:
         ring, n = _ring(mode), len(entries)
         zero = ring.lift([0] * n)
         rows = [ring.vector([mode.promote(e)]) for e in entries]
-        return Matrix._of([(ring.each(lambda z, e: z[:i] + e + z[i + 1:],
-                                      zero, v), d)
+        return Matrix._of([(_placed(ring, zero, i, v), d)
                            for i, (v, d) in enumerate(rows)], mode, (n, n))
 
     # -- shape --------------------------------------------------------------
@@ -340,13 +348,31 @@ class Matrix:
     def from_json(data):
         m = data["mode"]
         mode = FieldMode(m["base"], m["involution"], m.get("tolerance"))
-        shape = (data["rows"], data["cols"])
-        rows = [[scalar_from_json(e, mode) for e in row]
-                for row in data["entries"]]
-        if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-            raise ValueError("entries do not match the declared %rx%r shape"
-                             % shape)
+        return _from_entries(data["entries"], mode,
+                             (data["rows"], data["cols"]))
+
+
+def _from_entries(entries, mode, shape=None):
+    """The matrix of the JSON rows of entries in mode (see the module
+    docstring): all of them decoded first, then checked against the
+    declared shape, or when none is given for ragged rows."""
+    ring = _RINGS.get(mode.base)
+    if ring is None:
+        rows = [[scalar_from_json(e, mode) for e in row] for row in entries]
+    else:
+        decode, ratio = ring.decode, ring.ratio
+        rows = [[decode(e) or ratio(scalar_from_json(e, mode)) for e in row]
+                for row in entries]
+    if shape is None:
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("ragged rows")
+        shape = (len(rows), len(rows[0]) if rows else 0)
+    elif len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+        raise ValueError("entries do not match the declared %rx%r shape"
+                         % shape)
+    if ring is None:
         return Matrix(rows, mode, promote=False, shape=shape)
+    return Matrix._of(list(map(ring.stored, rows)), mode, shape)
 
 
 # -- entrywise scalar elimination -------------------------------------------
@@ -450,6 +476,11 @@ class _IntRows:
     dot = staticmethod(lambda x, y: sum(map(mul, x, y)))
     mod_p = staticmethod(lambda row, i=_I_MOD_P: [a % _P for a in row])
     scale = staticmethod(lambda c, v: [c[0] * a for a in v])  # c[0] v
+    # ratio: a scalar's (num, den); decode: a JSON entry's, or None for a
+    # form only scalar_from_json reads; stored: a row of them, stored
+    ratio = staticmethod(lambda x: x.as_integer_ratio())
+    decode = staticmethod(_json_ratio)
+    stored = staticmethod(_scaled)
 
     @staticmethod
     def vector(vec):
@@ -481,13 +512,33 @@ class _GaussRows:
     content = staticmethod(lambda v, d: gcd(d, *v[0], *v[1]))
     conj = staticmethod(lambda v: (v[0], [-b for b in v[1]]))
     nonzero = staticmethod(lambda row: any(row[0]) or any(row[1]))
+    ratio = staticmethod(lambda x: (x.re.as_integer_ratio(),
+                                    x.im.as_integer_ratio()))
+
+    @staticmethod
+    def decode(e):
+        """The (re, im) ratios of an exact JSON string, an int or a pair of
+        them, else None.  A pair's second part is read only after its
+        first, as scalar_from_json reads them, so both raise alike."""
+        if type(e) is list and len(e) == 2:
+            re = _json_ratio(e[0])
+            im = re and _json_ratio(e[1])
+            return im and (re, im)
+        re = _json_ratio(e)
+        return re and (re, (0, 1))
+
+    @staticmethod
+    def stored(ratios):
+        """The stored row of (re, im) ratios: real parts, then imaginary
+        parts, over their least common denominator."""
+        n = len(ratios)
+        ints, den = _scaled([re for re, _ in ratios]
+                            + [im for _, im in ratios])
+        return (ints[:n], ints[n:]), den
 
     @staticmethod
     def vector(vec):
-        n = len(vec)
-        ints, den = _scaled([x.re.as_integer_ratio() for x in vec]
-                            + [x.im.as_integer_ratio() for x in vec])
-        return (ints[:n], ints[n:]), den
+        return _GaussRows.stored(list(map(_GaussRows.ratio, vec)))
 
     @staticmethod
     def scalars(v, d):
@@ -740,25 +791,34 @@ def _images_mod_p(M):
     return B, _IntRows.columns(Bc, M.cols)
 
 
+def _placed(ring, zero, j, v):
+    """The vector v placed from column j on in the lifted zero vector."""
+    return ring.each(lambda z, p: z[:j] + p + z[j + len(p):], zero, v)
+
+
+def _laid_out(M, blocks, n):
+    """The n-column matrix, over M's mode, of the stored rows of each
+    (block, column j) of blocks in turn, each placed from column j on."""
+    ring = _ring(M.mode)
+    zero = ring.lift([0] * n)
+    rows = []
+    for x, j in blocks:
+        M._check_same_base(x)
+        rows += [(_placed(ring, zero, j, v), d) for v, d in x._rows]
+    return Matrix._of(rows, M.mode, (len(rows), n))
+
+
 def direct_sum(*mats):
-    mats = list(mats)
     if not mats:
         raise ValueError("empty direct sum")
-    mode = mats[0].mode
-    n = sum(x.cols for x in mats)
-    out, j = Matrix.zeros(0, n, mode), 0
-    for x in mats:
-        out = out.vstack(Matrix.zeros(x.rows, j, mode).hstack(x).hstack(
-            Matrix.zeros(x.rows, n - j - x.cols, mode)))
-        j += x.cols
-    return out
+    cols = [x.cols for x in mats]
+    return _laid_out(mats[0], zip(mats, accumulate(cols, initial=0)),
+                     sum(cols))
 
 
 def skew_sum(A, B):
     """[A \\ B] = [[0, B], [A, 0]] (B upper right, A lower left)."""
-    mode = A.mode
-    return Matrix.zeros(B.rows, A.cols, mode).hstack(B).vstack(
-        A.hstack(Matrix.zeros(A.rows, B.cols, mode)))
+    return _laid_out(A, [(B, A.cols), (A, 0)], A.cols + B.cols)
 
 
 def realify(M):

@@ -20,6 +20,7 @@ reduces ints mod 2 for arithmetic).
 """
 
 import numbers
+import re
 from fractions import Fraction
 from operator import add, sub
 
@@ -461,9 +462,29 @@ def scalar_to_json(x):
     raise TypeError("not a scalar: %r" % x)
 
 
+_ASCII_INT = re.compile("-?[0-9]+").fullmatch
+
+
+def _json_ratio(e):
+    """(numerator, denominator) of an exact JSON string or an int (not a
+    bool), else None.  An ASCII integer string is read by int alone; every
+    other string ("p/q", "0.5", "1e3", " 3", "+3", other digits,
+    underscores) by Fraction, which reduces it and raises for what it does
+    not accept."""
+    if isinstance(e, str):
+        if _ASCII_INT(e):
+            return int(e), 1
+        return rational(e).as_integer_ratio()
+    return (e, 1) if type(e) is int else None
+
+
+def _rational_from_json(p):
+    return rational(*_json_ratio(p)) if isinstance(p, str) else rational(p)
+
+
 def scalar_from_json(data, mode):
     if isinstance(data, str):
-        return mode.promote(rational(data))
+        return mode.promote(_rational_from_json(data))
     if isinstance(data, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(data, (int, float)):
@@ -471,7 +492,7 @@ def scalar_from_json(data, mode):
     if isinstance(data, dict):
         return mode.promote(complex(data["re"], data["im"]))
     if isinstance(data, list):
-        parts = [rational(p) for p in data]
+        parts = [_rational_from_json(p) for p in data]
         if len(parts) == 2:
             return mode.promote(GaussianRational(*parts))
         if len(parts) == 4:

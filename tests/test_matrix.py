@@ -759,6 +759,43 @@ class TestStructure:
         assert S.a[0][2] == 3 and S.a[1][2] == 4
         assert S.a[2][0] == 1 and S.a[2][1] == 2
 
+    @given(st.sampled_from(list(SCALARS)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_are_the_stacks_of_their_blocks(self, mode, data):
+        # the rows of each block placed among zeros are those of stacking
+        # the block beside zero matrices, over every base
+        def block():
+            m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+            return Matrix([[data.draw(SCALARS[mode]) for _ in range(n)]
+                           for _ in range(m)], mode, shape=(m, n))
+
+        def zeros(m, n):
+            return Matrix.zeros(m, n, mode)
+
+        def stored(M):
+            return M._shape, (M._rows if mode.base in matrix._RINGS
+                              else M.a)
+
+        blocks = [block() for _ in range(data.draw(st.integers(1, 4)))]
+        n = sum(x.cols for x in blocks)
+        want, j = zeros(0, n), 0
+        for x in blocks:
+            want = want.vstack(zeros(x.rows, j).hstack(x).hstack(
+                zeros(x.rows, n - j - x.cols)))
+            j += x.cols
+        assert stored(direct_sum(*blocks)) == stored(want)
+        A, B = blocks[0], block()
+        want = zeros(B.rows, A.cols).hstack(B).vstack(
+            A.hstack(zeros(A.rows, B.cols)))
+        assert stored(skew_sum(A, B)) == stored(want)
+
+    def test_sums_need_one_base(self):
+        Q, G = mat([[1]]), mat([[1]], MODE_GAUSSIAN)
+        for bad in (lambda: direct_sum(Q, G), lambda: skew_sum(Q, G),
+                    lambda: skew_sum(G, Q)):
+            with pytest.raises(ValueError, match="base mismatch"):
+                bad()
+
     def test_realify_multiplicative(self):
         A = Matrix([[GaussianRational(1, 2)]], MODE_GAUSSIAN)
         B = Matrix([[GaussianRational(0, 1)]], MODE_GAUSSIAN)
