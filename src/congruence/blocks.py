@@ -1,8 +1,12 @@
-"""Constructors for the named matrix families and the canonical-block taxonomy.
+"""The canonical-block taxonomy, its block matrices and the M, Gamma and
+Delta families.
 
 A CanonicalBlock is one summand of a canonical decomposition; a BlockSum
 is a canonically ordered list of blocks together with the classification
-mode it belongs to.
+mode it belongs to.  block_matrix builds each block from cosquare's
+families: J_n(lam) for singular blocks and skew pairs, and the + roots
+(plus_root, plus_realified_root) for root blocks.  jordan_block and
+frobenius_block are re-exported from cosquare, where they are defined.
 """
 
 from .scalar import (FieldMode, MODE_RATIONAL, MODE_GAUSSIAN,
@@ -10,7 +14,15 @@ from .scalar import (FieldMode, MODE_RATIONAL, MODE_GAUSSIAN,
                      COMPLEX_FLOAT, IDENTITY, complex_mode, scalar_key,
                      scalar_to_json, scalar_from_json)
 from .matrix import Matrix, direct_sum, skew_sum, realify
-from .cosquare import root_exists_jordan
+from .cosquare import (frobenius_block, jordan_block, plus_root,
+                       plus_realified_root, root_exists_jordan)
+
+__all__ = ["CONGRUENCE_AC", "CONGRUENCE_REAL", "STAR_AC", "SINGULAR_JORDAN",
+           "SKEW_PAIR", "SIGNED_ROOT", "REAL_SKEW_PAIR", "REAL_SIGNED_ROOT",
+           "field_mode_for", "jordan_block", "frobenius_block", "m_pair",
+           "gamma", "gamma_prime", "delta", "CanonicalBlock",
+           "block_order_key", "BlockSum", "check_block", "block_matrix",
+           "block_sum_matrix"]
 
 # classification modes
 CONGRUENCE_AC = "congruence-ac"
@@ -47,25 +59,6 @@ def field_mode_for(cmode, floating=False):
 
 
 # -- basic families ---------------------------------------------------------
-
-def jordan_block(n, lam, mode):
-    """J_n(lam): lam on the diagonal, ones on the superdiagonal."""
-    lam, one, z = mode.promote(lam), mode.one(), mode.zero()
-    return Matrix([[lam if j == i else one if j == i + 1 else z
-                    for j in range(n)] for i in range(n)], mode, promote=False)
-
-
-def frobenius_block(chi):
-    """Companion matrix with last column -c_n, ..., -c_1 (top to bottom)."""
-    if chi.is_zero() or chi.degree < 1:
-        raise ValueError("need a polynomial of degree at least 1")
-    chi = chi.monic()
-    mode, n = chi.mode, chi.degree
-    one, z = mode.one(), mode.zero()
-    # row i ends in -c_{n-i}, i.e. minus the coefficient of x^i
-    return Matrix([[-chi.coeff(i) if j == n - 1 else one if j == i - 1 else z
-                    for j in range(n)] for i in range(n)], mode, promote=False)
-
 
 def m_pair(n, mode=MODE_RATIONAL):
     """The pair M_n = [I | 0], N_n = [0 | I], both (n-1) x n."""
@@ -119,8 +112,12 @@ class CanonicalBlock:
     def __init__(self, kind, n, lam=None, eps=None):
         if kind not in _KIND_RANK:
             raise ValueError("unknown block kind %r" % kind)
-        if n < 1:
-            raise ValueError("block size must be positive")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError("block size must be a positive int, not %r"
+                             % (n,))
+        if (lam is None) != (kind == SINGULAR_JORDAN):
+            raise ValueError("%s blocks %s a parameter" % (
+                kind, "carry no" if kind == SINGULAR_JORDAN else "need"))
         if kind in _SIGNED_KINDS:
             if eps not in (None, 1, -1):
                 raise ValueError("bad sign")
@@ -268,14 +265,12 @@ def block_matrix(b, cmode, field_mode=None):
     if b.kind == SKEW_PAIR:
         return skew_sum(jordan_block(n, b.lam, fm), Matrix.identity(n, fm))
     if b.kind == SIGNED_ROOT:
-        from .canon import plus_root
         R = plus_root(n, b.lam, fm, signed=b.eps is not None)
         return -R if b.eps == -1 else R
     g = complex_mode(fm)
     if b.kind == REAL_SKEW_PAIR:
         J = realify(jordan_block(n, g.promote(b.lam), g))
         return skew_sum(J, Matrix.identity(2 * n, fm))
-    from .canon import plus_realified_root
     R = plus_realified_root(n, g.promote(b.lam), fm)
     return -R if b.eps == -1 else R
 

@@ -18,8 +18,6 @@ representative.  The root
 blocks get their signs from the kernel chain: on K_n = ker (Phi - lam)^n
 the scaled form x* C (Phi - lam)^(n-1) y has rank the number of size-n
 chains and signature d_n, the signed count of the size-n root blocks.
-The + reference roots of block_matrix are calibrated from one entry by the
-same argument (_reference).
 
 regularize proves T* A T = C0 + J_m1(0) + ... with T and the core C0
 nonsingular, which fixes the sizes m_i; their subspace-chain profile is
@@ -37,13 +35,14 @@ from .scalar import (GaussianRational, Quaternion, GF2, FieldMode, rational,
                      GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE,
                      IDENTITY, abs_squared, complex_mode, is_unimodular,
                      scalar_key)
-from .matrix import (Matrix, direct_sum, realify, char_poly, complexify, _P,
-                     _ModP, _bareiss, _images_mod_p, _kernel_mod_p)
+from .matrix import (Matrix, direct_sum, char_poly, complexify, _P, _ModP,
+                     _bareiss, _images_mod_p, _kernel_mod_p)
+from .cosquare import (cosquare, jordan_block, root_exists_jordan,
+                       _sign_scale)
 from .blocks import (CONGRUENCE_AC, CONGRUENCE_REAL, STAR_AC,
                      SINGULAR_JORDAN, SKEW_PAIR, SIGNED_ROOT,
                      REAL_SKEW_PAIR, REAL_SIGNED_ROOT, CanonicalBlock,
-                     BlockSum, jordan_block, field_mode_for)
-from .cosquare import cosquare, root_exists_jordan, star_root_jordan
+                     BlockSum, field_mode_for)
 from .jordan import (RootSpace, chain_counts, eigenvalues, preimage_chain,
                      _comparison_mode, _distinct)
 
@@ -407,16 +406,6 @@ def _inertia(G):
                                        for k, c in enumerate(cs)])
 
 
-def _sign_scale(m, lam, fm):
-    """sigma_m, the scale that makes the size-m top form carry the signs:
-    lam^(m-1) under the identity (lam = +-1) and c (i conj(lam))^(m-1),
-    c = 1 + conj(lam) (c = i at lam = -1), under a conjugation."""
-    if fm.involution == IDENTITY:
-        return lam ** (m - 1)
-    c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
-    return c * (fm.i() * fm.involve(lam)) ** (m - 1)
-
-
 def _top_form_signs(C, space, sizes):
     """d_m, the signed count of the root blocks of size m at space.lam, for
     each m in sizes: the signature of G_m = sigma_m K_m* C N^(m-1) K_m on
@@ -461,62 +450,9 @@ def _top_form_signs(C, space, sizes):
     return out
 
 
-# calibrated roots by (n, lam, mode, realified); the oldest entry is evicted
-# past _REF_CACHE_MAX, so a long-lived process stays bounded
+# read by perfbench/measure.py after every run (its canon.ref_cache_entries
+# metric); the package keeps no reference cache, so it stays empty
 _REF_CACHE = {}
-_REF_CACHE_MAX = 256
-
-
-def _raw_root(n, lam, fm):
-    """Deterministic cosquare root of J_n(lam), scale-normalized at n = 1."""
-    R = star_root_jordan(n, lam, fm)
-    if n == 1:
-        s = max(map(abs, scalar_key(R.a[0][0])))
-        R = R.scale_left(fm.inv(fm.promote(s)))
-    return R
-
-
-def _reference(n, lam, fm, realified):
-    """The calibrated (+1) root at size n: the deterministic root R,
-    negated when sigma_n R[n-1][0] is negative (realified, R is the complex
-    root before realify).  R is a single block of J_n(lam) in its Jordan
-    basis, so K_n is the whole space and N^(n-1) the matrix unit E_1n: the
-    top form G_n of _top_form_signs is the one entry sigma_n R[n-1][0], and
-    its sign is the block's."""
-    key = (n, scalar_key(lam), fm.base, fm.involution, fm.tolerance,
-           realified)
-    hit = _REF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    g = complex_mode(fm) if realified else fm
-    lam = g.promote(lam)
-    R = _raw_root(n, lam, g)
-    if scalar_key(_sign_scale(n, lam, g) * R.a[n - 1][0])[0] < 0:
-        R = -R
-    if realified:
-        R = realify(R).cast(fm)
-    if len(_REF_CACHE) >= _REF_CACHE_MAX:
-        del _REF_CACHE[next(iter(_REF_CACHE))]
-    _REF_CACHE[key] = R
-    return R
-
-
-def plus_root(n, lam, field_mode, signed=True):
-    """The cosquare-root block representative carrying the + sign.
-
-    With signed=False (plain congruence over an algebraically closed
-    field, where the block is signless) the deterministic root is
-    returned without calibration.
-    """
-    lam = field_mode.promote(lam)
-    if not signed:
-        return _raw_root(n, lam, field_mode)
-    return _reference(n, lam, field_mode, False)
-
-
-def plus_realified_root(n, lam, field_mode):
-    """The + representative of a realified unimodular root block."""
-    return _reference(n, lam, field_mode, True)
 
 
 def extract_signs(core, space, sizes, cmode):

@@ -3,13 +3,19 @@
 The central construction: for a nonsingular companion matrix F whose
 characteristic polynomial chi equals its own dual, build a Toeplitz
 matrix A with A = A* F, so that the cosquare A^{-*} A is exactly F.
+
+This module also owns the Jordan and companion families (jordan_block,
+frobenius_block, whose layout chi_of_frobenius reads back) and the + roots
+that block matrices are built from: the cosquare root of J_n(lam) in its
+Jordan basis (star_root_jordan), negated where its one-entry sign read
+(_reference) is negative.
 """
 
 from functools import reduce
 
 from .scalar import (GaussianRational, GAUSSIAN, IDENTITY, rational,
-                     is_unimodular)
-from .matrix import Matrix, Poly
+                     complex_mode, is_unimodular, scalar_key)
+from .matrix import Matrix, Poly, char_poly, realify
 
 
 class RootNotFound(ValueError):
@@ -99,7 +105,6 @@ def root_exists(Phi, mode=None):
     """Whether Phi has a cosquare root; returns (bool, reason)."""
     if mode is None:
         mode = Phi.mode
-    from .matrix import char_poly
     chi = char_poly(Phi)
     if mode.is_zero(chi.coeff(0)):
         return False, "singular matrix"
@@ -126,6 +131,25 @@ def root_exists_jordan(n, lam, mode):
     if is_unimodular(lam, mode):
         return True, "ok"
     return False, "eigenvalue is not unimodular"
+
+
+def jordan_block(n, lam, mode):
+    """J_n(lam): lam on the diagonal, ones on the superdiagonal."""
+    lam, one, z = mode.promote(lam), mode.one(), mode.zero()
+    return Matrix([[lam if j == i else one if j == i + 1 else z
+                    for j in range(n)] for i in range(n)], mode, promote=False)
+
+
+def frobenius_block(chi):
+    """Companion matrix with last column -c_n, ..., -c_1 (top to bottom)."""
+    if chi.is_zero() or chi.degree < 1:
+        raise ValueError("need a polynomial of degree at least 1")
+    chi = chi.monic()
+    mode, n = chi.mode, chi.degree
+    one, z = mode.one(), mode.zero()
+    # row i ends in -c_{n-i}, i.e. minus the coefficient of x^i
+    return Matrix([[-chi.coeff(i) if j == n - 1 else one if j == i - 1 else z
+                    for j in range(n)] for i in range(n)], mode, promote=False)
 
 
 def chi_of_frobenius(F):
@@ -197,7 +221,6 @@ def _toeplitz(F, mode):
 
 def star_root_jordan(n, lam, mode):
     """A cosquare root of the Jordan block J_n(lam), via the companion form."""
-    from .blocks import jordan_block, frobenius_block
     lam = mode.promote(lam)
     ok, reason = root_exists_jordan(n, lam, mode)
     if not ok:
@@ -218,3 +241,54 @@ def star_root_jordan(n, lam, mode):
         raise RootNotFound("transport failed the cosquare identity")
     return RJ
 
+
+def _sign_scale(m, lam, fm):
+    """sigma_m, the scale that makes the size-m top form carry the signs:
+    lam^(m-1) under the identity (lam = +-1) and c (i conj(lam))^(m-1),
+    c = 1 + conj(lam) (c = i at lam = -1), under a conjugation."""
+    if fm.involution == IDENTITY:
+        return lam ** (m - 1)
+    c = fm.i() if fm.eq(lam, -fm.one()) else fm.one() + fm.involve(lam)
+    return c * (fm.i() * fm.involve(lam)) ** (m - 1)
+
+
+def _raw_root(n, lam, fm):
+    """Deterministic cosquare root of J_n(lam), scale-normalized at n = 1."""
+    R = star_root_jordan(n, lam, fm)
+    if n == 1:
+        s = max(map(abs, scalar_key(R.a[0][0])))
+        R = R.scale_left(fm.inv(fm.promote(s)))
+    return R
+
+
+def _reference(n, lam, fm, realified):
+    """The calibrated (+1) root at size n: the deterministic root R,
+    negated when sigma_n R[n-1][0] is negative (realified, R is the complex
+    root before realify).  R is a single block of J_n(lam) in its Jordan
+    basis, so K_n is the whole space and N^(n-1) the matrix unit E_1n: the
+    top form G_n of canon._top_form_signs is the one entry
+    sigma_n R[n-1][0], and its sign is the block's."""
+    g = complex_mode(fm) if realified else fm
+    lam = g.promote(lam)
+    R = _raw_root(n, lam, g)
+    if scalar_key(_sign_scale(n, lam, g) * R.a[n - 1][0])[0] < 0:
+        R = -R
+    return realify(R).cast(fm) if realified else R
+
+
+def plus_root(n, lam, field_mode, signed=True):
+    """The cosquare-root block representative carrying the + sign.
+
+    With signed=False (plain congruence over an algebraically closed
+    field, where the block is signless) the deterministic root is
+    returned without calibration.
+    """
+    lam = field_mode.promote(lam)
+    if not signed:
+        return _raw_root(n, lam, field_mode)
+    return _reference(n, lam, field_mode, False)
+
+
+def plus_realified_root(n, lam, field_mode):
+    """The + representative of a realified unimodular root block."""
+    return _reference(n, lam, field_mode, True)

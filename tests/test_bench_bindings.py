@@ -34,3 +34,16 @@ def test_traced_matrix_methods_are_plain_functions():
     from congruence.matrix import Matrix
     for name in ("__mul__",) + tuple(load_spans().ELIMINATION):
         assert isinstance(Matrix.__dict__[name], types.FunctionType), name
+
+
+def test_measure_reads_the_reference_cache_size():
+    # perfbench/measure.py reports len(canon._REF_CACHE) after every run,
+    # traced or not; the package keeps no reference cache, so building
+    # block matrices leaves it empty
+    from congruence import canon
+    from congruence.blocks import (STAR_AC, SIGNED_ROOT, BlockSum,
+                                   CanonicalBlock, block_sum_matrix)
+    from congruence.scalar import GaussianRational
+    block_sum_matrix(BlockSum(STAR_AC, [
+        CanonicalBlock(SIGNED_ROOT, 2, lam=GaussianRational(1), eps=-1)]))
+    assert len(canon._REF_CACHE) == 0

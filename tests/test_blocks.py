@@ -139,6 +139,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             block_matrix(b, CONGRUENCE_REAL)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, False, "2", None])
+    def test_size_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError):
+            CanonicalBlock(SINGULAR_JORDAN, n)
+        with pytest.raises(ValueError):
+            CanonicalBlock(SKEW_PAIR, n, lam=rational(2))
+
+    def test_singular_block_takes_no_parameter(self):
+        # J_n(0) has no parameter: a lam here was dropped by block_matrix,
+        # which built J_n(0) for a block that claimed J_n(3)
+        with pytest.raises(ValueError):
+            CanonicalBlock(SINGULAR_JORDAN, 2, lam=rational(3))
+        with pytest.raises(ValueError):
+            BlockSum.from_json({"mode": STAR_AC, "blocks": [
+                {"kind": SINGULAR_JORDAN, "n": 2, "lambda": "3"}]})
+
+    @pytest.mark.parametrize("kind, eps", [
+        (SKEW_PAIR, None), (SIGNED_ROOT, 1), (REAL_SKEW_PAIR, None),
+        (REAL_SIGNED_ROOT, -1)])
+    def test_other_kinds_need_a_parameter(self, kind, eps):
+        with pytest.raises(ValueError):
+            CanonicalBlock(kind, 1, eps=eps)
+        data = {"kind": kind, "n": 1}
+        if eps is not None:
+            data["epsilon"] = eps
+        with pytest.raises(ValueError):
+            BlockSum.from_json({"mode": CONGRUENCE_REAL, "blocks": [data]})
+
     def test_general_field_kinds_are_unknown(self):
         with pytest.raises(ValueError):
             CanonicalBlock("gf-type-ii", 1)
