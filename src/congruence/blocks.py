@@ -106,21 +106,26 @@ def delta(n, mu, mode=MODE_GAUSSIAN):
 
 # -- canonical blocks -------------------------------------------------------
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class CanonicalBlock:
     __slots__ = ("kind", "n", "lam", "eps")
 
     def __init__(self, kind, n, lam=None, eps=None):
         if kind not in _KIND_RANK:
             raise ValueError("unknown block kind %r" % kind)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError("block size must be a positive int, not %r"
                              % (n,))
         if (lam is None) != (kind == SINGULAR_JORDAN):
             raise ValueError("%s blocks %s a parameter" % (
                 kind, "carry no" if kind == SINGULAR_JORDAN else "need"))
         if kind in _SIGNED_KINDS:
-            if eps not in (None, 1, -1):
-                raise ValueError("bad sign")
+            if eps is not None and not (_is_int(eps) and eps in (1, -1)):
+                raise ValueError("a sign must be the int 1 or -1, not %r"
+                                 % (eps,))
         elif eps is not None:
             raise ValueError("%s blocks carry no sign" % kind)
         self.kind = kind
@@ -194,10 +199,7 @@ class BlockSum:
     def __eq__(self, other):
         if not isinstance(other, BlockSum):
             return NotImplemented
-        if self.cmode != other.cmode or len(self.blocks) != len(other.blocks):
-            return False
-        return all(block_order_key(x) == block_order_key(y)
-                   for x, y in zip(self.blocks, other.blocks))
+        return self.cmode == other.cmode and self.blocks == other.blocks
 
     def __hash__(self):
         return hash((self.cmode, len(self.blocks)))

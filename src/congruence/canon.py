@@ -27,7 +27,7 @@ nonsingular, and A is returned as its own core with no recursion.
 """
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import accumulate, islice
 from operator import mul
 
@@ -144,15 +144,9 @@ def _profile_sizes(dims, inter):
 
 # -- regularization ---------------------------------------------------------
 
-class CongruenceWitness:
+class CongruenceWitness(namedtuple("CongruenceWitness", "S lhs rhs")):
     """A nonsingular S asserting S* . lhs . S = rhs."""
-
-    __slots__ = ("S", "lhs", "rhs")
-
-    def __init__(self, S, lhs, rhs):
-        self.S = S
-        self.lhs = lhs
-        self.rhs = rhs
+    __slots__ = ()
 
     def verify(self):
         S = self.S
@@ -164,17 +158,8 @@ class CongruenceWitness:
         return S.conj_transpose() * self.lhs * S == self.rhs
 
 
-class RegularizationResult:
-    __slots__ = ("singular_blocks", "core", "witness")
-
-    def __init__(self, singular_blocks, core, witness):
-        self.singular_blocks = singular_blocks
-        self.core = core
-        self.witness = witness
-
-    def __repr__(self):
-        return ("RegularizationResult(singular=%r, core=%dx%d)"
-                % (self.singular_blocks, self.core.rows, self.core.cols))
+RegularizationResult = namedtuple("RegularizationResult",
+                                  "singular_blocks core witness")
 
 
 def _reg_rec(A):

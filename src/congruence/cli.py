@@ -11,10 +11,9 @@ import sys
 
 import click
 
-from .scalar import (FieldMode, RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
-                     COMPLEX_FLOAT, GF2_BASE, IDENTITY, CONJUGATION,
-                     QUAT_CONJUGATION, QUAT_SEMICONJUGATION,
-                     MODE_RATIONAL, rational, scalar_to_json)
+from .scalar import (FieldMode, RATIONAL, GAUSSIAN, QUATERNION, COMPLEX_FLOAT,
+                     IDENTITY, CONJUGATION, BASES, INVOLUTIONS, MODE_RATIONAL,
+                     rational, scalar_to_json)
 from .matrix import Matrix, Poly, _from_entries
 from .blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
                      frobenius_block, field_mode_for)
@@ -47,13 +46,6 @@ def _wrap(fn, *args, **kwargs):
         raise CliError(str(e), code=2)
 
 
-def _field_mode(field, involution, tolerance):
-    try:
-        return FieldMode(field, involution, tolerance)
-    except ValueError as e:
-        raise CliError(str(e))
-
-
 def _read_json(path):
     try:
         if path == "-":
@@ -69,8 +61,6 @@ def _load_matrix(path, mode):
     if isinstance(data, dict):
         return _wrap(Matrix.from_json, data)
     if isinstance(data, list):
-        if mode is None:
-            raise CliError("bare matrix lists need --field/--involution")
         rows = [r if isinstance(r, list) else [r] for r in data]
         return _wrap(_from_entries, rows, mode)
     raise CliError("matrix JSON must be an object or a nested list")
@@ -130,32 +120,35 @@ def parse_poly(text, mode=MODE_RATIONAL):
     return Poly([mode.promote(coeffs.get(k, 0)) for k in range(deg + 1)], mode)
 
 
-_FIELDS = [RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE]
-_INVOLUTIONS = [IDENTITY, CONJUGATION, QUAT_CONJUGATION, QUAT_SEMICONJUGATION]
 _CMODES = [STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL]
+
+_format_option = click.option("--format", "fmt", default="json",
+                              type=click.Choice(["table", "json"]))
 
 
 def _field_options(fn):
-    fn = click.option("--field", type=click.Choice(_FIELDS), default=None,
+    fn = click.option("--field", type=click.Choice(BASES), default=None,
                       help="scalar field for bare matrix lists")(fn)
-    fn = click.option("--involution", type=click.Choice(_INVOLUTIONS),
+    fn = click.option("--involution", type=click.Choice(INVOLUTIONS),
                       default=None)(fn)
     fn = click.option("--tolerance", type=float, default=None)(fn)
     return fn
 
 
-def _input_mode(field, involution, tolerance, cmode=None, floating=False):
-    if field is None and cmode is not None:
-        fm = field_mode_for(cmode, floating)
-        if tolerance is not None:
-            fm = FieldMode(fm.base, fm.involution, tolerance)
-        return fm
+def _input_mode(field, involution, tolerance, cmode=None):
+    """The FieldMode bare matrix lists are read in: the given --field, with
+    conjugation as the default involution of a complex one, or else cmode's
+    own field and involution.  An invalid combination exits 2."""
     if field is None:
-        return None
-    if involution is None:
+        fm = field_mode_for(cmode)
+        field, involution = fm.base, fm.involution
+    elif involution is None:
         involution = CONJUGATION if field in (GAUSSIAN, COMPLEX_FLOAT) \
             else IDENTITY
-    return _field_mode(field, involution, tolerance)
+    try:
+        return FieldMode(field, involution, tolerance)
+    except ValueError as e:
+        raise CliError(str(e))
 
 
 @click.group()
@@ -166,13 +159,11 @@ def main():
 @main.command()
 @click.argument("matrix", default="-")
 @click.option("--mode", "cmode", type=click.Choice(_CMODES), required=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="json")
+@_format_option
 @_field_options
 def canon(matrix, cmode, fmt, field, involution, tolerance):
     """Canonical block decomposition of a square matrix."""
-    mode = _input_mode(field, involution, tolerance, cmode,
-                       floating=field in (REAL_FLOAT, COMPLEX_FLOAT))
+    mode = _input_mode(field, involution, tolerance, cmode)
     A = _load_matrix(matrix, mode)
     bs, report = _wrap(canonicalize_with_confidence, A, cmode)
     _emit_blocksum(bs, fmt, report)
@@ -181,8 +172,7 @@ def canon(matrix, cmode, fmt, field, involution, tolerance):
 @main.command()
 @click.option("--chi", required=True,
               help='characteristic polynomial, e.g. "x^2+2x+1"')
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="json")
+@_format_option
 @_field_options
 def root(chi, fmt, field, involution, tolerance):
     """Toeplitz cosquare root for the companion matrix of chi."""
@@ -200,8 +190,7 @@ def root(chi, fmt, field, involution, tolerance):
 @_field_options
 def check(lhs, rhs, cmode, field, involution, tolerance):
     """Exit 0 when the two matrices are equivalent, 1 otherwise."""
-    mode = _input_mode(field, involution, tolerance, cmode,
-                       floating=field in (REAL_FLOAT, COMPLEX_FLOAT))
+    mode = _input_mode(field, involution, tolerance, cmode)
     A = _load_matrix(lhs, mode)
     B = _load_matrix(rhs, mode)
     same = _wrap(are_equivalent, A, B, cmode)
@@ -214,8 +203,7 @@ def check(lhs, rhs, cmode, field, involution, tolerance):
 @click.argument("matrix", default="-")
 @click.option("--seed", type=int, required=True)
 @click.option("--with-witness", is_flag=True, default=False)
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]),
-              default="json")
+@_format_option
 @_field_options
 def gen(matrix, seed, with_witness, fmt, field, involution, tolerance):
     """Scramble a matrix by a seeded random congruence."""
@@ -241,7 +229,7 @@ def verify(witness_path, lhs_path, rhs_path, field, involution, tolerance):
     B = _load_matrix(rhs_path, mode)
     S = _load_matrix(witness_path, mode)
     ok = _wrap(verify_witness, A, B, S,
-               mode if mode and mode.base == QUATERNION else None)
+               mode if mode.base == QUATERNION else None)
     click.echo(json.dumps({"verified": bool(ok)}, sort_keys=True))
     if not ok:
         sys.exit(1)

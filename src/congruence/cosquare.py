@@ -57,25 +57,23 @@ def recurrent_extend(seed, f, add_left=0, add_right=0):
         raise ValueError("generator needs a nonzero constant term")
     g = [f.coeff(m - j) for j in range(m + 1)]  # g[0] leading ... g[m] constant
     vals = [mode.promote(x) for x in seed]
+
+    def window(coeffs, entries):
+        # one order for every window: from zero, left to right, each
+        # coefficient the left factor (quaternions do not commute)
+        acc = mode.zero()
+        for c, x in zip(coeffs, entries):
+            acc = acc + c * x
+        return acc
+
     # any full window already inside the seed must hold
     for l in range(len(vals) - m):
-        acc = mode.zero()
-        for j in range(m + 1):
-            acc = acc + g[j] * vals[l + j]
-        if not mode.is_zero(acc):
+        if not mode.is_zero(window(g, vals[l:l + m + 1])):
             raise ValueError("seed is not recurrent for the generator")
     for _ in range(add_right):
-        acc = mode.zero()
-        w = vals[-m:]
-        for j in range(m):
-            acc = acc + g[j] * w[j]
-        vals.append(-acc / g[m])
+        vals.append(-window(g[:m], vals[-m:]) / g[m])
     for _ in range(add_left):
-        acc = mode.zero()
-        w = vals[:m]
-        for j in range(m):
-            acc = acc + g[j + 1] * w[j]
-        vals.insert(0, -acc / g[0])
+        vals.insert(0, -window(g[1:], vals[:m]) / g[0])
     return vals
 
 

@@ -80,12 +80,9 @@ class Matrix:
     def __init__(self, rows, mode, promote=True, shape=None):
         if promote:
             rows = [[mode.promote(e) for e in row] for row in rows]
-        if len({len(row) for row in rows}) > 1:
-            raise ValueError("ragged rows")
-        if shape is None:
-            shape = (len(rows), len(rows[0]) if rows else 0)
+        self._shape = _checked_shape(rows, shape)
         self._rows = list(map(_ring(mode).vector, rows))
-        self.mode, self._shape = mode, shape
+        self.mode = mode
 
     @staticmethod
     def _of(rows, mode, shape):
@@ -352,27 +349,32 @@ class Matrix:
                              (data["rows"], data["cols"]))
 
 
+def _checked_shape(rows, shape=None):
+    """The shape of rows: the declared shape, checked against them, or when
+    none is given the one read from them, which rejects ragged rows."""
+    if shape is None:
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("ragged rows")
+        return (len(rows), len(rows[0]) if rows else 0)
+    if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+        raise ValueError("entries do not match the declared %rx%r shape"
+                         % shape)
+    return shape
+
+
 def _from_entries(entries, mode, shape=None):
     """The matrix of the JSON rows of entries in mode (see the module
     docstring): all of them decoded first, then checked against the
     declared shape, or when none is given for ragged rows."""
     ring = _RINGS.get(mode.base)
     if ring is None:
-        rows = [[scalar_from_json(e, mode) for e in row] for row in entries]
-    else:
-        decode, ratio = ring.decode, ring.ratio
-        rows = [[decode(e) or ratio(scalar_from_json(e, mode)) for e in row]
-                for row in entries]
-    if shape is None:
-        if len({len(row) for row in rows}) > 1:
-            raise ValueError("ragged rows")
-        shape = (len(rows), len(rows[0]) if rows else 0)
-    elif len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
-        raise ValueError("entries do not match the declared %rx%r shape"
-                         % shape)
-    if ring is None:
-        return Matrix(rows, mode, promote=False, shape=shape)
-    return Matrix._of(list(map(ring.stored, rows)), mode, shape)
+        return Matrix([[scalar_from_json(e, mode) for e in row]
+                       for row in entries], mode, promote=False, shape=shape)
+    decode, ratio = ring.decode, ring.ratio
+    rows = [[decode(e) or ratio(scalar_from_json(e, mode)) for e in row]
+            for row in entries]
+    return Matrix._of(list(map(ring.stored, rows)), mode,
+                      _checked_shape(rows, shape))
 
 
 # -- entrywise scalar elimination -------------------------------------------

@@ -257,6 +257,8 @@ CONJUGATION = "conjugation"
 QUAT_CONJUGATION = "quat-conjugation"
 QUAT_SEMICONJUGATION = "quat-semiconjugation"
 
+BASES = (RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT, COMPLEX_FLOAT, GF2_BASE)
+INVOLUTIONS = (IDENTITY, CONJUGATION, QUAT_CONJUGATION, QUAT_SEMICONJUGATION)
 _EXACT_BASES = (RATIONAL, GAUSSIAN, QUATERNION, GF2_BASE)
 _PART_CLASSES = {GAUSSIAN: GaussianRational, QUATERNION: Quaternion,
                  GF2_BASE: GF2}
@@ -269,11 +271,9 @@ class FieldMode:
     __slots__ = ("base", "involution", "tolerance")
 
     def __init__(self, base, involution, tolerance=None):
-        if base not in (RATIONAL, GAUSSIAN, QUATERNION, REAL_FLOAT,
-                        COMPLEX_FLOAT, GF2_BASE):
+        if base not in BASES:
             raise ValueError("unknown base %r" % base)
-        if involution not in (IDENTITY, CONJUGATION, QUAT_CONJUGATION,
-                              QUAT_SEMICONJUGATION):
+        if involution not in INVOLUTIONS:
             raise ValueError("unknown involution %r" % involution)
         if involution in (QUAT_CONJUGATION, QUAT_SEMICONJUGATION):
             if base != QUATERNION:
@@ -287,8 +287,11 @@ class FieldMode:
             tolerance = 0
         elif tolerance is None:
             tolerance = _DEFAULT_TOLERANCE
-        elif tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        elif (isinstance(tolerance, bool)
+              or not isinstance(tolerance, numbers.Real)
+              or not 0 <= tolerance < float("inf")):
+            raise ValueError("tolerance must be a finite nonnegative real, "
+                             "not %r" % (tolerance,))
         self.base = base
         self.involution = involution
         self.tolerance = tolerance

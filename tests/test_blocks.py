@@ -146,6 +146,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             CanonicalBlock(SKEW_PAIR, n, lam=rational(2))
 
+    @pytest.mark.parametrize("eps", [True, 1.0, -1.0, rational(-1), 1 + 0j])
+    def test_sign_must_be_the_int_one_or_minus_one(self, eps):
+        # each of these compares equal to 1 or -1, and to_json wrote it
+        # back as "epsilon": true or 1.0
+        with pytest.raises(ValueError):
+            CanonicalBlock(SIGNED_ROOT, 1, lam=gr(1), eps=eps)
+        with pytest.raises(ValueError):
+            CanonicalBlock(REAL_SIGNED_ROOT, 1,
+                           lam=gr(rational(3, 5), rational(4, 5)), eps=eps)
+        with pytest.raises(ValueError):
+            BlockSum.from_json({"mode": STAR_AC, "blocks": [
+                {"kind": SIGNED_ROOT, "n": 1, "lambda": ["1", "0"],
+                 "epsilon": eps}]})
+
     def test_singular_block_takes_no_parameter(self):
         # J_n(0) has no parameter: a lam here was dropped by block_matrix,
         # which built J_n(0) for a block that claimed J_n(3)

@@ -182,6 +182,37 @@ class TestValidation:
                          "quaternion", "--involution", "identity"])
         assert r.exit_code == 2
 
+    @staticmethod
+    def run_on_bare_list(runner, tmp_path, command, *flags):
+        m = tmp_path / "m.json"
+        m.write_text("[[1,0],[0,2]]")
+        files = [str(m)] * (2 if command == "check" else 1)
+        return run(runner, [command, *files, "--mode", "star-ac", *flags])
+
+    @staticmethod
+    def assert_error_envelope(r, text):
+        assert r.exit_code == 2
+        assert "Traceback" not in r.output
+        err = json.loads(r.stderr)["error"]
+        assert err["code"] == 2 and text in err["message"]
+
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_tolerance_without_a_field_exit_2(self, runner, tmp_path,
+                                              command):
+        # a bare list without --field is read in the mode's exact field,
+        # which takes no tolerance; exit 1 would mean "inequivalent" here
+        r = self.run_on_bare_list(runner, tmp_path, command,
+                                  "--tolerance", "1e-8")
+        self.assert_error_envelope(r, "exact bases take no tolerance")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_non_finite_float_tolerance_exit_2(self, runner, tmp_path,
+                                               command, tol):
+        r = self.run_on_bare_list(runner, tmp_path, command, "--field",
+                                  "complex-float", "--tolerance", tol)
+        self.assert_error_envelope(r, "tolerance")
+
     def test_missing_file(self, runner):
         r = run(runner, ["canon", "/nonexistent.json", "--mode", "star-ac"])
         assert r.exit_code == 2

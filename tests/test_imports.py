@@ -1,9 +1,11 @@
-"""The package imports in one direction.
+"""The package imports in one direction, and imports nothing it leaves
+unused.
 
 Every import of a congruence module sits at module level, and those imports
 form an acyclic graph: scalar -> matrix -> cosquare -> blocks -> jordan ->
 canon -> quat -> cli.  Third-party packages (sympy, numpy) may still be
-imported on demand inside functions.
+imported on demand inside functions.  Every name a module imports at module
+level is read in it or listed in its __all__ (a re-export).
 """
 
 import ast
@@ -69,3 +71,27 @@ def test_module_imports_are_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def exported(tree):
+    """The names a module's top-level __all__ lists."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in parse_modules().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)} | exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # "import a.b" binds a
+                unused += ["%s.py:%d %s" % (name, node.lineno, bound)
+                           for bound in (a.asname or a.name.split(".")[0]
+                                         for a in node.names)
+                           if bound not in read]
+    assert unused == []

@@ -185,6 +185,15 @@ class TestFieldMode:
         with pytest.raises(ValueError):
             FieldMode("rational", "quat-conjugation")
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), True,
+                                     1e-8j, "1e-8"])
+    @pytest.mark.parametrize("base", ["real-float", "complex-float"])
+    def test_float_tolerance_must_be_a_finite_real(self, base, tol):
+        # a nan or infinite tolerance used to be accepted and then fail
+        # classification with a misleading structural error
+        with pytest.raises(ValueError, match="tolerance"):
+            FieldMode(base, "identity", tol)
+
     def test_float_eq_is_relative(self):
         m = FieldMode("real-float", "identity", 1e-8)
         assert m.eq(1e9, 1e9 + 1.0)
