@@ -491,7 +491,12 @@ def canonicalize_with_confidence(A, cmode):
     if floating and A.mode.tolerance not in (None, fm.tolerance):
         fm = FieldMode(fm.base, fm.involution, A.mode.tolerance)
     if A.mode != fm:
-        A = A.cast(fm)
+        try:
+            A = A.cast(fm)
+        except TypeError:
+            raise ValueError("mode %r classifies matrices over %r; this %r "
+                             "matrix does not enter it"
+                             % (cmode, fm.base, A.mode.base)) from None
     report = {"mode": cmode, "exact": not floating}
     reg = regularize(A)
     blocks = [CanonicalBlock(SINGULAR_JORDAN, m) for m in reg.singular_blocks]

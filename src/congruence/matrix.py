@@ -16,13 +16,17 @@ one body for every base, with each left factor kept on the left.  Only
 these depend on the base:
 
 - Matrix.rref, the one elimination primitive (rank, det, inverse, solve
-  and right_kernel read it): fraction-free (Bareiss) on integer rows,
-  dividing exactly by the previous pivot, else one generic scalar
-  elimination by left-multiplication row operations, which for floats
-  takes the largest pivot above a tolerance relative to the matrix scale;
+  and right_kernel read it): on integer rows a fraction-free (Bareiss)
+  forward pass, dividing exactly by the previous pivot, then
+  back-substitution on the free columns only (the row rings' back), run
+  when the reduced rows are first read, so rank and det stop after the
+  forward pass; else one generic scalar elimination by left-multiplication
+  row operations, which for floats takes the largest pivot above a
+  tolerance relative to the matrix scale;
 - the mod-p certificate of Matrix.is_nonsingular and the canon module's
   mod-p singular profile, on the residues of integer rows only, which
-  _bareiss eliminates too (_ModP, with no division);
+  _bareiss eliminates too (_ModP, with no division in the forward pass);
+  their ranks stop after it, their kernels back-substitute;
 - the float tolerance of ==, and cast.
 
 Matrix.from_json and the CLI's bare lists decode JSON straight to stored
@@ -34,7 +38,6 @@ in a rational matrix) and every entry over the other bases takes the
 scalar path, scalar_from_json, so both accept and reject the same entries.
 """
 
-from collections import namedtuple
 from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -47,24 +50,55 @@ from .scalar import (FieldMode, GaussianRational, rational, IDENTITY,
                      scalar_from_json, _json_ratio)
 
 
-class Reduction(namedtuple("Reduction", "pivots rows det")):
-    """Matrix.rref's result (see there)."""
-    __slots__ = ()
+class Reduction:
+    """Matrix.rref's result (see there).  free lists the columns without a
+    pivot, and part is the len(pivots) x len(free) matrix of the reduced
+    rows on them: all that kernel and Matrix.solve read.  part is given as
+    a function of no arguments, called on its first reading (over integer
+    rows, the back phase), and rows, given as None over integer rows, is
+    built from part on its first reading, so callers that read only pivots
+    and det (rank, det, is_nonsingular) stop after the forward pass."""
+    __slots__ = ("pivots", "det", "free", "_rows", "_part")
+
+    def __init__(self, pivots, det, free, rows, part):
+        self.pivots, self.det, self.free = pivots, det, free
+        self._rows, self._part = rows, part
+
+    @property
+    def part(self):
+        if callable(self._part):
+            self._part = self._part()
+        return self._part
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            # row i over its least denominator e: its part, and e at c_i
+            part, n = self.part, len(self.pivots) + len(self.free)
+            spread = _RINGS[part.mode.base].spread
+            self._rows = Matrix._of(
+                [(spread(n, self.free, v, c, e), e)
+                 for c, (v, e) in zip(self.pivots, part._rows)],
+                part.mode, (part.rows, n))
+        return self._rows
 
     def kernel(self, free=None):
         """Columns spanning the right kernel of the reduced matrix: one per
         free column f, with x_f = 1 and the other free coordinates 0 (only
         those of the free columns listed in free, when given)."""
-        mode, n = self.rows.mode, self.rows.cols
+        part = self.part
+        mode, n = part.mode, len(self.pivots) + len(self.free)
         if free is None:
-            pivset = set(self.pivots)
-            free = [c for c in range(n) if c not in pivset]
+            free, at = self.free, None
+        else:
+            at = [self.free.index(f) for f in free]
         ring = _ring(mode)
         out = [(ring.lift([0] * len(free)), 1)] * n
         for f, row in zip(free, Matrix.identity(len(free), mode)._rows):
             out[f] = row
-        for pc, (v, d) in zip(self.pivots, self.rows._rows):
-            out[pc] = _picked(ring, (_negated(ring, v), d), free)
+        for pc, (v, d) in zip(self.pivots, part._rows):
+            v = _negated(ring, v)
+            out[pc] = (v, d) if at is None else _picked(ring, (v, d), at)
         return Matrix._of(out, mode, (n, len(free)))
 
 
@@ -223,17 +257,19 @@ class Matrix:
     # -- elimination --------------------------------------------------------
 
     def rref(self, limit=None):
-        """Reduced row echelon form: Reduction(pivots, rows, det).
+        """Reduced row echelon form: a Reduction with pivots, rows, det,
+        free and part.
 
         pivots are the pivot columns, sought among the first `limit` columns
         (all by default; the rest ride along as right-hand sides), each on
         the first usable row.  rows is the len(pivots) x cols matrix of the
-        reduced pivot rows: 1 at each pivot, 0 elsewhere in pivot columns.
-        det is the determinant of a square matrix reduced over all its
-        columns, else None (and always None over the quaternions).
+        reduced pivot rows: 1 at each pivot, 0 elsewhere in pivot columns;
+        part is rows on the free (non-pivot) columns only.  det is the
+        determinant of a square matrix reduced over all its columns, else
+        None (and always None over the quaternions).
         The transform rides along the same way: for a full-column-rank
-        self, reducing [self | B] leaves X with self X = B in the right
-        block of the first self.cols rows (solve; inverse takes B = I).
+        self, reducing [self | B] leaves X with self X = B as the part
+        (solve; inverse takes B = I).
         """
         if limit is None:
             limit = self.cols
@@ -293,7 +329,7 @@ class Matrix:
             raise ValueError("dependent columns")
         if len(red.pivots) > d:
             raise ValueError("right-hand side outside the column span")
-        return red.rows.submatrix(range(d), range(d, d + B.cols))
+        return red.part
 
     # -- block structure ----------------------------------------------------
 
@@ -431,8 +467,10 @@ def _rref_generic(M, limit):
     elif len(pivots) < n:
         det = zero
     k = len(pivots)
-    return Reduction(pivots, Matrix(R[:k], mode, promote=False, shape=(k, n)),
-                     det)
+    rows = Matrix(R[:k], mode, promote=False, shape=(k, n))
+    free = [c for c in range(n) if c not in pivots]
+    return Reduction(pivots, det, free, rows,
+                     lambda: rows.submatrix(range(k), free))
 
 
 # -- row arithmetic --------------------------------------------------------
@@ -461,6 +499,15 @@ def _q(num, den):
 def _scaled(ratios):
     den = lcm(*[b for _, b in ratios])
     return [a * (den // b) for a, b in ratios], den
+
+
+def _spread(n, cols, vals, c, e):
+    """The length-n list of vals at the columns cols, e at c, else 0."""
+    out = [0] * n
+    for j, x in zip(cols, vals):
+        out[j] = x
+    out[c] = e
+    return out
 
 
 class _IntRows:
@@ -503,6 +550,38 @@ class _IntRows:
         if p != q:
             return [p * a // q for a in x]
         return x
+
+    divided = staticmethod(lambda z, p: [x // p for x in z])  # exact
+    spread = staticmethod(_spread)  # a reduced row from its free part
+
+    @classmethod
+    def back(ring, rows, pivots, free, d):
+        """Back-substitution on the pivot rows u_i that _bareiss leaves, on
+        the free columns F only: z_i, the entries on F of d times the i-th
+        reduced row (which is d at its pivot c_i and 0 at the other
+        pivots), bottom up:
+
+            z_i = (d u_i[F] - sum over j > i of u_i[c_j] z_j) / u_i[c_i],
+
+        skipping each u_i[c_j] = 0; a last row whose pivot is d (over the
+        integers, always) needs no work.  Over the integer rows the
+        division is exact, d times a reduced entry being a minor (Cramer's
+        rule); mod _P, d = 1 and it is one inverse per row (divided)."""
+        zs = []
+        for i in range(len(pivots) - 1, -1, -1):
+            u = rows[i]
+            p = u[pivots[i]]
+            if zs or p != d:
+                z = [d * u[f] for f in free]
+                for c, y in zip(pivots[i + 1:], zs):
+                    a = u[c]
+                    if a:
+                        z = [x - a * b for x, b in zip(z, y)]
+                z = ring.divided(z, p)
+            else:
+                z = [u[f] for f in free]
+            zs.insert(0, z)
+        return zs
 
 
 class _GaussRows:
@@ -599,6 +678,38 @@ class _GaussRows:
                 [(sr * b + si * a) // nq for a, b in zip(xr, xi)])
 
     @staticmethod
+    def back(rows, pivots, free, d):
+        """_IntRows.back in Z[i]: the division is by p's conjugate and its
+        norm."""
+        dr, di = d
+        zs = []
+        for i in range(len(pivots) - 1, -1, -1):
+            ur, ui = rows[i]
+            if zs:
+                zr = [dr * ur[f] - di * ui[f] for f in free]
+                zi = [dr * ui[f] + di * ur[f] for f in free]
+                for c, (yr, yi) in zip(pivots[i + 1:], zs):
+                    ar, ai = ur[c], ui[c]
+                    if ar or ai:
+                        zr = [x - ar * a + ai * b
+                              for x, a, b in zip(zr, yr, yi)]
+                        zi = [x - ar * b - ai * a
+                              for x, a, b in zip(zi, yr, yi)]
+                # divided by p: times conj(p), over |p|^2
+                pr, pi = ur[pivots[i]], ui[pivots[i]]
+                q = pr * pr + pi * pi
+                zr, zi = ([(a * pr + b * pi) // q for a, b in zip(zr, zi)],
+                          [(b * pr - a * pi) // q for a, b in zip(zr, zi)])
+            else:
+                zr, zi = [ur[f] for f in free], [ui[f] for f in free]
+            zs.insert(0, (zr, zi))
+        return zs
+
+    @staticmethod
+    def spread(n, free, z, c, e):
+        return _spread(n, free, z[0], c, e), _spread(n, free, z[1], c, 0)
+
+    @staticmethod
     def over(v, d):
         # v / (dr + i di) = v (dr - i di) / |d|^2
         dr, di = d
@@ -616,17 +727,21 @@ class _GaussRows:
 _RINGS = {RATIONAL: _IntRows, GAUSSIAN: _GaussRows}
 
 
-class _ModP:
-    """Rows of residues mod _P, for _bareiss: an update divides by no
-    pivot, since a row times a nonzero residue spans the same line."""
-    one = 1
-    at = staticmethod(lambda row, c: row[c])
+class _ModP(_IntRows):
+    """Rows of residues mod _P, for _bareiss and back: a forward update
+    divides by no pivot, since a row times a nonzero residue spans the same
+    line, and the back phase, with d = 1, multiplies by its inverse."""
 
     @staticmethod
     def update(x, y, c, p, q):
         """p x - x[c] y mod _P; x itself when x[c] = 0."""
         f = x[c]
         return [(p * a - f * b) % _P for a, b in zip(x, y)] if f else x
+
+    @staticmethod
+    def divided(z, p):
+        inv = pow(p, -1, _P)
+        return [x * inv % _P for x in z]
 
 
 class _Scalars(_IntRows):
@@ -708,14 +823,17 @@ def _mul_int(A, B):
 
 
 def _bareiss(rows, limit, ring):
-    """Fraction-free Gauss-Jordan elimination of integer rows or residues
-    mod p, in place.
+    """Fraction-free forward elimination of integer rows or residues mod p,
+    in place: each pivot updates only the rows below it.
 
     Each integer update (p x - f y) / q divides exactly by the previous
     pivot q: the entries stay minors of the input.  Returns (pivots, last
     pivot d, sign of the row permutation).  The first len(pivots) rows end
-    as d times the reduced rows (mod p, _ModP, as nonzero multiples of
-    them); for a square matrix d is the determinant of the permuted input.
+    in echelon form, row i with the (i+1)-th leading minor of the permuted
+    input at its pivot (mod p, _ModP, with nonzero multiples of them), and
+    the other rows as zero in the first limit columns; for a square matrix
+    d is the determinant of the permuted input.  Rank-only callers stop
+    here; ring.back reduces the rows.
     """
     at, update = ring.at, ring.update
     m = len(rows)
@@ -734,9 +852,8 @@ def _bareiss(rows, limit, ring):
             sign = -sign
         prow = rows[r]
         piv = at(prow, c)
-        for i in range(m):
-            if i != r:
-                rows[i] = update(rows[i], prow, c, piv, prev)
+        for i in range(r + 1, m):
+            rows[i] = update(rows[i], prow, c, piv, prev)
         prev = piv
         pivots.append(c)
         r += 1
@@ -745,8 +862,9 @@ def _bareiss(rows, limit, ring):
 
 def _rref_int(M, limit):
     """Matrix.rref over the rationals and Gaussian rationals: the integer
-    rows reduced fraction-free, each pivot row divided once by the last
-    pivot."""
+    rows eliminated forward fraction-free; on the first reading of the
+    reduced rows, back-substituted on the free columns and each divided
+    once by the last pivot."""
     mode = M.mode
     m, n = M.rows, M.cols
     ring = _RINGS[mode.base]
@@ -758,22 +876,23 @@ def _rref_int(M, limit):
     if m == n == limit:
         det = (mode.zero() if k < n
                else ring.scalar(d, sign * prod(den for _, den in ints)))
-    out = [_least(ring, *ring.over(rows[r], d)) for r in range(k)]
-    return Reduction(pivots, Matrix._of(out, mode, (k, n)), det)
+    free = [c for c in range(n) if c not in pivots]
+    return Reduction(pivots, det, free, None, lambda: Matrix._of(
+        [_least(ring, *ring.over(z, d))
+         for z in ring.back(rows, pivots, free, d)], mode, (k, len(free))))
 
 
 def _kernel_mod_p(rows, ncols):
     """A basis of {x : M x = 0} over GF(_P), M given by its residue rows,
-    one vector per free column as in Matrix.right_kernel: each pivot row
-    _bareiss leaves is a nonzero multiple of the reduced one, divided here
-    by its pivot.  The input list is not changed."""
+    one vector per free column as in Matrix.right_kernel, read off the
+    free entries of the reduced rows that _ModP.back leaves.  The input
+    list is not changed."""
     rows = list(rows)
-    at = {}  # pivot column -> its reduced row
-    for c, row in zip(_bareiss(rows, ncols, _ModP)[0], rows):
-        inv = pow(row[c], -1, _P)
-        at[c] = [a * inv % _P for a in row]
-    return [[-at[c][f] % _P if c in at else int(c == f) for c in range(ncols)]
-            for f in range(ncols) if f not in at]
+    pivots = _bareiss(rows, ncols, _ModP)[0]
+    free = [c for c in range(ncols) if c not in pivots]
+    zs = _ModP.back(rows, pivots, free, 1)
+    return [_spread(ncols, pivots, [-z[t] % _P for z in zs], f, 1)
+            for t, f in enumerate(free)]
 
 
 def _images_mod_p(M):

@@ -12,7 +12,8 @@ from congruence import canon, matrix
 from congruence import cosquare as cosquare_module
 from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_GF2,
-                               MODE_QUAT_CONJ, QUATERNION, IDENTITY,
+                               MODE_QUAT_CONJ, MODE_COMPLEX_FLOAT, QUATERNION,
+                               IDENTITY,
                                complex_mode, rational, scalar_key)
 from congruence.matrix import Matrix, direct_sum, skew_sum
 from congruence.blocks import (STAR_AC, CONGRUENCE_AC, CONGRUENCE_REAL,
@@ -980,6 +981,31 @@ class TestLargeRegular:
         assert canonicalize(A, STAR_AC) == bs
 
 
+class TestLargeSingular:
+    """Scrambled J_1^k + J_2^k + J_3^k + J_4^k, n = 10 k, in each mode:
+    regularization eliminates at the full size (CI prints each one's wall
+    time)."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC,
+                                       CONGRUENCE_REAL])
+    def test_round_trip(self, monkeypatch, cmode, k):
+        sizes = [m for m in (1, 2, 3, 4) for _ in range(k)]
+        bs = BlockSum(cmode, [CanonicalBlock(SINGULAR_JORDAN, m)
+                              for m in sizes])
+        A = scramble(block_sum_matrix(bs), 12345)
+        assert A.rows == 10 * k
+        # the regularization canonicalize makes, in the mode's own field
+        regs = []
+        monkeypatch.setattr(canon, "regularize",
+                            lambda M: regs.append(regularize(M)) or regs[-1])
+        assert canonicalize(A, cmode) == bs
+        [reg] = regs
+        assert reg.witness.verify()
+        assert sorted(reg.singular_blocks) == sizes
+        assert reg.core.rows == 0
+
+
 class TestSignsFromTheKernelChain:
     def test_no_chain_basis_and_one_solve(self, monkeypatch):
         # the signs read the kernel chain: the only solve is the cosquare's
@@ -1297,6 +1323,34 @@ class TestRationalInput:
         for cmode in (STAR_AC, CONGRUENCE_AC):
             assert (canonicalize(A, cmode)
                     == canonicalize(A.cast(field_mode_for(cmode)), cmode))
+
+    def test_real_gaussian_entries_enter_congruence_real(self):
+        A = Matrix([[1, gr(2)], [gr(2), 3]], MODE_GAUSSIAN)
+        assert (canonicalize(A, CONGRUENCE_REAL)
+                == canonicalize(A.cast(MODE_RATIONAL), CONGRUENCE_REAL))
+
+
+class TestFieldOfTheMode:
+    """A matrix that cannot enter its mode's field is refused up front, with
+    the mode and the matrix's base named."""
+
+    @staticmethod
+    def refused(A, cmode):
+        with pytest.raises(ValueError) as e:
+            canonicalize(A, cmode)
+        assert repr(cmode) in str(e.value)
+        assert repr(A.mode.base) in str(e.value)
+
+    @pytest.mark.parametrize("cmode", [STAR_AC, CONGRUENCE_AC,
+                                       CONGRUENCE_REAL])
+    @pytest.mark.parametrize("mode", [MODE_GF2, MODE_QUAT_CONJ])
+    def test_gf2_and_quaternion_matrices(self, mode, cmode):
+        self.refused(Matrix([[1, 0], [0, 1]], mode), cmode)
+
+    @pytest.mark.parametrize("mode, z", [(MODE_GAUSSIAN, gr(1, 1)),
+                                         (MODE_COMPLEX_FLOAT, 1 + 1j)])
+    def test_non_real_entry_under_congruence_real(self, mode, z):
+        self.refused(Matrix([[z, 0], [0, 1]], mode), CONGRUENCE_REAL)
 
 
 class TestSignConservation:

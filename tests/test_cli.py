@@ -213,6 +213,15 @@ class TestValidation:
                                   "complex-float", "--tolerance", tol)
         self.assert_error_envelope(r, "tolerance")
 
+    @pytest.mark.parametrize("flags", [
+        ["--field", "gf2"],
+        ["--field", "quaternion", "--involution", "quat-conjugation"]])
+    def test_field_outside_the_mode_exit_2(self, runner, tmp_path, flags):
+        # the message names the mode and the matrix's base
+        r = self.run_on_bare_list(runner, tmp_path, "canon", *flags)
+        self.assert_error_envelope(r, "'star-ac'")
+        assert repr(flags[1]) in json.loads(r.stderr)["error"]["message"]
+
     def test_missing_file(self, runner):
         r = run(runner, ["canon", "/nonexistent.json", "--mode", "star-ac"])
         assert r.exit_code == 2

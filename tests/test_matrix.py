@@ -14,7 +14,7 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GF2, MODE_QUAT_CONJ, GF2,
                                MODE_COMPLEX_FLOAT, MODE_REAL_FLOAT, Quaternion,
                                REAL_FLOAT, IDENTITY, rational)
-from congruence import matrix
+from congruence import canon, matrix
 from congruence.matrix import (Matrix, Poly, char_poly, direct_sum, skew_sum,
                                realify, complexify, _rref_generic)
 
@@ -345,6 +345,186 @@ class TestIntegerKernels:
             assert E.right_kernel() == Matrix.identity(4, mode)
             assert (E.transpose() * E).rows == 4
             assert Matrix.zeros(0, 0, mode).det() == mode.one()
+
+
+@st.composite
+def wide_matrix(draw):
+    """A rational or Gaussian-rational matrix up to 8 x 16 with 64-bit
+    numerators, small ones and zeros mixed, rows over their own
+    denominators, sometimes with duplicate and zero rows."""
+    gauss = draw(st.booleans())
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    part = st.one_of(st.just(0), st.integers(-3, 3),
+                     st.integers(-2 ** 63, 2 ** 63 - 1))
+    rows = []
+    for _ in range(m):
+        den = draw(st.sampled_from([1, 2, 7, 2 ** 61 - 1]))
+        rows.append([GaussianRational(Fraction(draw(part), den),
+                                      Fraction(draw(part), den)) if gauss
+                     else Fraction(draw(part), den) for _ in range(n)])
+    row = st.integers(0, m - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(row)] = list(rows[draw(row)])
+    if draw(st.booleans()):
+        rows[draw(row)] = [0] * n
+    return Matrix(rows, MODE_GAUSSIAN if gauss else MODE_RATIONAL,
+                  shape=(m, n))
+
+
+def _kernel_gauss_jordan_mod_p(rows, n):
+    """Matrix.right_kernel's basis over GF(_P), by textbook Gauss-Jordan
+    elimination with each pivot scaled to 1."""
+    P = matrix._P
+    R, pivots = [list(r) for r in rows], []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(R)) if R[i][c] % P), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = pow(R[r][c], -1, P)
+        R[r] = [x * inv % P for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % P for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = 1
+        for i, c in enumerate(pivots):
+            x[c] = -R[i][f] % P
+        out.append(x)
+    return out
+
+
+class TestBackPhase:
+    """The forward pass plus back-substitution on the free columns against
+    the generic Gauss-Jordan elimination, at wider shapes and larger
+    entries than TestIntegerKernels draws."""
+
+    @given(wide_matrix(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_rref_matches_gauss_jordan(self, A, data):
+        limit = data.draw(st.one_of(st.none(),
+                                    st.integers(0, max(A.cols - 1, 0))))
+        got = A.rref(limit)
+        want = _rref_generic(A, A.cols if limit is None else limit)
+        assert got.pivots == want.pivots
+        assert got.det == want.det
+        assert same_entries(got.rows, want.rows)
+
+    @given(st.integers(1, 8), st.integers(1, 16), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_mod_p_matches_gauss_jordan(self, m, n, data):
+        P = matrix._P
+        entry = st.one_of(st.just(0), st.just(1), st.just(P - 1),
+                          st.integers(0, P - 1))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+        if m > 1 and data.draw(st.booleans()):
+            rows[-1] = list(rows[0])
+        if data.draw(st.booleans()):
+            rows[0] = [0] * n
+        before = [list(r) for r in rows]
+        assert (matrix._kernel_mod_p(rows, n)
+                == _kernel_gauss_jordan_mod_p(rows, n))
+        assert rows == before
+
+
+class TestForwardPass:
+    @pytest.mark.parametrize("base", ["rational", "gaussian", "mod p"])
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (5, 5), (2, 6),
+                                      (3, 7), (6, 3), (7, 2)])
+    def test_updates_only_the_rows_below_each_pivot(self, monkeypatch,
+                                                    base, m, n):
+        # full rank k = min(m, n): pivot i updates the m - 1 - i rows below
+        rng = random.Random(100 * m + n)
+        k = min(m, n)
+        A = Matrix.zeros(m, n, MODE_RATIONAL)
+        while A.rank() < k:
+            A = Matrix([[rng.randint(-9, 9) for _ in range(n)]
+                        for _ in range(m)], MODE_RATIONAL)
+        ring = {"rational": matrix._IntRows, "gaussian": matrix._GaussRows,
+                "mod p": matrix._ModP}[base]
+        if base == "gaussian":
+            A = A.cast(MODE_GAUSSIAN)
+        ints = [v for v, _ in A._rows]
+        if base == "mod p":
+            ints = [[a % matrix._P for a in v] for v in ints]
+        calls, update = [], ring.update
+
+        def counting(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(ring, "update", staticmethod(counting))
+        assert len(matrix._bareiss(ints, n, ring)[0]) == k
+        assert len(calls) == sum(m - 1 - i for i in range(k))
+
+    @staticmethod
+    def count_back_phases(monkeypatch):
+        """Count the back phases of every ring (_ModP inherits _IntRows')
+        from here on."""
+        calls = []
+        int_back, gauss_back = (matrix._IntRows.back.__func__,
+                                matrix._GaussRows.back)
+
+        def int_counting(ring, *args):
+            calls.append(ring)
+            return int_back(ring, *args)
+
+        def gauss_counting(*args):
+            calls.append(matrix._GaussRows)
+            return gauss_back(*args)
+
+        monkeypatch.setattr(matrix._IntRows, "back",
+                            classmethod(int_counting))
+        monkeypatch.setattr(matrix._GaussRows, "back",
+                            staticmethod(gauss_counting))
+        return calls
+
+    def test_rank_only_callers_never_reach_the_back_phase(self, monkeypatch):
+        backs = self.count_back_phases(monkeypatch)
+        g = GaussianRational
+        A = Matrix([[g(1, 1), 2, g(0, 3)], [2, g(1, -1), 1],
+                    [g(3, 1), g(3, -1), g(1, 3)]], MODE_GAUSSIAN)
+        S = Matrix([[1, 2, 0], [0, 1, 5], [3, 0, 1]], MODE_RATIONAL)
+        assert A.rank() == 2 and S.rank() == 3
+        assert not A.is_nonsingular() and S.is_nonsingular()
+        # diag(p, 1) vanishes mod p: the exact fallback is a rank too
+        assert Matrix.diagonal([matrix._P, 1], MODE_RATIONAL).is_nonsingular()
+        assert A.det() == 0 and S.det() == 31
+        assert A.rref().pivots == [0, 1]
+        assert not backs
+        assert A.right_kernel().cols == 1 and len(backs) == 1
+
+    def test_joint_ranks_of_the_mod_p_profile_are_forward_only(
+            self, monkeypatch):
+        # every back phase of _profile_mod_p is one of its kernels'
+        fm = MODE_GAUSSIAN
+        # J_1(0) + J_2(0) + [2], scrambled
+        J = Matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 2]],
+                   fm)
+        S = Matrix([[1, GaussianRational(0, 1), 2, 0], [0, 1, 1, 3],
+                    [2, 0, 1, GaussianRational(1, 1)], [1, 1, 0, 1]], fm)
+        A = S.conj_transpose() * J * S
+        counts = {"kernel": 0, "joint": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        backs = self.count_back_phases(monkeypatch)
+        monkeypatch.setattr(canon, "_kernel_mod_p",
+                            counted("kernel", canon._kernel_mod_p))
+        monkeypatch.setattr(canon, "_bareiss",
+                            counted("joint", canon._bareiss))
+        assert canon._profile_mod_p(A) == [2, 1]
+        assert counts["joint"] > 0
+        assert len(backs) == counts["kernel"] > 0
 
 
 def count_calls(monkeypatch, name):
