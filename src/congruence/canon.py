@@ -5,11 +5,14 @@ Pipeline: split off the singular summands first (a kernel-quotient
 recursion that builds an explicit congruence witness), then compute the
 core C's cosquare Phi once and its eigenvalues (in the Gaussian rationals
 or complex floats for a real Phi).  Each distinct eigenvalue lam gets one
-kernel chain (jordan.RootSpace), the kernels of (Phi - lam)^k read off the
+root space (jordan.RootSpace), the kernels of (Phi - lam)^k read off the
 pencil C - lam C* with C* formed once, built after a unimodular float
-eigenvalue is snapped onto the unit circle; an exact simple eigenvalue
-builds it only if its signs are read.  The eigenvalues are grouped into
-orbits under x -> 1/conj(x) (star-ac) or x -> 1/x (congruence), plus
+eigenvalue is snapped onto the unit circle.  In exact modes its kernel
+chain is built only if its signs are read or the first nullity leaves the
+partition open; otherwise the sizes come off one forward elimination of
+the pencil, or none for a simple eigenvalue.  The eigenvalues are
+grouped into orbits under x -> 1/conj(x) (star-ac) or x -> 1/x
+(congruence), plus
 conjugation over the reals.  A one-member orbit (two for a unimodular
 non-real lam over the reals) gives root blocks at the sizes n where
 J_n(lam) has a cosquare root (cosquare.root_exists_jordan) and pairs the

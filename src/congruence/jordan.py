@@ -37,8 +37,11 @@ below it or passes it raises ValueError), as the preimage chain of a pencil
 B - lam S with A = S^-1 B: A - lam with S = I by default, C - lam C* for a
 cosquare A = C^-* C, whose eliminations then run on C's entries and give
 the same kernels.  The Jordan partition (chain_counts) and the root-block
-signs read it.  An exact simple eigenvalue has the partition (1,) without a
-chain, which is built, with its checks, only when it is read.
+signs read it.  In exact modes the chain is built, with its checks, only
+for the signs, for generalized_eigenbasis, or when the first nullity d
+leaves the partition open: a simple eigenvalue has (1,) with no
+elimination, and d = 1, mult - 1 or mult fixes the partition off one
+forward elimination of the pencil, which the chain starts from if read.
 generalized_eigenbasis reads a chain-ordered basis off the same chain.
 """
 
@@ -377,11 +380,12 @@ def _distinct(vals):
     return [(v, len(list(run))) for v, run in groupby(vals)]
 
 
-def preimage_chain(B, S=None):
+def preimage_chain(B, S=None, red=None):
     """K_1, K_2, ... with K_0 = 0 and K_k = {x : B x in S K_(k-1)} (S = None
     for the identity): the kernel of ((S K_(k-1))^perp)^* B, or of B while
-    K_(k-1) is empty.  right_kernel's basis depends only on the subspace."""
-    K = B.right_kernel()
+    K_(k-1) is empty, read off red, B's rref, when given.  right_kernel's
+    basis depends only on the subspace."""
+    K = B.right_kernel() if red is None else red.kernel()
     while True:
         yield K
         if K.cols:
@@ -396,6 +400,11 @@ def chain_counts(dims):
     the chains of length at least k, so c_k = w_k - w_(k+1)."""
     w = [b - a for a, b in zip(dims, dims[1:])] + [0]
     return [a - b for a, b in zip(w, w[1:])]
+
+
+def _missed(lam, nullities, mult):
+    return ValueError("eigenvalue %s: the nullities %s of (A - lam)^k miss "
+                      "its algebraic multiplicity %d" % (lam, nullities, mult))
 
 
 class RootSpace:
@@ -413,40 +422,61 @@ class RootSpace:
     exact modes neither can happen, in float modes either means the
     eigenvalue clusters are wrong.  The Jordan block sizes at lam (sizes)
     and the root-block signs (through chain()) read this one kernel chain,
-    and so does generalized_eigenbasis.  In exact modes a simple
-    eigenvalue (mult = 1) has sizes (1,) without it, since
-    1 <= nullity of A - lam <= mult; its chain, with the nullity checks, is
-    built at the first read, so a lam that is not an eigenvalue raises there.
+    and so does generalized_eigenbasis.
+
+    Exact sizes trust mult, which exact division of the characteristic
+    polynomial counts, so the chain is built for them only when the first
+    nullity d, the number of blocks, leaves the partition open.  A simple
+    eigenvalue has sizes (1,) with no elimination.  Any other eliminates
+    its pencil forward once: a d outside 1..mult raises ValueError, and
+    d = 1, mult - 1 or mult, the only part counts at which mult has one
+    partition, fix sizes with no kernel.  chain() starts from that same
+    elimination and keeps both nullity checks, so a lam that is not a
+    simple eigenvalue, or a mult that d alone cannot show wrong, raises at
+    its first read.
     """
 
-    __slots__ = ("A", "lam", "mult", "sizes", "_pencil", "_kernels")
+    __slots__ = ("A", "lam", "mult", "sizes", "_pencil", "_red", "_kernels")
 
     def __init__(self, A, lam, mult, pencil=None):
         self.A, self.lam, self.mult = A, A.mode.promote(lam), mult
         self._pencil = (A, None) if pencil is None else pencil
-        self._kernels = None
+        self._red = self._kernels = None
         if A.mode.exact and mult == 1:
             self.sizes = (1,)
             return
+        if A.mode.exact:
+            P = self._matrix()
+            red = P.rref()
+            self._red, d = (P, red), len(red.free)
+            if not 1 <= d <= mult:
+                raise _missed(self.lam, [d], mult)
+            if d in (1, mult - 1, mult):
+                self.sizes = (mult - d + 1,) + (1,) * (d - 1)
+                return
         counts = chain_counts([K.cols for K in self.chain()])
         self.sizes = tuple(k for k in range(len(counts), 0, -1)
                            for _ in range(counts[k - 1]))
 
+    def _matrix(self):
+        """The pencil's matrix B - lam S."""
+        B, S = self._pencil
+        return (B.minus_scalar(self.lam) if S is None
+                else B - S.scale_left(self.lam))
+
     def chain(self):
         """The kernels of (A - lam)^k, k = 0, 1, ..., up to the root
-        subspace, built once."""
+        subspace, built once, from the construction's elimination when it
+        made one."""
         if self._kernels is None:
-            A, lam, mult = self.A, self.lam, self.mult
-            B, S = self._pencil
-            P = B.minus_scalar(lam) if S is None else B - S.scale_left(lam)
+            A, mult, S = self.A, self.mult, self._pencil[1]
+            P, red = self._red or (self._matrix(), None)
             kernels = [Matrix.zeros(A.rows, 0, A.mode)]
-            for K in preimage_chain(P, S):
+            for K in preimage_chain(P, S, red):
                 kernels.append(K)
                 nul = [K.cols for K in kernels]
                 if nul[-1] == nul[-2] or nul[-1] > mult:
-                    raise ValueError(
-                        "eigenvalue %s: the nullities %s of (A - lam)^k miss "
-                        "its algebraic multiplicity %d" % (lam, nul[1:], mult))
+                    raise _missed(self.lam, nul[1:], mult)
                 if nul[-1] == mult:
                     break
             self._kernels = kernels

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -864,6 +865,60 @@ class TestOneChainPerEigenvalue:
             gr(rational(1, 2)), gr(rational(3, 5), rational(4, 5)), gr(1),
             gr(2)]
 
+    def test_settled_sizes_take_one_elimination_each(self, monkeypatch):
+        # each multiple eigenvalue's first nullity settles its sizes: 1
+        # (J_3), -1 (J_2) and the skew pair's 2 and 1/2 (J_2 each), so each
+        # root space eliminates its pencil once and reads no kernel
+        bs = BlockSum(CONGRUENCE_AC, [
+            CanonicalBlock(SIGNED_ROOT, 3, lam=gr(1)),
+            CanonicalBlock(SIGNED_ROOT, 2, lam=gr(-1)),
+            CanonicalBlock(SKEW_PAIR, 2, lam=gr(2))])
+        A = scramble(block_sum_matrix(bs), 3)
+        calls, spaces = Counter(), {}
+        for cls, name in ((Matrix, "rref"), (matrix.Reduction, "kernel")):
+            def counted(*args, _name=name, _orig=getattr(cls, name), **kw):
+                calls[_name] += 1
+                return _orig(*args, **kw)
+            monkeypatch.setattr(cls, name, counted)
+
+        def counted_space(*args):
+            before = calls.copy()
+            space = RootSpace(*args)
+            spaces[space.lam] = (space.sizes, calls - before)
+            return space
+
+        monkeypatch.setattr(canon, "RootSpace", counted_space)
+        assert canonicalize(A, CONGRUENCE_AC) == bs
+        once = Counter(rref=1)
+        assert spaces == {gr(1): ((3,), once), gr(-1): ((2,), once),
+                          gr(2): ((2,), once),
+                          gr(rational(1, 2)): ((2,), once)}
+
+    def test_signed_chain_starts_from_the_construction(self, monkeypatch):
+        # the signs read each chain, and no pencil C - lam C* is eliminated
+        # twice: at 1 the sizes (2, 1) settle at construction, at u the
+        # sizes (2, 2) build the chain there
+        u = gr(rational(3, 5), rational(4, 5))
+        bs = BlockSum(STAR_AC, [
+            CanonicalBlock(SIGNED_ROOT, 2, lam=gr(1), eps=1),
+            CanonicalBlock(SIGNED_ROOT, 1, lam=gr(1), eps=-1),
+            CanonicalBlock(SIGNED_ROOT, 2, lam=u, eps=1),
+            CanonicalBlock(SIGNED_ROOT, 2, lam=u, eps=-1),
+            CanonicalBlock(SKEW_PAIR, 1, lam=gr(2))])
+        A = scramble(block_sum_matrix(bs), 3)
+        rref, reduced = Matrix.rref, []
+
+        def recorded_rref(M, limit=None):
+            reduced.append(M)
+            return rref(M, limit)
+
+        monkeypatch.setattr(Matrix, "rref", recorded_rref)
+        assert canonicalize(A, STAR_AC) == bs
+        # a regular form is its own core
+        for lam in (gr(1), u):
+            P = A - A.conj_transpose().scale_left(lam)
+            assert sum(M == P for M in reduced) == 1, lam
+
 
 def _height(M):
     """The largest bit length of a numerator or denominator of M's entries
@@ -926,17 +981,26 @@ class TestPencilChain:
 
     def test_eliminations_stay_at_the_height_of_the_form(self, monkeypatch):
         # each root space here is semisimple, so its chain is the one
-        # elimination of C - lam C*: no entry taller than C's and lam's
-        # heights together (the cosquare's entries have about 150 bits)
+        # elimination of C - lam C*, made at construction: no entry taller
+        # than C's and lam's heights together (the cosquare's entries have
+        # about 150 bits)
         bs = _semisimple_star_form(PYTHAGOREAN[:2], [
             gr(rational(j + 2, j + 1), rational(1, j + 3)) for j in range(4)])
         A = scramble(block_sum_matrix(bs), 1)
-        rref, chain, seen, at = Matrix.rref, RootSpace.chain, [], [None]
+        rref, init, chain = Matrix.rref, RootSpace.__init__, RootSpace.chain
+        seen, at = [], [None]
 
         def recorded_rref(M, limit=None):
             if at[0] is not None:
                 seen.append((at[0], _height(M)))
             return rref(M, limit)
+
+        def marked_init(space, M, lam, mult, pencil=None):
+            at[0] = lam
+            try:
+                return init(space, M, lam, mult, pencil)
+            finally:
+                at[0] = None
 
         def marked_chain(space):
             at[0] = space.lam
@@ -946,6 +1010,7 @@ class TestPencilChain:
                 at[0] = None
 
         monkeypatch.setattr(Matrix, "rref", recorded_rref)
+        monkeypatch.setattr(RootSpace, "__init__", marked_init)
         monkeypatch.setattr(RootSpace, "chain", marked_chain)
         assert canonicalize(A, STAR_AC) == bs
         assert sorted({lam for lam, _ in seen}, key=scalar_key) == sorted(
@@ -956,8 +1021,8 @@ class TestPencilChain:
 
 
 class TestLargeRegular:
-    """Regular star-ac forms above n = 11, brought to their BlockSums (CI
-    prints each one's wall time)."""
+    """Regular forms above n = 11 in each mode, brought to their BlockSums
+    (CI prints each one's wall time)."""
 
     def test_n25_roots_and_skew_pairs(self):
         u = gr(rational(3, 5), rational(4, 5))
@@ -979,6 +1044,33 @@ class TestLargeRegular:
         A = scramble(block_sum_matrix(bs), 1)
         assert A.rows == 24
         assert canonicalize(A, STAR_AC) == bs
+
+    def test_n28_congruence_roots_and_skew_pairs(self):
+        bs = BlockSum(CONGRUENCE_AC, [
+            CanonicalBlock(SIGNED_ROOT, n, lam=gr(lam))
+            for n, lam in ((3, 1), (3, 1), (1, 1), (1, 1),
+                           (2, -1), (4, -1), (2, -1))]
+            + [CanonicalBlock(SKEW_PAIR, n, lam=lam)
+               for n, lam in ((2, gr(2)), (1, gr(1, 1)), (1, gr(0, 1)),
+                              (1, gr(-1)), (1, gr(3)))])
+        A = scramble(block_sum_matrix(bs), 12345)
+        assert A.rows == 28
+        assert canonicalize(A, CONGRUENCE_AC) == bs
+
+    def test_n32_real_roots_and_skew_pairs(self):
+        u = gr(rational(3, 5), rational(4, 5))
+        bs = BlockSum(CONGRUENCE_REAL, [
+            CanonicalBlock(SIGNED_ROOT, n, lam=rational(lam), eps=e)
+            for n, lam, e in ((3, 1, 1), (3, 1, -1), (1, 1, 1), (1, 1, -1),
+                              (2, -1, 1), (4, -1, -1))]
+            + [CanonicalBlock(REAL_SIGNED_ROOT, 1, lam=u, eps=1),
+               CanonicalBlock(REAL_SIGNED_ROOT, 2, lam=u, eps=-1)]
+            + [CanonicalBlock(SKEW_PAIR, n, lam=rational(lam))
+               for n, lam in ((2, 2), (1, -2), (1, -1))]
+            + [CanonicalBlock(REAL_SKEW_PAIR, 1, lam=gr(1, 1))])
+        A = scramble(block_sum_matrix(bs), 12345)
+        assert A.rows == 32
+        assert canonicalize(A, CONGRUENCE_REAL) == bs
 
 
 class TestLargeSingular:

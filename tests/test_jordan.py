@@ -19,10 +19,11 @@ from congruence.scalar import (GaussianRational, FieldMode, MODE_RATIONAL,
                                MODE_GAUSSIAN, MODE_GAUSSIAN_ID, MODE_REAL_FLOAT,
                                rational)
 from congruence.matrix import Matrix, Poly, complexify, direct_sum, realify
-from congruence.blocks import (STAR_AC, SIGNED_ROOT, SKEW_PAIR, BlockSum,
-                               CanonicalBlock, block_sum_matrix, jordan_block,
-                               frobenius_block)
+from congruence.blocks import (STAR_AC, CONGRUENCE_REAL, SIGNED_ROOT,
+                               SKEW_PAIR, BlockSum, CanonicalBlock,
+                               block_sum_matrix, jordan_block, frobenius_block)
 from congruence.canon import canonicalize, random_congruence
+from congruence.cosquare import cosquare
 from congruence import jordan
 from congruence.jordan import (jordan_structure, generalized_eigenbasis,
                                eigenvalues, UnsplittablePolynomial, RootSpace,
@@ -367,7 +368,7 @@ class TestRankChain:
     # and K_k) and one product
     @pytest.mark.parametrize("lam, mult, part, kernels, products", [
         (2, 1, (1,), 0, 0),     # a simple eigenvalue: no chain until chain()
-        (1, 3, (3,), 5, 2),     # stops at nullity 3, no kernel past it
+        (1, 3, (3,), 0, 0),     # nullity 1 settles (3,): no chain either
     ])
     def test_chain_stops_at_the_multiplicity(self, monkeypatch, lam, mult,
                                              part, kernels, products):
@@ -381,6 +382,26 @@ class TestRankChain:
             monkeypatch.setattr(Matrix, name, counted)
         assert RootSpace(A, rational(lam), mult).sizes == part
         assert calls == Counter(right_kernel=kernels, __mul__=products)
+
+    def test_open_partition_chain_starts_from_the_elimination(self,
+                                                              monkeypatch):
+        # J_2 + J_2 at 1: nullity 2 of 4 leaves (2, 2) and (3, 1) open, so
+        # the chain runs; K_1 comes off the construction's elimination, K_2
+        # is one step (two kernels, one product), and nothing runs past
+        # nullity 4
+        A = scrambled([jordan_block(2, 1, MODE_RATIONAL),
+                       jordan_block(2, 1, MODE_RATIONAL),
+                       jordan_block(1, 2, MODE_RATIONAL)], MODE_RATIONAL, 5)
+        calls = Counter()
+        for name in ("right_kernel", "__mul__"):
+            def counted(*args, _name=name, _orig=getattr(Matrix, name)):
+                calls[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(Matrix, name, counted)
+        space = RootSpace(A, rational(1), 4)
+        assert space.sizes == (2, 2)
+        assert [K.cols for K in space.chain()] == [0, 2, 4]
+        assert calls == Counter(right_kernel=2, __mul__=1)
 
     def test_simple_eigenvalue_builds_its_chain_at_basis(self, monkeypatch):
         A = scrambled([jordan_block(3, 1, MODE_RATIONAL),
@@ -409,6 +430,71 @@ class TestRankChain:
         assert space.sizes == (1,)
         with pytest.raises(ValueError, match="multiplicity 1"):
             space.chain()
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_first_nullity_outside_the_multiplicity_raises(self, mode):
+        A = scrambled([jordan_block(2, 1, mode), jordan_block(1, 1, mode),
+                       jordan_block(1, 1, mode), jordan_block(1, 2, mode)],
+                      mode, 5)
+        with pytest.raises(ValueError, match=r"nullities \[0\] .* "
+                                             r"multiplicity 2"):
+            RootSpace(A, mode.promote(3), 2)
+        with pytest.raises(ValueError, match=r"nullities \[3\] .* "
+                                             r"multiplicity 2"):
+            RootSpace(A, mode.promote(1), 2)
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    def test_multiplicity_the_first_nullity_hides_stalls_at_chain(self, mode):
+        # nullity 1 settles (5,) on trust; the chain stalls at nullity 3
+        space = RootSpace(jordan_block(3, 1, mode), mode.promote(1), 5)
+        assert space.sizes == (5,)
+        with pytest.raises(ValueError, match=r"nullities \[1, 2, 3, 3\] "
+                                             r".* multiplicity 5"):
+            space.chain()
+
+
+def _chain_sizes(N):
+    """The Jordan partition at 0 of N, off its whole kernel chain."""
+    dims = [0]
+    for K in preimage_chain(N):
+        if K.cols == dims[-1]:
+            break
+        dims.append(K.cols)
+    counts = chain_counts(dims)
+    return tuple(k for k in range(len(counts), 0, -1)
+                 for _ in range(counts[k - 1]))
+
+
+class TestSettledSizes:
+    """Exact sizes, read off the first nullity where it leaves one partition
+    of the multiplicity, equal the whole kernel chain's."""
+
+    @pytest.mark.parametrize("mode", [MODE_RATIONAL, MODE_GAUSSIAN])
+    @pytest.mark.parametrize("route", ["plain", "pencil"])
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6).filter(
+               lambda s: 2 <= sum(s) <= 6),
+           seed=st.integers(0, 10 ** 6))
+    @example(sizes=[4], seed=1)             # d = 1
+    @example(sizes=[2, 1, 1, 1], seed=2)    # d = m - 1
+    @example(sizes=[1, 1, 1], seed=3)       # d = m
+    @example(sizes=[2, 2], seed=4)          # d = 2, m = 4: the chain runs
+    @example(sizes=[3, 1, 1], seed=5)       # d = 3, m = 5: the chain runs
+    def test_sizes_are_the_chain_counts(self, mode, route, sizes, seed):
+        lam = mode.promote(2 if mode == MODE_RATIONAL else gr(1, 1))
+        if route == "plain":
+            M = scrambled([jordan_block(n, lam, mode) for n in sizes]
+                          + [jordan_block(2, 3, mode)], mode, seed)
+            space = RootSpace(M, lam, sum(sizes))
+        else:
+            # the skew pairs' cosquare is similar to J_n(lam) + J_n(1/lam*)
+            cmode = CONGRUENCE_REAL if mode == MODE_RATIONAL else STAR_AC
+            C, _ = random_congruence(block_sum_matrix(BlockSum(cmode, [
+                CanonicalBlock(SKEW_PAIR, n, lam=lam) for n in sizes])), seed)
+            M = cosquare(C)
+            space = RootSpace(M, lam, sum(sizes), (C, C.conj_transpose()))
+        assert space.sizes == _chain_sizes(M.minus_scalar(lam)) == tuple(
+            sorted(sizes, reverse=True))
 
 
 class TestPreimageChain:
